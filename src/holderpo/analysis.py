@@ -8,8 +8,6 @@ import io
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
 from holderpo.core import (
     DomainError,
     HolderOrder,
@@ -18,7 +16,7 @@ from holderpo.core import (
     hhi,
     shannon_entropy,
 )
-from holderpo.objectives import GroupBatch, variance_bound_term
+from holderpo.objectives import GroupBatch, RolloutBatch, variance_bound_term
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,7 @@ class UpdateMetrics:
 
 def ratio_envelopes(batch: GroupBatch) -> tuple[float, float]:
     """(max, min) of log r over all valid tokens in the batch."""
-    logs = [r.log_ratio_sequence().valid_logs() for r in batch.rollouts]
-    if not logs:
-        raise DomainError("batch has no rollouts")
-    stacked = np.concatenate(logs)
-    return float(stacked.max()), float(stacked.min())
+    return RolloutBatch.from_groups([batch]).ratio_envelope()
 
 
 def weight_profile(

@@ -304,8 +304,22 @@ def _sweep_run(job):
     return label, seed, run_config, log
 
 
+def _sweep_workers() -> int:
+    """Worker processes for `sweep`: HOLDERPO_THREADS, an integer >= 1
+    (default 1)."""
+    raw = os.environ.get("HOLDERPO_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"HOLDERPO_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def cmd_sweep(args) -> int:
     try:
+        workers = _sweep_workers()
         task, config, _ = load_config(args.config)
         p_list = [float(tok) for tok in args.p_list.replace(",", " ").split()]
         if not p_list:
@@ -325,7 +339,6 @@ def cmd_sweep(args) -> int:
         for seed in range(args.seeds):
             jobs.append((spec.label(), spec, seed, task, config))
 
-    workers = int(os.environ.get("HOLDERPO_THREADS", "1"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []

@@ -145,6 +145,40 @@ def gradient_weights(ratios: RatioSequence, order: HolderOrder) -> WeightDistrib
     return WeightDistribution(w / w.sum())
 
 
+def holder_rows(
+    log_ratios: np.ndarray, mask: np.ndarray, order: HolderOrder
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise power means and gradient weights of exp(log_ratios).
+
+    Each row of the (N, T) arrays is one sequence; only its masked-in
+    positions count, and masked-out positions get zero weight.  Returns rho
+    with shape (N,) and W with shape (N, T), each row the same as
+    ``holder_mean_masked`` and ``gradient_weights`` give for that row, and
+    subject to the same checks.
+    """
+    logs = np.asarray(log_ratios, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if logs.ndim != 2 or mask.shape != logs.shape:
+        raise DomainError("log_ratios and mask must share one (N, T) shape")
+    n = mask.sum(axis=1)
+    if not n.all():
+        raise DomainError("mask must have at least one valid entry per row")
+    if not np.isfinite(logs[mask]).all():
+        raise DomainError("valid log_ratios must be finite")
+    if order.is_zero:
+        rho = np.exp(np.where(mask, logs, 0.0).sum(axis=1) / n)
+        return rho, mask / n[:, None]
+    scaled = np.where(mask, order.p * logs, -np.inf)
+    shift = scaled.max(axis=1)
+    shifted = np.exp(scaled - shift[:, None])
+    total = shifted.sum(axis=1)
+    rho = np.exp((shift + np.log(total) - np.log(n)) / order.p)
+    weights = shifted / total[:, None]
+    if weights.min() < 0.0 or np.abs(weights.sum(axis=1) - 1.0).max() > 1e-10:
+        raise DomainError("weights must be nonnegative and sum to 1 within 1e-10")
+    return rho, weights
+
+
 def weighted_log_mean(ratios: RatioSequence, order: HolderOrder) -> float:
     """Weight-averaged log-ratio, bounded by [min log r, max log r]."""
     w = gradient_weights(ratios, order).weights

@@ -1,6 +1,11 @@
 """Advantage estimation and the three objective / gradient-estimator variants:
 unclipped, token-level clipped, and sequence-level clipped.
 
+All of them are computed by one batched kernel, :func:`batch_terms`, over a
+:class:`RolloutBatch` of (rollouts x tokens) arrays.  The per-group
+functions (``surrogate_*``, ``grad_estimator_*``, ``variance_bound_term``)
+pack their groups into a batch and call it.
+
 The KL term is deliberately absent.  Gradient estimators take any policy
 object exposing ``param_dim`` and ``score_gradients(token_ids) -> (T, d)``
 (row t is the score vector of token t); the tabular policy in
@@ -9,8 +14,8 @@ object exposing ``param_dim`` and ``score_gradients(token_ids) -> (T, d)``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +28,12 @@ from holderpo.core import (
     hhi,
     holder_mean,
     holder_mean_masked,
+    holder_rows,
 )
 
 DEGENERATE_STD = 1e-8
+
+CLIPPING_REGIMES = ("none", "token", "sequence")
 
 
 @dataclass(frozen=True)
@@ -119,65 +127,316 @@ class GradientEstimate:
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.float64))
 
 
-def advantage_estimates(rewards) -> np.ndarray:
-    """Group-normalized advantages (reward - mean) / population std.
+def group_advantages(rewards, group_size: int) -> np.ndarray:
+    """Group-normalized advantages (reward - mean) / population std, for
+    consecutive groups of `group_size` rewards.
 
     Degenerate groups (std below 1e-8) yield all-zero advantages: a
     uniform-reward group carries no relative signal.
     """
+    r = np.asarray(rewards, dtype=np.float64).reshape(-1, group_size)
+    std = r.std(axis=1, keepdims=True)
+    degenerate = std < DEGENERATE_STD
+    adv = (r - r.mean(axis=1, keepdims=True)) / np.where(degenerate, 1.0, std)
+    return np.where(degenerate, 0.0, adv).ravel()
+
+
+def advantage_estimates(rewards) -> np.ndarray:
+    """Advantages of one group of G >= 2 rewards (see group_advantages)."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise DomainError("advantage estimation needs G >= 2 rewards")
-    std = r.std()
-    if std < DEGENERATE_STD:
-        return np.zeros_like(r)
-    return (r - r.mean()) / std
+    return group_advantages(r, r.size)
 
 
-def _rho(rollout: RolloutRecord, order: HolderOrder) -> float:
-    return holder_mean_masked(rollout.log_ratio_sequence(), order)
+@dataclass(frozen=True)
+class RolloutBatch:
+    """N rollouts as (N, T) arrays; rows k*G .. k*G + G - 1 form group k.
+
+    Checked once per batch, under the conditions RolloutRecord and
+    LogRatioSequence check per rollout: log-probabilities <= 0 and finite
+    log-ratios at valid positions, and at least one valid position per row.
+    ``log_ratios`` is new - old at valid positions and 0 elsewhere.
+    """
+
+    token_ids: np.ndarray
+    old_logprobs: np.ndarray
+    new_logprobs: np.ndarray
+    mask: np.ndarray
+    rewards: np.ndarray
+    advantages: np.ndarray
+    group_size: int
+    log_ratios: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ids = np.asarray(self.token_ids, dtype=np.int64)
+        old = np.asarray(self.old_logprobs, dtype=np.float64)
+        new = np.asarray(self.new_logprobs, dtype=np.float64)
+        mask = np.asarray(self.mask, dtype=bool)
+        rewards = np.asarray(self.rewards, dtype=np.float64)
+        advantages = np.asarray(self.advantages, dtype=np.float64)
+        if ids.ndim != 2 or not (ids.shape == old.shape == new.shape == mask.shape):
+            raise DomainError("token_ids, logprobs, and mask must share one (N, T) shape")
+        rows = ids.shape[0]
+        if self.group_size < 2:
+            raise DomainError("a group needs G >= 2 rollouts")
+        if rows == 0 or rows % self.group_size:
+            raise DomainError("rows must form whole groups of G rollouts")
+        if rewards.shape != (rows,) or advantages.shape != (rows,):
+            raise DomainError("rewards and advantages must have one entry per rollout")
+        if not mask.any(axis=1).all():
+            raise DomainError("rollout must have at least one valid token")
+        if np.maximum(old, new)[mask].max() > 0.0:
+            raise DomainError("log-probabilities must be <= 0")
+        log_ratios = np.where(mask, new - old, 0.0)
+        if not np.isfinite(log_ratios).all():
+            raise DomainError("valid log_ratios must be finite")
+        for name, value in (
+            ("token_ids", ids),
+            ("old_logprobs", old),
+            ("new_logprobs", new),
+            ("mask", mask),
+            ("rewards", rewards),
+            ("advantages", advantages),
+            ("log_ratios", log_ratios),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[GroupBatch]) -> "RolloutBatch":
+        """Pack groups of one size G into a batch; shorter rollouts are padded
+        with masked-out positions."""
+        if len(groups) == 0:
+            raise DomainError("minibatch must contain at least one group")
+        size = groups[0].group_size
+        if any(g.group_size != size for g in groups):
+            raise DomainError("groups in one batch must share a group size")
+        rollouts = [r for g in groups for r in g.rollouts]
+        length = max(r.token_ids.size for r in rollouts)
+
+        def column(name, fill, dtype):
+            out = np.full((len(rollouts), length), fill, dtype=dtype)
+            for row, rollout in zip(out, rollouts):
+                values = getattr(rollout, name)
+                row[: values.size] = values
+            return out
+
+        return cls(
+            token_ids=column("token_ids", 0, np.int64),
+            old_logprobs=column("old_logprobs", 0.0, np.float64),
+            new_logprobs=column("new_logprobs", 0.0, np.float64),
+            mask=column("mask", False, bool),
+            rewards=np.array([r.reward for r in rollouts]),
+            advantages=np.concatenate([g.advantages for g in groups]),
+            group_size=size,
+        )
+
+    def to_groups(self) -> list[GroupBatch]:
+        """One GroupBatch per group, advantages carried over."""
+        rollouts = [
+            RolloutRecord(ids, old, new, float(reward), mask)
+            for ids, old, new, reward, mask in zip(
+                self.token_ids, self.old_logprobs, self.new_logprobs,
+                self.rewards, self.mask,
+            )
+        ]
+        size = self.group_size
+        return [
+            GroupBatch(rollouts[k : k + size], advantages=self.advantages[k : k + size])
+            for k in range(0, len(rollouts), size)
+        ]
+
+    @property
+    def num_groups(self) -> int:
+        return self.token_ids.shape[0] // self.group_size
+
+    def select_groups(self, groups) -> "RolloutBatch":
+        """The batch made of the given groups, in the given order."""
+        size = self.group_size
+        rows = (np.asarray(groups)[:, None] * size + np.arange(size)).ravel()
+        return replace(
+            self,
+            token_ids=self.token_ids[rows],
+            old_logprobs=self.old_logprobs[rows],
+            new_logprobs=self.new_logprobs[rows],
+            mask=self.mask[rows],
+            rewards=self.rewards[rows],
+            advantages=self.advantages[rows],
+        )
+
+    def ratio_envelope(self) -> tuple[float, float]:
+        """(max, min) of log r over all valid tokens."""
+        valid = self.log_ratios[self.mask]
+        return float(valid.max()), float(valid.min())
+
+
+def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
+    """Per-group means of per-rollout values (N, ...) -> (N / G, ...).
+
+    Each group is summed as a left fold over its rows, then divided by G:
+    the order of the per-rollout loops this kernel replaced, which the
+    objective (a cancellation, sum_i A_i = 0) and the golden traces
+    depend on.
+    """
+    grouped = values.reshape(-1, group_size, *values.shape[1:])
+    total = grouped[:, 0].copy()
+    for i in range(1, group_size):
+        total += grouped[:, i]
+    return total / group_size
+
+
+def minibatch_mean(values: np.ndarray, group_size: int) -> np.ndarray:
+    """Mean over groups of per-group means, as a left fold over groups."""
+    per_group = group_means(values, group_size)
+    total = per_group[0].copy()
+    for group in per_group[1:]:
+        total += group
+    return total / per_group.shape[0]
+
+
+@dataclass(frozen=True)
+class BatchTerms:
+    """Everything one update needs from a batch at one exponent and regime.
+
+    Rollout i adds ``row_coef[i] * (row_scale[i] * (token_weights[i] . g_i))``
+    to its group's gradient, g_i being its per-token score vectors: A_i rho_i
+    W_i(p) when unclipped or under the sequence gate (A_i zeroed where the
+    gate closes), and A_i times the per-token factor I_t h^{1-p} r_t^p / n
+    (row_scale 1) under token clipping.
+    """
+
+    rho: np.ndarray  # (N,) aggregated ratio rho_i(p)
+    token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor
+    row_scale: np.ndarray  # (N,) rho_i, or 1 under token clip
+    row_coef: np.ndarray  # (N,) A_i, 0 where the sequence gate closed
+    gated: np.ndarray  # (N,) sequence gate closed
+    clipped: np.ndarray  # (N, T) token clipped against its advantage
+    group_objectives: np.ndarray  # (N / G,) surrogate objective per group
+    clip_fraction: float
+    v_of_p: float  # mean of A^2 rho^2
+    log_ratio_max: float
+    log_ratio_min: float
+
+    @property
+    def objective(self) -> float:
+        """Mean of the per-group surrogate objectives."""
+        return float(self.group_objectives.mean())
+
+
+def _check_two_forms(logs, mask, order: HolderOrder, rho, weights) -> None:
+    """rho W must equal rho^{1-p}/n r^p token by token; rows whose raw powers
+    overflow float64 are skipped (the softmax form is the stable one)."""
+    if order.is_zero:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = rho ** (1.0 - order.p) / mask.sum(axis=1)
+        alt = scale[:, None] * np.where(mask, np.exp(order.p * logs), 0.0)
+        result = rho[:, None] * weights
+        bound = 1e-10 * np.maximum(np.maximum(np.abs(result), np.abs(alt)), 1.0)
+        ok = np.abs(result - alt) <= bound
+    assert (ok | ~np.isfinite(alt)).all()
+
+
+def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
+    """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
+    positive advantage, D for a negative one) and the clipped-token mask."""
+    ratios = np.exp(logs)
+    band = np.minimum(np.maximum(ratios, clip.low), clip.high)
+    positive = (adv > 0.0)[:, None]
+    adjusted = np.where(positive, np.minimum(ratios, band), np.maximum(ratios, band))
+    h, _ = holder_rows(np.log(adjusted), mask, order)
+    kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
+    clipped = mask & ~kept & (adv != 0.0)[:, None]
+    n = mask.sum(axis=1)
+    if order.is_zero:
+        factors = np.where(kept, (h / n)[:, None], 0.0)
+    else:
+        # h^{1-p}/n * r^p in log-space to survive large |p|
+        log_terms = ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + order.p * logs
+        factors = np.where(kept, np.exp(log_terms), 0.0)
+    return factors, h, clipped
+
+
+def batch_terms(
+    batch: RolloutBatch,
+    order: HolderOrder,
+    regime: str,
+    clip: ClipConfig | None = None,
+    guard: Callable[[RolloutBatch, np.ndarray], None] | None = None,
+) -> BatchTerms:
+    """rho, W or the token-clip factors, gates, the objective, clip fraction,
+    V(p) and log-ratio envelopes of a batch under one clipping regime
+    ("none", "token" or "sequence"), with rho computed once per rollout.
+
+    The sequence gate zeroes a rollout whose aggregated ratio has already
+    left the clip band in the direction its advantage favors; token
+    clipping zeroes tokens clipped against the advantage direction and uses
+    the clipped power mean, not rho, as the outer factor.  ``guard(batch,
+    rho)``, if given, runs as soon as rho is known and may raise.
+    """
+    if regime not in CLIPPING_REGIMES:
+        raise DomainError(f"clipping regime must be one of {CLIPPING_REGIMES}")
+    if regime != "none" and clip is None:
+        raise DomainError(f"the {regime!r} regime needs a ClipConfig")
+    logs, mask, adv = batch.log_ratios, batch.mask, batch.advantages
+    rho, weights = holder_rows(logs, mask, order)
+    if guard is not None:
+        guard(batch, rho)
+    if __debug__:
+        _check_two_forms(logs, mask, order, rho, weights)
+    gated = np.zeros(rho.shape, dtype=bool)
+    clipped = np.zeros(mask.shape, dtype=bool)
+    if regime == "token":
+        token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
+        row_scale, row_coef = np.ones_like(rho), adv
+        objectives = h * adv
+        clip_fraction = np.count_nonzero(clipped) / np.count_nonzero(mask)
+    else:
+        token_weights, row_scale = weights, rho
+        objectives = rho * adv
+        clip_fraction = 0.0
+        if regime == "sequence":
+            gated = ((adv > 0.0) & (rho > clip.high)) | ((adv < 0.0) & (rho < clip.low))
+            band = np.minimum(np.maximum(rho, clip.low), clip.high)
+            objectives = np.minimum(objectives, band * adv)
+            clip_fraction = np.count_nonzero(gated) / gated.size
+        row_coef = np.where(gated, 0.0, adv)
+    log_max, log_min = batch.ratio_envelope()
+    return BatchTerms(
+        rho=rho,
+        token_weights=token_weights,
+        row_scale=row_scale,
+        row_coef=row_coef,
+        gated=gated,
+        clipped=clipped,
+        group_objectives=group_means(objectives, batch.group_size),
+        clip_fraction=clip_fraction,
+        v_of_p=float((adv**2 * rho**2).mean()),
+        log_ratio_max=log_max,
+        log_ratio_min=log_min,
+    )
+
+
+def _group_terms(batch: GroupBatch, order: HolderOrder, regime: str,
+                 clip: ClipConfig | None = None) -> BatchTerms:
+    return batch_terms(RolloutBatch.from_groups([batch]), order, regime, clip)
 
 
 def surrogate_unclipped(batch: GroupBatch, order: HolderOrder) -> float:
     """(1/G) sum_i rho_i * A_i."""
-    total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        total += _rho(rollout, order) * adv
-    return total / batch.group_size
+    return _group_terms(batch, order, "none").objective
 
 
 def surrogate_seq_clip(batch: GroupBatch, order: HolderOrder, clip: ClipConfig) -> float:
     """Pessimistic sequence-level objective min(rho A, clip(rho) A)."""
-    total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        rho = _rho(rollout, order)
-        clipped = min(max(rho, clip.low), clip.high)
-        total += min(rho * adv, clipped * adv)
-    return total / batch.group_size
-
-
-def _clipped_mean(
-    rollout: RolloutRecord, order: HolderOrder, clip: ClipConfig, positive_adv: bool
-) -> float:
-    """C (min with the clip band, positive advantage) or D (max, negative)."""
-    ratios = np.exp(rollout.log_ratio_sequence().valid_logs())
-    if positive_adv:
-        adjusted = np.minimum(ratios, np.clip(ratios, clip.low, clip.high))
-    else:
-        adjusted = np.maximum(ratios, np.clip(ratios, clip.low, clip.high))
-    return holder_mean(RatioSequence(adjusted), order)
+    return _group_terms(batch, order, "sequence", clip).objective
 
 
 def surrogate_token_clip(
     batch: GroupBatch, order: HolderOrder, clip: ClipConfig
 ) -> float:
     """Token-level clipped objective: power means of per-token clipped ratios."""
-    total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        if adv == 0.0:
-            continue
-        total += _clipped_mean(rollout, order, clip, adv > 0.0) * adv
-    return total / batch.group_size
+    return _group_terms(batch, order, "token", clip).objective
 
 
 def loss_holder_po(
@@ -212,31 +471,25 @@ def grad_rho(
     return result
 
 
-def _masked_score_grads(policy, rollout: RolloutRecord) -> np.ndarray:
-    grads = policy.score_gradients(rollout.token_ids)
-    return grads[rollout.mask]
-
-
-def _require_groups(minibatch: Sequence[GroupBatch]) -> None:
-    if len(minibatch) == 0:
-        raise DomainError("minibatch must contain at least one group")
+def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
+              regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
+    """Minibatch average of per-group averages of each rollout's term, from
+    the policy's dense per-token score vectors."""
+    batch = RolloutBatch.from_groups(minibatch)
+    terms = batch_terms(batch, order, regime, clip)
+    scores = np.stack([policy.score_gradients(ids) for ids in batch.token_ids])
+    weighted = np.matmul(terms.token_weights[:, None, :], scores)[:, 0]
+    per_rollout = terms.row_coef[:, None] * (terms.row_scale[:, None] * weighted)
+    return GradientEstimate(
+        minibatch_mean(per_rollout, batch.group_size), terms.clip_fraction
+    )
 
 
 def grad_estimator_unclipped(
     minibatch: Sequence[GroupBatch], policy, order: HolderOrder
 ) -> GradientEstimate:
     """Minibatch average of per-group averages of A_i * grad rho_i."""
-    _require_groups(minibatch)
-    total = np.zeros(policy.param_dim)
-    for batch in minibatch:
-        group = np.zeros(policy.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            if adv == 0.0:
-                continue
-            grads = _masked_score_grads(policy, rollout)
-            group += adv * grad_rho(rollout.ratio_sequence(), grads, order)
-        total += group / batch.group_size
-    return GradientEstimate(total / len(minibatch), clip_fraction=0.0)
+    return _estimate(minibatch, policy, order, "none")
 
 
 def grad_estimator_seq_clip(
@@ -245,24 +498,7 @@ def grad_estimator_seq_clip(
     """Unclipped per-sequence terms gated by the sequence indicator: zero when
     the aggregated ratio has already left the clip band in the favored
     direction."""
-    _require_groups(minibatch)
-    total = np.zeros(policy.param_dim)
-    n_seqs = 0
-    n_zeroed = 0
-    for batch in minibatch:
-        group = np.zeros(policy.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            n_seqs += 1
-            rho = _rho(rollout, order)
-            if (adv > 0.0 and rho > clip.high) or (adv < 0.0 and rho < clip.low):
-                n_zeroed += 1
-                continue
-            if adv == 0.0:
-                continue
-            grads = _masked_score_grads(policy, rollout)
-            group += adv * grad_rho(rollout.ratio_sequence(), grads, order)
-        total += group / batch.group_size
-    return GradientEstimate(total / len(minibatch), clip_fraction=n_zeroed / n_seqs)
+    return _estimate(minibatch, policy, order, "sequence", clip)
 
 
 def grad_estimator_token_clip(
@@ -270,47 +506,14 @@ def grad_estimator_token_clip(
 ) -> GradientEstimate:
     """Per-token indicators zero out tokens clipped against the advantage
     direction; the outer factor uses the clipped power mean, not rho."""
-    _require_groups(minibatch)
-    total = np.zeros(policy.param_dim)
-    n_tokens = 0
-    n_zeroed = 0
-    for batch in minibatch:
-        group = np.zeros(policy.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            logs = rollout.log_ratio_sequence().valid_logs()
-            ratios = np.exp(logs)
-            n_tokens += ratios.size
-            if adv > 0.0:
-                indicator = ratios <= clip.high
-            elif adv < 0.0:
-                indicator = ratios >= clip.low
-            else:
-                continue
-            n_zeroed += int(ratios.size - indicator.sum())
-            h = _clipped_mean(rollout, order, clip, adv > 0.0)
-            grads = _masked_score_grads(policy, rollout)
-            n = ratios.size
-            if order.is_zero:
-                per_token = np.where(indicator, h / n, 0.0)
-            else:
-                # h^{1-p}/n * r^p in log-space to survive large |p|
-                log_terms = (1.0 - order.p) * np.log(h) - np.log(n) + order.p * logs
-                per_token = np.where(indicator, np.exp(log_terms), 0.0)
-            group += adv * (per_token @ grads)
-        total += group / batch.group_size
-    frac = n_zeroed / n_tokens if n_tokens else 0.0
-    return GradientEstimate(total / len(minibatch), clip_fraction=frac)
+    return _estimate(minibatch, policy, order, "token", clip)
 
 
 def variance_bound_term(batches: Sequence[GroupBatch], order: HolderOrder) -> float:
     """Empirical mean of A^2 rho^2 over every rollout in the sample."""
     if len(batches) == 0:
         raise DomainError("sample must contain at least one group")
-    values = []
-    for batch in batches:
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            values.append(adv**2 * _rho(rollout, order) ** 2)
-    return float(np.mean(values))
+    return batch_terms(RolloutBatch.from_groups(batches), order, "none").v_of_p
 
 
 def second_moment_orthogonal(

@@ -6,6 +6,12 @@ The policy has an independent logit row per position, so score gradients
 are exact and cheap, and gradients at distinct positions live in disjoint
 parameter blocks.  Sampling uses one counter-derived RNG substream per
 rollout, so runs are bit-reproducible regardless of evaluation order.
+
+Each update runs as one batched path over (rollouts x tokens) arrays: a
+round's rollouts are one RolloutBatch, a minibatch is a selection of its
+groups, and one ``batch_terms`` call yields rho, the weights, the gates,
+the objective and the telemetry.  The gradient is assembled per position
+block, (T, V), never as the dense (T, T*V) score matrix.
 """
 
 from __future__ import annotations
@@ -15,25 +21,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from holderpo.analysis import UpdateMetrics, ratio_envelopes
+from holderpo.analysis import UpdateMetrics
 from holderpo.core import DomainError, HolderOrder
 from holderpo.objectives import (
+    CLIPPING_REGIMES,
+    BatchTerms,
     ClipConfig,
     GroupBatch,
-    RolloutRecord,
-    grad_estimator_seq_clip,
-    grad_estimator_token_clip,
-    grad_estimator_unclipped,
-    surrogate_seq_clip,
-    surrogate_token_clip,
-    surrogate_unclipped,
-    variance_bound_term,
+    RolloutBatch,
+    batch_terms,
+    group_advantages,
+    minibatch_mean,
 )
 from holderpo.schedule import ScheduleSpec, p_at
 
 RHO_DIVERGENCE_LIMIT = 1e6
-
-CLIPPING_REGIMES = ("none", "token", "sequence")
 
 
 class DivergenceError(RuntimeError):
@@ -80,16 +82,26 @@ class PolicyParams:
         return np.exp(self.log_probs())
 
     def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
+        """log pi(token_ids[..., t] | pos t) for token ids of shape (..., T)."""
         lp = self.log_probs()
         return lp[np.arange(self.length), token_ids]
 
+    def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
+        """Block t of the score vector of token t, onehot(token) - pi_t, for
+        token ids of shape (..., T); returns (..., T, V).  The score vector
+        of token t is zero outside logit row t."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        blocks = np.broadcast_to(-self.probs(), (*ids.shape[:-1], *self.logits.shape))
+        blocks = blocks.copy()
+        rows = blocks.reshape(-1, self.vocab)
+        rows[np.arange(rows.shape[0]), ids.ravel()] += 1.0
+        return blocks
+
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
         """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened."""
-        probs = self.probs()
         grads = np.zeros((self.length, self.length, self.vocab))
-        for t in range(self.length):
-            grads[t, t, :] = -probs[t]
-            grads[t, t, token_ids[t]] += 1.0
+        diagonal = np.arange(self.length)
+        grads[diagonal, diagonal] = self.score_blocks(token_ids)
         return grads.reshape(self.length, self.param_dim)
 
     def mean_entropy(self) -> float:
@@ -132,10 +144,16 @@ class TaskSpec:
                 raise DomainError("dense_threshold out of range")
 
     def reward(self, token_ids: np.ndarray) -> float:
+        return float(self.rewards(np.asarray(token_ids)[None])[0])
+
+    def rewards(self, token_ids: np.ndarray) -> np.ndarray:
+        """Binary rewards of the rows of an (N, T) token-id array."""
         if self.kind == "sparse":
-            return float(token_ids[self.key_position] == self.key_token)
-        mismatches = int(np.sum(token_ids != np.asarray(self.target_sequence)))
-        return float(mismatches <= self.dense_threshold)
+            hits = token_ids[:, self.key_position] == self.key_token
+        else:
+            mismatches = np.sum(token_ids != np.asarray(self.target_sequence), axis=1)
+            hits = mismatches <= self.dense_threshold
+        return hits.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -195,6 +213,38 @@ def _rollout_rng(seed: int, round_idx: int, group_idx: int, rollout_idx: int):
     return np.random.default_rng(ss)
 
 
+def round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
+                   length: int) -> np.ndarray:
+    """(N, T) sampling uniforms of one round, row g*G + i drawn from the
+    substream of rollout i of group g."""
+    out = np.empty((num_groups * group_size, length))
+    for row, (g, i) in zip(out, np.ndindex(num_groups, group_size)):
+        _rollout_rng(seed, round_idx, g, i).random(out=row)
+    return out
+
+
+def sample_rollouts(
+    policy_old: PolicyParams, task: TaskSpec, group_size: int, uniforms: np.ndarray
+) -> RolloutBatch:
+    """Sample one rollout per row of the (N, T) `uniforms` position-wise from
+    the old policy by inverse CDF; rewards and group-normalized advantages
+    (G consecutive rows per group) are filled in."""
+    log_probs = policy_old.log_probs()
+    cum = np.cumsum(np.exp(log_probs), axis=1)
+    token_ids = np.minimum((cum < uniforms[:, :, None]).sum(axis=2), task.vocab - 1)
+    old_lp = log_probs[np.arange(task.length), token_ids]
+    rewards = task.rewards(token_ids)
+    return RolloutBatch(
+        token_ids=token_ids,
+        old_logprobs=old_lp,
+        new_logprobs=old_lp,
+        mask=np.ones(token_ids.shape, dtype=bool),
+        rewards=rewards,
+        advantages=group_advantages(rewards, group_size),
+        group_size=group_size,
+    )
+
+
 def sample_group(
     policy_old: PolicyParams,
     task: TaskSpec,
@@ -204,35 +254,19 @@ def sample_group(
     """Sample G rollouts position-wise from the old policy; rewards and
     group-normalized advantages are filled in.  `rng_streams` is one RNG
     per rollout."""
-    probs = policy_old.probs()
-    cum = np.cumsum(probs, axis=1)
-    rollouts = []
-    for i in range(group_size):
-        rng = rng_streams[i]
-        u = rng.random(task.length)
-        token_ids = np.minimum(
-            (cum < u[:, None]).sum(axis=1), task.vocab - 1
-        ).astype(np.int64)
-        old_lp = policy_old.token_logprobs(token_ids)
-        rollouts.append(
-            RolloutRecord(
-                token_ids=token_ids,
-                old_logprobs=old_lp,
-                new_logprobs=old_lp.copy(),
-                reward=task.reward(token_ids),
-                mask=np.ones(task.length, dtype=bool),
-            )
-        )
-    return GroupBatch(rollouts)
+    uniforms = np.stack([rng_streams[i].random(task.length) for i in range(group_size)])
+    return sample_rollouts(policy_old, task, group_size, uniforms).to_groups()[0]
+
+
+def refresh_rollouts(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
+    """Recompute new_logprobs under the current policy."""
+    return replace(batch, new_logprobs=policy_new.token_logprobs(batch.token_ids))
 
 
 def refresh_logprobs(batch: GroupBatch, policy_new: PolicyParams) -> GroupBatch:
     """Recompute new_logprobs under the current policy."""
-    rollouts = [
-        replace(r, new_logprobs=policy_new.token_logprobs(r.token_ids))
-        for r in batch.rollouts
-    ]
-    return GroupBatch(rollouts, advantages=batch.advantages)
+    rollouts = RolloutBatch.from_groups([batch])
+    return refresh_rollouts(rollouts, policy_new).to_groups()[0]
 
 
 def success_probability(policy: PolicyParams, task: TaskSpec) -> float:
@@ -256,24 +290,37 @@ def success_probability(policy: PolicyParams, task: TaskSpec) -> float:
     return float(dist[: task.dense_threshold + 1].sum())
 
 
-def _check_divergence(minibatch, order: HolderOrder) -> None:
-    from holderpo.objectives import _rho
-
+def _check_divergence(batch: RolloutBatch, rho: np.ndarray) -> None:
+    """Raise DivergenceError for the first rollout with a token ratio outside
+    [1/limit, limit] or an aggregated ratio above the limit, checked in that
+    order."""
     log_limit = np.log(RHO_DIVERGENCE_LIMIT)
-    for batch in minibatch:
-        for rollout in batch.rollouts:
-            logs = rollout.log_ratio_sequence().valid_logs()
-            extreme = float(np.abs(logs).max())
-            if extreme > log_limit:
-                raise DivergenceError(
-                    f"token ratio exp({extreme:.1f}) left the divergence band "
-                    f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]"
-                )
-            rho = _rho(rollout, order)
-            if rho > RHO_DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"aggregated ratio {rho:.3e} exceeded {RHO_DIVERGENCE_LIMIT:.0e}"
-                )
+    extreme = np.abs(batch.log_ratios).max(axis=1)
+    bad = (extreme > log_limit) | (rho > RHO_DIVERGENCE_LIMIT)
+    if not bad.any():
+        return
+    first = int(np.argmax(bad))
+    if extreme[first] > log_limit:
+        raise DivergenceError(
+            f"token ratio exp({extreme[first]:.1f}) left the divergence band "
+            f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]"
+        )
+    raise DivergenceError(
+        f"aggregated ratio {rho[first]:.3e} exceeded {RHO_DIVERGENCE_LIMIT:.0e}"
+    )
+
+
+def _policy_gradient(
+    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms
+) -> np.ndarray:
+    """The minibatch gradient as a (T, V) logit table, built per position
+    block: token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to
+    row t, s_it being its score block."""
+    per_rollout = policy.score_blocks(batch.token_ids)
+    per_rollout *= terms.token_weights[:, :, None]
+    per_rollout *= terms.row_scale[:, None, None]
+    per_rollout *= terms.row_coef[:, None, None]
+    return minibatch_mean(per_rollout, batch.group_size)
 
 
 def train(
@@ -281,8 +328,8 @@ def train(
     task: TaskSpec,
     initial_policy: PolicyParams | None = None,
 ) -> RunLog:
-    """Run the full loop: per round, snapshot the old policy, sample the
-    round's rollouts, then apply gradient-ascent updates on minibatches of
+    """Run the full loop: per round, sample the round's rollouts from the
+    current policy, then apply gradient-ascent updates on minibatches of
     groups with p taken from the schedule at the global update index."""
     start = time.monotonic()
     policy = (
@@ -296,52 +343,23 @@ def train(
     horizon = config.schedule.total_steps
 
     for round_idx in range(config.total_rounds):
-        policy_old = policy.copy()
-        groups = [
-            sample_group(
-                policy_old,
-                task,
-                config.group_size,
-                [
-                    _rollout_rng(config.seed, round_idx, g, i)
-                    for i in range(config.group_size)
-                ],
-            )
-            for g in range(config.num_groups)
-        ]
-        round_reward = float(
-            np.mean([r.reward for b in groups for r in b.rollouts])
+        uniforms = round_uniforms(
+            config.seed, round_idx, config.num_groups, config.group_size, task.length
         )
+        rollouts = sample_rollouts(policy, task, config.group_size, uniforms)
+        round_reward = float(np.mean(rollouts.rewards))
 
         for update_idx in range(config.updates_per_round):
             p = p_at(config.schedule, min(global_update, horizon))
             order = HolderOrder(p)
             lo = (update_idx * config.minibatch_size) % config.num_groups
-            minibatch = [
-                refresh_logprobs(groups[(lo + j) % config.num_groups], policy)
-                for j in range(config.minibatch_size)
-            ]
-            _check_divergence(minibatch, order)
-
-            if config.clipping_regime == "none":
-                estimate = grad_estimator_unclipped(minibatch, policy, order)
-                objective = float(
-                    np.mean([surrogate_unclipped(b, order) for b in minibatch])
-                )
-            elif config.clipping_regime == "token":
-                estimate = grad_estimator_token_clip(minibatch, policy, order, clip)
-                objective = float(
-                    np.mean([surrogate_token_clip(b, order, clip) for b in minibatch])
-                )
-            else:
-                estimate = grad_estimator_seq_clip(minibatch, policy, order, clip)
-                objective = float(
-                    np.mean([surrogate_seq_clip(b, order, clip) for b in minibatch])
-                )
-
-            env_max = max(ratio_envelopes(b)[0] for b in minibatch)
-            env_min = min(ratio_envelopes(b)[1] for b in minibatch)
-            delta = config.learning_rate * estimate.vector
+            groups = (lo + np.arange(config.minibatch_size)) % config.num_groups
+            minibatch = refresh_rollouts(rollouts.select_groups(groups), policy)
+            terms = batch_terms(
+                minibatch, order, config.clipping_regime, clip, guard=_check_divergence
+            )
+            gradient = _policy_gradient(policy, minibatch, terms).ravel()
+            delta = config.learning_rate * gradient
             policy = PolicyParams(
                 policy.logits + delta.reshape(policy.logits.shape)
             )
@@ -349,14 +367,14 @@ def train(
                 UpdateMetrics(
                     step=global_update,
                     p_value=p,
-                    objective=objective,
-                    grad_norm=float(np.linalg.norm(estimate.vector)),
+                    objective=terms.objective,
+                    grad_norm=float(np.linalg.norm(gradient)),
                     policy_entropy=policy.mean_entropy(),
-                    log_ratio_max=env_max,
-                    log_ratio_min=env_min,
-                    clip_fraction=estimate.clip_fraction,
+                    log_ratio_max=terms.log_ratio_max,
+                    log_ratio_min=terms.log_ratio_min,
+                    clip_fraction=terms.clip_fraction,
                     mean_reward=round_reward,
-                    v_of_p=variance_bound_term(minibatch, order),
+                    v_of_p=terms.v_of_p,
                 )
             )
             global_update += 1

@@ -21,6 +21,7 @@ from holderpo.core import (
     gradient_weights,
     hhi,
     holder_mean,
+    holder_mean_masked,
     limit_weights,
     mu_p_derivative,
     shannon_entropy,
@@ -30,19 +31,18 @@ from holderpo.core import (
 from holderpo.objectives import (
     ClipConfig,
     GroupBatch,
+    RolloutBatch,
     RolloutRecord,
     advantage_estimates,
+    batch_terms,
     grad_estimator_seq_clip,
     grad_estimator_token_clip,
     grad_estimator_unclipped,
     grad_rho,
     second_moment_orthogonal,
-    surrogate_seq_clip,
-    surrogate_token_clip,
-    surrogate_unclipped,
     variance_bound_term,
 )
-from holderpo.sim import PolicyParams
+from holderpo.sim import PolicyParams, refresh_logprobs, refresh_rollouts
 
 P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.0)
 LIMIT_P = 40.0
@@ -447,10 +447,8 @@ def _random_batch(
 
 
 def _away_from_kinks(batch: GroupBatch, order, clip: ClipConfig) -> bool:
-    from holderpo.objectives import _rho
-
     for rollout in batch.rollouts:
-        rho = _rho(rollout, order)
+        rho = holder_mean_masked(rollout.log_ratio_sequence(), order)
         if min(abs(rho - clip.low), abs(rho - clip.high)) < KINK_MARGIN:
             return False
         ratios = np.exp(rollout.log_ratio_sequence().valid_logs())
@@ -560,23 +558,27 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
             continue
         done += 1
 
-        def refreshed(candidate: PolicyParams) -> GroupBatch:
-            from holderpo.sim import refresh_logprobs
+        rollouts = RolloutBatch.from_groups([batch])
 
-            return refresh_logprobs(batch, candidate)
+        def objective(regime: str) -> Callable[[PolicyParams], float]:
+            # the surrogate as the batched kernel computes it for train
+            return lambda c: batch_terms(
+                refresh_rollouts(rollouts, c), order, regime, clip
+            ).objective
 
+        refreshed = [refresh_logprobs(batch, policy)]
         cases = [
             (
-                grad_estimator_unclipped([refreshed(policy)], policy, order).vector,
-                lambda c: surrogate_unclipped(refreshed(c), order),
+                grad_estimator_unclipped(refreshed, policy, order).vector,
+                objective("none"),
             ),
             (
-                grad_estimator_seq_clip([refreshed(policy)], policy, order, clip).vector,
-                lambda c: surrogate_seq_clip(refreshed(c), order, clip),
+                grad_estimator_seq_clip(refreshed, policy, order, clip).vector,
+                objective("sequence"),
             ),
             (
-                grad_estimator_token_clip([refreshed(policy)], policy, order, clip).vector,
-                lambda c: surrogate_token_clip(refreshed(c), order, clip),
+                grad_estimator_token_clip(refreshed, policy, order, clip).vector,
+                objective("token"),
             ),
         ]
         for analytic, objective in cases:
@@ -622,8 +624,6 @@ def check_seq_clip_contraction(rng, instances) -> CheckResult:
             policy_old.logits + rng.normal(scale=0.3, size=policy_old.logits.shape)
         )
         batch = _random_batch(rng, policy_old, policy)
-        from holderpo.sim import refresh_logprobs
-
         batch = refresh_logprobs(batch, policy)
         p = float(rng.uniform(-3.0, 3.0))
         order = HolderOrder(p)
@@ -654,8 +654,6 @@ def check_variance_term_monotone(rng, instances) -> CheckResult:
             policy_old.logits + rng.normal(scale=0.2, size=policy_old.logits.shape)
         )
         batch = _random_batch(rng, policy_old, policy)
-        from holderpo.sim import refresh_logprobs
-
         batch = refresh_logprobs(batch, policy)
         if np.all(batch.advantages == 0.0):
             continue
@@ -758,8 +756,6 @@ def check_schedule_contraction(rng, instances) -> CheckResult:
             policy_old.logits + rng.normal(scale=0.2, size=policy_old.logits.shape)
         )
         batch = _random_batch(rng, policy_old, policy)
-        from holderpo.sim import refresh_logprobs
-
         batch = refresh_logprobs(batch, policy)
         if np.all(batch.advantages == 0.0):
             continue

@@ -246,6 +246,20 @@ class TestSweepCommand:
                      str(tmp_path / "sweep"), "--p-list", " "])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                             value):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        monkeypatch.setenv("HOLDERPO_THREADS", value)
+        code = main(["sweep", "--config", str(config), "--out-dir", str(out),
+                     "--p-list", "0", "--seeds", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "HOLDERPO_THREADS" in err and repr(value) in err
+        assert not out.exists()
+
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
         out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holderpo import (
     DomainError,
@@ -18,6 +19,7 @@ from holderpo import (
     hhi,
     holder_mean,
     holder_mean_masked,
+    holder_rows,
     limit_weights,
     mu_p_derivative,
     shannon_entropy,
@@ -369,3 +371,70 @@ class TestLimitWeights:
             w = gradient_weights(r, HolderOrder(p)).weights
             lim = limit_weights(r, direction).weights
             assert w[lim > 0].sum() >= 0.999
+
+
+# Log-ratios over the documented domain r in [1e-4, 1e4], with masks that keep
+# at least one valid position per row.
+LOG_R_MAX = math.log(1e4)
+
+
+@st.composite
+def masked_log_ratio_rows(draw):
+    rows = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 12))
+    logs = draw(
+        hnp.arrays(np.float64, (rows, length),
+                   elements=st.floats(-LOG_R_MAX, LOG_R_MAX))
+    )
+    mask = draw(hnp.arrays(np.bool_, (rows, length)))
+    mask[np.arange(rows), draw(hnp.arrays(np.int64, rows,
+                                          elements=st.integers(0, length - 1)))] = True
+    # masked-out entries hold junk that must not leak into any row
+    return np.where(mask, logs, 1e3), mask
+
+
+# |p| <= 40, plus exponents straddling the +-1e-6 geometric branch.
+row_orders = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.sampled_from([1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), -1e-6 * (1 - 1e-9),
+                     -1e-6 * (1 + 1e-9), 0.0, 2e-6, -2e-6]),
+).map(HolderOrder)
+
+
+class TestHolderRows:
+    @given(masked_log_ratio_rows(), row_orders)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_scalar_reference(self, rows, order):
+        logs, mask = rows
+        rho, weights = holder_rows(logs, mask, order)
+        assert rho.shape == (logs.shape[0],) and weights.shape == logs.shape
+        # Off the geometric branch, rho = exp(log-mean-exp / p): rounding in the
+        # log-sum-exp (about T ulps, summed in a different order than the
+        # scalar path) is divided by p, so the agreement loosens near the seam.
+        eps = np.finfo(np.float64).eps
+        seam = 0.0 if order.is_zero else 4 * logs.shape[1] * eps / abs(order.p)
+        for i in range(logs.shape[0]):
+            valid = logs[i][mask[i]]
+            expect_rho = holder_mean_masked(LogRatioSequence(logs[i], mask[i]), order)
+            expect_w = gradient_weights(RatioSequence(np.exp(valid)), order).weights
+            assert rho[i] == pytest.approx(expect_rho, rel=1e-12 + seam)
+            np.testing.assert_allclose(weights[i][mask[i]], expect_w,
+                                       rtol=1e-10, atol=1e-14)
+            assert np.all(weights[i][~mask[i]] == 0.0)
+
+    def test_geometric_branch_is_uniform_over_valid(self):
+        logs = np.array([[math.log(2.0), math.log(8.0), 5.0]])
+        mask = np.array([[True, True, False]])
+        rho, weights = holder_rows(logs, mask, HolderOrder(0.0))
+        assert rho[0] == pytest.approx(4.0)
+        np.testing.assert_array_equal(weights, [[0.5, 0.5, 0.0]])
+
+    def test_rejects_empty_row_and_nonfinite_valid_entry(self):
+        with pytest.raises(DomainError):
+            holder_rows(np.zeros((2, 2)), np.array([[True, False], [False, False]]),
+                        HolderOrder(1.0))
+        with pytest.raises(DomainError):
+            holder_rows(np.array([[np.inf, 0.0]]), np.ones((1, 2), bool),
+                        HolderOrder(1.0))
+        with pytest.raises(DomainError):
+            holder_rows(np.zeros(3), np.ones(3, bool), HolderOrder(1.0))

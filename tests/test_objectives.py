@@ -35,8 +35,15 @@ from holderpo import (
     variance_bound_term,
 )
 from holderpo.core import LogRatioSequence
+from holderpo.objectives import RolloutBatch, batch_terms
 
-from conftest import make_group, make_rollout, random_group, random_policy_pair
+from conftest import (
+    make_group,
+    make_rollout,
+    random_group,
+    random_policy_pair,
+    sample_tokens,
+)
 
 
 def grpo_objective(batch: GroupBatch, epsilon: float) -> float:
@@ -448,6 +455,216 @@ class TestGradientEstimators:
             oracle /= batch.group_size
             est = grad_estimator_token_clip([batch], new, HolderOrder(1.0), clip)
             np.testing.assert_allclose(est.vector, oracle, rtol=1e-10, atol=1e-12)
+
+
+def masked_minibatch(rng, policy_old, policy_new, groups=3, group_size=4):
+    """Groups sampled from the old policy with random masks; the masked-out
+    positions carry junk new logprobs that must not leak into any term."""
+    minibatch = []
+    for _ in range(groups):
+        rollouts = []
+        for _ in range(group_size):
+            tokens = sample_tokens(rng, policy_old)
+            mask = rng.random(policy_old.length) < 0.6
+            mask[rng.integers(policy_old.length)] = True
+            new = np.where(mask, policy_new.token_logprobs(tokens), -30.0)
+            rollouts.append(
+                RolloutRecord(
+                    token_ids=tokens,
+                    old_logprobs=policy_old.token_logprobs(tokens),
+                    new_logprobs=new,
+                    reward=float(rng.integers(0, 2)),
+                    mask=mask,
+                )
+            )
+        minibatch.append(GroupBatch(rollouts))
+    return minibatch
+
+
+def brute_force_estimate(minibatch, policy, order, regime, clip):
+    """Direct per-rollout sums over dense score gradients, from the closed
+    forms A rho^{1-p}/n sum_t r^p g_t (gated per sequence) and
+    A h^{1-p}/n sum_t I_t r^p g_t (token clip); returns (vector, clip share)."""
+    total = np.zeros(policy.param_dim)
+    zeroed = counted = 0
+    for batch in minibatch:
+        group = np.zeros(policy.param_dim)
+        for rollout, adv in zip(batch.rollouts, batch.advantages):
+            r = rollout.ratio_sequence().ratios
+            grads = policy.score_gradients(rollout.token_ids)[rollout.mask]
+            n = r.size
+            rho = holder_mean(RatioSequence(r), order)
+            if regime == "token":
+                counted += n
+                if adv == 0.0:
+                    continue
+                band = np.clip(r, clip.low, clip.high)
+                adjusted = np.minimum(r, band) if adv > 0 else np.maximum(r, band)
+                keep = r <= clip.high if adv > 0 else r >= clip.low
+                zeroed += int(n - keep.sum())
+                h = holder_mean(RatioSequence(adjusted), order)
+                per_token = h ** (1.0 - order.p) / n * np.where(keep, r**order.p, 0.0)
+            else:
+                counted += 1
+                gate = regime == "sequence" and (
+                    (adv > 0 and rho > clip.high) or (adv < 0 and rho < clip.low)
+                )
+                if gate:
+                    zeroed += 1
+                    continue
+                per_token = rho ** (1.0 - order.p) / n * r**order.p
+            group += adv * (per_token @ grads)
+        total += group / batch.group_size
+    return total / len(minibatch), zeroed / counted
+
+
+def brute_force_objective(batch, order, regime, clip):
+    total = 0.0
+    for rollout, adv in zip(batch.rollouts, batch.advantages):
+        r = rollout.ratio_sequence().ratios
+        rho = holder_mean(RatioSequence(r), order)
+        if regime == "none":
+            total += rho * adv
+        elif regime == "sequence":
+            total += min(rho * adv, min(max(rho, clip.low), clip.high) * adv)
+        elif adv != 0.0:
+            band = np.clip(r, clip.low, clip.high)
+            adjusted = np.minimum(r, band) if adv > 0 else np.maximum(r, band)
+            total += holder_mean(RatioSequence(adjusted), order) * adv
+    return total / batch.group_size
+
+
+ESTIMATORS = {
+    "none": lambda mb, pol, order, clip: grad_estimator_unclipped(mb, pol, order),
+    "sequence": grad_estimator_seq_clip,
+    "token": grad_estimator_token_clip,
+}
+SURROGATES = {
+    "none": lambda b, order, clip: surrogate_unclipped(b, order),
+    "sequence": surrogate_seq_clip,
+    "token": surrogate_token_clip,
+}
+
+
+class TestMaskedMultiGroupOracles:
+    """The batched kernel behind every estimator, on several groups with
+    random masks, against per-rollout brute force."""
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_estimators_match_brute_force(self, rng, regime):
+        clip = ClipConfig(0.2)
+        clipped_cases = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            minibatch = masked_minibatch(rng, old, new)
+            for p in (-2.5, 0.0, 0.7, 3.0):
+                order = HolderOrder(p)
+                expect, share = brute_force_estimate(minibatch, new, order, regime, clip)
+                est = ESTIMATORS[regime](minibatch, new, order, clip)
+                np.testing.assert_allclose(est.vector, expect, rtol=1e-10, atol=1e-12)
+                assert est.clip_fraction == pytest.approx(share, abs=1e-15)
+                clipped_cases += share > 0.0
+        # the comparison covers the gate / clip branches, not only the band
+        assert clipped_cases > 0 or regime == "none"
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_objectives_match_brute_force(self, rng, regime):
+        clip = ClipConfig(0.2)
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            minibatch = masked_minibatch(rng, old, new)
+            for p in (-2.5, 0.0, 0.7, 3.0):
+                order = HolderOrder(p)
+                terms = batch_terms(RolloutBatch.from_groups(minibatch), order, regime,
+                                    clip)
+                expect = [brute_force_objective(b, order, regime, clip)
+                          for b in minibatch]
+                np.testing.assert_allclose(terms.group_objectives, expect,
+                                           rtol=1e-12, atol=1e-14)
+                assert terms.objective == pytest.approx(np.mean(expect), abs=1e-14)
+                assert SURROGATES[regime](minibatch[0], order, clip) == (
+                    pytest.approx(expect[0], abs=1e-14)
+                )
+
+    def test_variance_bound_over_masked_groups(self, rng):
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.4)
+        minibatch = masked_minibatch(rng, old, new)
+        order = HolderOrder(1.5)
+        values = [
+            adv**2 * holder_mean(r.ratio_sequence(), order) ** 2
+            for b in minibatch
+            for r, adv in zip(b.rollouts, b.advantages)
+        ]
+        assert variance_bound_term(minibatch, order) == pytest.approx(
+            np.mean(values), rel=1e-12
+        )
+
+
+class TestRolloutBatch:
+    def _arrays(self, **overrides):
+        base = dict(
+            token_ids=np.zeros((4, 3), dtype=np.int64),
+            old_logprobs=np.full((4, 3), -1.0),
+            new_logprobs=np.full((4, 3), -0.5),
+            mask=np.ones((4, 3), dtype=bool),
+            rewards=np.array([1.0, 0.0, 0.0, 1.0]),
+            advantages=np.array([1.0, -1.0, -1.0, 1.0]),
+            group_size=2,
+        )
+        base.update(overrides)
+        return base
+
+    def test_valid_batch(self):
+        batch = RolloutBatch(**self._arrays())
+        assert batch.num_groups == 2
+        np.testing.assert_array_equal(batch.log_ratios, np.full((4, 3), 0.5))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"old_logprobs": np.full((4, 3), 0.5)},
+            {"new_logprobs": np.full((4, 2), -0.5)},
+            {"mask": np.array([[1, 1, 1], [0, 0, 0], [1, 1, 1], [1, 1, 1]], bool)},
+            {"new_logprobs": np.full((4, 3), -np.inf)},
+            {"group_size": 3},
+            {"group_size": 1},
+            {"advantages": np.zeros(3)},
+        ],
+    )
+    def test_rejects_invalid(self, overrides):
+        with pytest.raises(DomainError):
+            RolloutBatch(**self._arrays(**overrides))
+
+    def test_masked_entries_are_not_checked(self):
+        old = np.full((4, 3), -1.0)
+        old[0, 2] = 7.0  # positive logprob, but masked out
+        mask = np.ones((4, 3), dtype=bool)
+        mask[0, 2] = False
+        batch = RolloutBatch(**self._arrays(old_logprobs=old, mask=mask))
+        assert batch.log_ratios[0, 2] == 0.0
+
+    def test_group_round_trip(self, rng):
+        old, new = random_policy_pair(rng)
+        groups = [refresh_logprobs(random_group(rng, old, new), new) for _ in range(2)]
+        batch = RolloutBatch.from_groups(groups)
+        for before, after in zip(groups, batch.to_groups()):
+            np.testing.assert_array_equal(before.advantages, after.advantages)
+            for a, b in zip(before.rollouts, after.rollouts):
+                np.testing.assert_array_equal(a.token_ids, b.token_ids)
+                np.testing.assert_array_equal(a.new_logprobs, b.new_logprobs)
+                assert a.reward == b.reward
+
+    def test_select_groups(self):
+        batch = RolloutBatch(**self._arrays())
+        picked = batch.select_groups([1, 0])
+        np.testing.assert_array_equal(picked.rewards, [0.0, 1.0, 1.0, 0.0])
+
+    def test_regime_checked(self):
+        batch = RolloutBatch(**self._arrays())
+        with pytest.raises(DomainError):
+            batch_terms(batch, HolderOrder(1.0), "soft")
+        with pytest.raises(DomainError):
+            batch_terms(batch, HolderOrder(1.0), "token")
 
 
 class TestVarianceBoundTerm:

@@ -19,6 +19,7 @@ from holderpo import (
     train,
     trend_config,
 )
+from holderpo.objectives import RolloutBatch, batch_terms
 from holderpo.sim import RHO_DIVERGENCE_LIMIT, _check_divergence, _rollout_rng
 
 from conftest import make_group
@@ -184,16 +185,45 @@ class TestSuccessProbability:
         )
 
 
+def guarded_terms(groups, order):
+    """Run the batched kernel with the divergence guard, as train does."""
+    return batch_terms(
+        RolloutBatch.from_groups(groups), order, "none", guard=_check_divergence
+    )
+
+
 class TestDivergenceGuard:
     def test_triggers_above_limit(self):
         big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
         batch = make_group([[big, big], [0.0, 0.0]], [1.0, 0.0])
         with pytest.raises(DivergenceError):
-            _check_divergence([batch], HolderOrder(1.0))
+            guarded_terms([batch], HolderOrder(1.0))
 
     def test_quiet_below_limit(self):
         batch = make_group([[1.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
-        _check_divergence([batch], HolderOrder(1.0))
+        guarded_terms([batch], HolderOrder(1.0))
+
+    def test_token_band_reported_before_rho(self):
+        big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
+        batch = make_group([[0.0, 0.0], [big, big]], [1.0, 0.0])
+        with pytest.raises(DivergenceError, match=r"^token ratio exp\(14\.8\)"):
+            guarded_terms([batch], HolderOrder(1.0))
+
+    def test_first_offending_rollout_wins(self):
+        logs = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [16.0, 0.0]])
+        rollouts = RolloutBatch(
+            token_ids=np.zeros((4, 2), dtype=np.int64),
+            old_logprobs=np.full((4, 2), -20.0),
+            new_logprobs=logs - 20.0,
+            mask=np.ones((4, 2), dtype=bool),
+            rewards=np.zeros(4),
+            advantages=np.zeros(4),
+            group_size=2,
+        )
+        # rho of rollout 2 trips the guard first; rollout 3 also leaves the band
+        rho = np.array([1.0, 1.0, 2e6, 1.0])
+        with pytest.raises(DivergenceError, match=r"^aggregated ratio 2\.000e\+06"):
+            _check_divergence(rollouts, rho)
 
 
 class TestTrain:
