@@ -213,7 +213,7 @@ def _rollout_rng(seed: int, round_idx: int, group_idx: int, rollout_idx: int):
     return np.random.default_rng(ss)
 
 
-def round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
+def _round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
                    length: int) -> np.ndarray:
     """(N, T) sampling uniforms of one round, row g*G + i drawn from the
     substream of rollout i of group g."""
@@ -315,7 +315,9 @@ def _policy_gradient(
 ) -> np.ndarray:
     """The minibatch gradient as a (T, V) logit table, built per position
     block: token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to
-    row t, s_it being its score block."""
+    row t, s_it being its score block.  The products and the group sums
+    keep the order of the per-rollout loops over dense score vectors, so
+    the result matches them bit for bit."""
     per_rollout = policy.score_blocks(batch.token_ids)
     per_rollout *= terms.token_weights[:, :, None]
     per_rollout *= terms.row_scale[:, None, None]
@@ -343,7 +345,7 @@ def train(
     horizon = config.schedule.total_steps
 
     for round_idx in range(config.total_rounds):
-        uniforms = round_uniforms(
+        uniforms = _round_uniforms(
             config.seed, round_idx, config.num_groups, config.group_size, task.length
         )
         rollouts = sample_rollouts(policy, task, config.group_size, uniforms)
@@ -358,11 +360,8 @@ def train(
             terms = batch_terms(
                 minibatch, order, config.clipping_regime, clip, guard=_check_divergence
             )
-            gradient = _policy_gradient(policy, minibatch, terms).ravel()
-            delta = config.learning_rate * gradient
-            policy = PolicyParams(
-                policy.logits + delta.reshape(policy.logits.shape)
-            )
+            gradient = _policy_gradient(policy, minibatch, terms)
+            policy = PolicyParams(policy.logits + config.learning_rate * gradient)
             metrics.append(
                 UpdateMetrics(
                     step=global_update,

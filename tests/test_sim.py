@@ -209,6 +209,13 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError, match=r"^token ratio exp\(14\.8\)"):
             guarded_terms([batch], HolderOrder(1.0))
 
+    def test_token_band_trips_with_rho_inside(self):
+        # geometric mean of r and 1/r is 1: only the token band can catch it
+        big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
+        batch = make_group([[big, -big], [0.0, 0.0]], [1.0, 0.0])
+        with pytest.raises(DivergenceError, match="^token ratio"):
+            guarded_terms([batch], HolderOrder(0.0))
+
     def test_first_offending_rollout_wins(self):
         logs = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [16.0, 0.0]])
         rollouts = RolloutBatch(
