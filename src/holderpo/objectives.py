@@ -273,10 +273,10 @@ class RolloutBatch:
 def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     """Per-group means of per-rollout values (N, ...) -> (N / G, ...).
 
-    Each group is summed as a left fold over its rows, then divided by G:
-    the order of the per-rollout loops this kernel replaced, which the
-    objective (a cancellation, sum_i A_i = 0) and the golden traces
-    depend on.
+    Each group is summed as a left fold over its rows, then divided by G,
+    the order of a per-rollout loop: the objective is a cancellation
+    (sum_i A_i = 0 per group), and the benchmark's recorded trajectories
+    depend on this order.
     """
     grouped = values.reshape(-1, group_size, *values.shape[1:])
     total = grouped[:, 0].copy()
@@ -324,8 +324,8 @@ class BatchTerms:
 
 
 def _check_two_forms(logs, mask, order: HolderOrder, rho, weights) -> None:
-    """rho W must equal rho^{1-p}/n r^p token by token; rows whose raw powers
-    overflow float64 are skipped (the softmax form is the stable one)."""
+    """rho W must equal rho^{1-p}/n r^p token by token; entries whose raw
+    powers overflow float64 are skipped (the softmax form is the stable one)."""
     if order.is_zero:
         return
     with np.errstate(over="ignore", invalid="ignore"):
@@ -477,8 +477,10 @@ def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
     the policy's dense per-token score vectors."""
     batch = RolloutBatch.from_groups(minibatch)
     terms = batch_terms(batch, order, regime, clip)
-    scores = np.stack([policy.score_gradients(ids) for ids in batch.token_ids])
-    weighted = np.matmul(terms.token_weights[:, None, :], scores)[:, 0]
+    weighted = np.stack([
+        weights @ policy.score_gradients(ids)
+        for weights, ids in zip(terms.token_weights, batch.token_ids)
+    ])
     per_rollout = terms.row_coef[:, None] * (terms.row_scale[:, None] * weighted)
     return GradientEstimate(
         minibatch_mean(per_rollout, batch.group_size), terms.clip_fraction

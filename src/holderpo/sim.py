@@ -316,8 +316,8 @@ def _policy_gradient(
     """The minibatch gradient as a (T, V) logit table, built per position
     block: token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to
     row t, s_it being its score block.  The products and the group sums
-    keep the order of the per-rollout loops over dense score vectors, so
-    the result matches them bit for bit."""
+    run in the order of a per-rollout loop over dense score vectors and
+    match it bit for bit."""
     per_rollout = policy.score_blocks(batch.token_ids)
     per_rollout *= terms.token_weights[:, :, None]
     per_rollout *= terms.row_scale[:, None, None]
