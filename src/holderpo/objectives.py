@@ -176,7 +176,9 @@ class RolloutBatch:
         rewards = np.asarray(self.rewards, dtype=np.float64)
         advantages = np.asarray(self.advantages, dtype=np.float64)
         if ids.ndim != 2 or not (ids.shape == old.shape == new.shape == mask.shape):
-            raise DomainError("token_ids, logprobs, and mask must share one (N, T) shape")
+            raise DomainError(
+                "token_ids, logprobs and mask must share one (N, T) shape"
+            )
         rows = ids.shape[0]
         if self.group_size < 2:
             raise DomainError("a group needs G >= 2 rollouts")
@@ -309,8 +311,6 @@ class BatchTerms:
     token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor
     row_scale: np.ndarray  # (N,) rho_i, or 1 under token clip
     row_coef: np.ndarray  # (N,) A_i, 0 where the sequence gate closed
-    gated: np.ndarray  # (N,) sequence gate closed
-    clipped: np.ndarray  # (N, T) token clipped against its advantage
     group_objectives: np.ndarray  # (N / G,) surrogate objective per group
     clip_fraction: float
     v_of_p: float  # mean of A^2 rho^2
@@ -364,9 +364,10 @@ def batch_terms(
     clip: ClipConfig | None = None,
     guard: Callable[[RolloutBatch, np.ndarray], None] | None = None,
 ) -> BatchTerms:
-    """rho, W or the token-clip factors, gates, the objective, clip fraction,
-    V(p) and log-ratio envelopes of a batch under one clipping regime
-    ("none", "token" or "sequence"), with rho computed once per rollout.
+    """rho, W or the token-clip factors, the gated advantages, the objective,
+    clip fraction, V(p) and log-ratio envelopes of a batch under one
+    clipping regime ("none", "token" or "sequence"), with rho computed once
+    per rollout.
 
     The sequence gate zeroes a rollout whose aggregated ratio has already
     left the clip band in the direction its advantage favors; token
@@ -384,8 +385,6 @@ def batch_terms(
         guard(batch, rho)
     if __debug__:
         _check_two_forms(logs, mask, order, rho, weights)
-    gated = np.zeros(rho.shape, dtype=bool)
-    clipped = np.zeros(mask.shape, dtype=bool)
     if regime == "token":
         token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
         row_scale, row_coef = np.ones_like(rho), adv
@@ -394,21 +393,19 @@ def batch_terms(
     else:
         token_weights, row_scale = weights, rho
         objectives = rho * adv
-        clip_fraction = 0.0
+        row_coef, clip_fraction = adv, 0.0
         if regime == "sequence":
             gated = ((adv > 0.0) & (rho > clip.high)) | ((adv < 0.0) & (rho < clip.low))
             band = np.minimum(np.maximum(rho, clip.low), clip.high)
             objectives = np.minimum(objectives, band * adv)
+            row_coef = np.where(gated, 0.0, adv)
             clip_fraction = np.count_nonzero(gated) / gated.size
-        row_coef = np.where(gated, 0.0, adv)
     log_max, log_min = batch.ratio_envelope()
     return BatchTerms(
         rho=rho,
         token_weights=token_weights,
         row_scale=row_scale,
         row_coef=row_coef,
-        gated=gated,
-        clipped=clipped,
         group_objectives=group_means(objectives, batch.group_size),
         clip_fraction=clip_fraction,
         v_of_p=float((adv**2 * rho**2).mean()),
