@@ -6,10 +6,11 @@ All of them are computed by one batched kernel, :func:`batch_terms`, over a
 functions (``surrogate_*``, ``grad_estimator_*``, ``variance_bound_term``)
 pack their groups into a batch and call it.
 
-The KL term is deliberately absent.  Gradient estimators take any policy
-object exposing ``param_dim`` and ``score_gradients(token_ids) -> (T, d)``
-(row t is the score vector of token t); the tabular policy in
-:mod:`holderpo.sim` satisfies this.
+The KL term is deliberately absent.  Gradient estimators take a
+position-conditioned policy: the score vector of token t is zero outside
+parameter block t, and ``score_blocks(token_ids) -> (..., T, V)`` returns
+block t of it.  The tabular policy in :mod:`holderpo.sim` is one; the
+gradient is its flattened (T, V) logit table.
 """
 
 from __future__ import annotations
@@ -248,10 +249,6 @@ class RolloutBatch:
             for k in range(0, len(rollouts), size)
         ]
 
-    @property
-    def num_groups(self) -> int:
-        return self.token_ids.shape[0] // self.group_size
-
     def select_groups(self, groups) -> "RolloutBatch":
         """The batch made of the given groups, in the given order."""
         size = self.group_size
@@ -307,7 +304,6 @@ class BatchTerms:
     (row_scale 1) under token clipping.
     """
 
-    rho: np.ndarray  # (N,) aggregated ratio rho_i(p)
     token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor
     row_scale: np.ndarray  # (N,) rho_i, or 1 under token clip
     row_coef: np.ndarray  # (N,) A_i, 0 where the sequence gate closed
@@ -402,7 +398,6 @@ def batch_terms(
             clip_fraction = np.count_nonzero(gated) / gated.size
     log_max, log_min = batch.ratio_envelope()
     return BatchTerms(
-        rho=rho,
         token_weights=token_weights,
         row_scale=row_scale,
         row_coef=row_coef,
@@ -468,26 +463,33 @@ def grad_rho(
     return result
 
 
+def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarray:
+    """The minibatch gradient as a (T, V) table, built per position block:
+    token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to row t,
+    s_it being its score block.  The products and the group sums run in
+    the order of a per-rollout loop over dense score vectors and match it
+    bit for bit."""
+    per_rollout = policy.score_blocks(batch.token_ids)
+    per_rollout *= terms.token_weights[:, :, None]
+    per_rollout *= terms.row_scale[:, None, None]
+    per_rollout *= terms.row_coef[:, None, None]
+    return minibatch_mean(per_rollout, batch.group_size)
+
+
 def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
               regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
-    """Minibatch average of per-group averages of each rollout's term, from
-    the policy's dense per-token score vectors."""
     batch = RolloutBatch.from_groups(minibatch)
     terms = batch_terms(batch, order, regime, clip)
-    weighted = np.stack([
-        weights @ policy.score_gradients(ids)
-        for weights, ids in zip(terms.token_weights, batch.token_ids)
-    ])
-    per_rollout = terms.row_coef[:, None] * (terms.row_scale[:, None] * weighted)
     return GradientEstimate(
-        minibatch_mean(per_rollout, batch.group_size), terms.clip_fraction
+        policy_gradient(policy, batch, terms).ravel(), terms.clip_fraction
     )
 
 
 def grad_estimator_unclipped(
     minibatch: Sequence[GroupBatch], policy, order: HolderOrder
 ) -> GradientEstimate:
-    """Minibatch average of per-group averages of A_i * grad rho_i."""
+    """Minibatch average of per-group averages of A_i * grad rho_i.  All
+    groups must share one size G."""
     return _estimate(minibatch, policy, order, "none")
 
 
@@ -496,7 +498,7 @@ def grad_estimator_seq_clip(
 ) -> GradientEstimate:
     """Unclipped per-sequence terms gated by the sequence indicator: zero when
     the aggregated ratio has already left the clip band in the favored
-    direction."""
+    direction.  All groups must share one size G."""
     return _estimate(minibatch, policy, order, "sequence", clip)
 
 
@@ -504,12 +506,14 @@ def grad_estimator_token_clip(
     minibatch: Sequence[GroupBatch], policy, order: HolderOrder, clip: ClipConfig
 ) -> GradientEstimate:
     """Per-token indicators zero out tokens clipped against the advantage
-    direction; the outer factor uses the clipped power mean, not rho."""
+    direction; the outer factor uses the clipped power mean, not rho.  All
+    groups must share one size G."""
     return _estimate(minibatch, policy, order, "token", clip)
 
 
 def variance_bound_term(batches: Sequence[GroupBatch], order: HolderOrder) -> float:
-    """Empirical mean of A^2 rho^2 over every rollout in the sample."""
+    """Empirical mean of A^2 rho^2 over every rollout in the sample.  All
+    groups must share one size G."""
     if len(batches) == 0:
         raise DomainError("sample must contain at least one group")
     return batch_terms(RolloutBatch.from_groups(batches), order, "none").v_of_p

@@ -10,8 +10,9 @@ rollout, so runs are bit-reproducible regardless of evaluation order.
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, a minibatch is a selection of its
 groups, and one ``batch_terms`` call yields rho, the weights, the gates,
-the objective and the telemetry.  The gradient is assembled per position
-block, (T, V), never as the dense (T, T*V) score matrix.
+the objective and the telemetry.  ``policy_gradient`` assembles the
+gradient per position block, (T, V), never as the dense (T, T*V) score
+matrix; the ``grad_estimator_*`` functions call the same code.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from holderpo.analysis import UpdateMetrics
 from holderpo.core import DomainError, HolderOrder
 from holderpo.objectives import (
     CLIPPING_REGIMES,
-    BatchTerms,
     ClipConfig,
     GroupBatch,
     RolloutBatch,
     batch_terms,
     group_advantages,
-    minibatch_mean,
+    policy_gradient,
 )
 from holderpo.schedule import ScheduleSpec, p_at
 
@@ -98,7 +98,9 @@ class PolicyParams:
         return blocks
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
-        """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened."""
+        """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened: the
+        dense form of score_blocks, kept as the reference tests and verify
+        compare against."""
         grads = np.zeros((self.length, self.length, self.vocab))
         diagonal = np.arange(self.length)
         grads[diagonal, diagonal] = self.score_blocks(token_ids)
@@ -310,21 +312,6 @@ def _check_divergence(batch: RolloutBatch, rho: np.ndarray) -> None:
     )
 
 
-def _policy_gradient(
-    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms
-) -> np.ndarray:
-    """The minibatch gradient as a (T, V) logit table, built per position
-    block: token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to
-    row t, s_it being its score block.  The products and the group sums
-    run in the order of a per-rollout loop over dense score vectors and
-    match it bit for bit."""
-    per_rollout = policy.score_blocks(batch.token_ids)
-    per_rollout *= terms.token_weights[:, :, None]
-    per_rollout *= terms.row_scale[:, None, None]
-    per_rollout *= terms.row_coef[:, None, None]
-    return minibatch_mean(per_rollout, batch.group_size)
-
-
 def train(
     config: TrainConfig,
     task: TaskSpec,
@@ -360,7 +347,7 @@ def train(
             terms = batch_terms(
                 minibatch, order, config.clipping_regime, clip, guard=_check_divergence
             )
-            gradient = _policy_gradient(policy, minibatch, terms)
+            gradient = policy_gradient(policy, minibatch, terms)
             policy = PolicyParams(policy.logits + config.learning_rate * gradient)
             metrics.append(
                 UpdateMetrics(

@@ -19,13 +19,13 @@ from holderpo import (
     hhi,
     holder_mean,
     holder_mean_masked,
-    holder_rows,
     limit_weights,
     mu_p_derivative,
     shannon_entropy,
     weight_p_derivative,
     weighted_log_mean,
 )
+from holderpo.core import holder_rows
 
 TWO_EIGHT = RatioSequence(np.array([2.0, 8.0]))
 

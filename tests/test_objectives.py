@@ -616,7 +616,6 @@ class TestRolloutBatch:
 
     def test_valid_batch(self):
         batch = RolloutBatch(**self._arrays())
-        assert batch.num_groups == 2
         np.testing.assert_array_equal(batch.log_ratios, np.full((4, 3), 0.5))
 
     @pytest.mark.parametrize(
@@ -653,6 +652,15 @@ class TestRolloutBatch:
                 np.testing.assert_array_equal(a.token_ids, b.token_ids)
                 np.testing.assert_array_equal(a.new_logprobs, b.new_logprobs)
                 assert a.reward == b.reward
+
+    def test_mixed_group_sizes_rejected(self, rng):
+        old, new = random_policy_pair(rng)
+        groups = [random_group(rng, old, new, 2), random_group(rng, old, new, 3)]
+        order = HolderOrder(1.0)
+        with pytest.raises(DomainError, match="share a group size"):
+            grad_estimator_unclipped(groups, new, order)
+        with pytest.raises(DomainError, match="share a group size"):
+            variance_bound_term(groups, order)
 
     def test_select_groups(self):
         batch = RolloutBatch(**self._arrays())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holderpo import (
+    ClipConfig,
     DivergenceError,
     DomainError,
     HolderOrder,
@@ -13,6 +14,9 @@ from holderpo import (
     TrainConfig,
     default_dense_task,
     default_sparse_task,
+    grad_estimator_seq_clip,
+    grad_estimator_token_clip,
+    grad_estimator_unclipped,
     refresh_logprobs,
     sample_group,
     success_probability,
@@ -20,7 +24,13 @@ from holderpo import (
     trend_config,
 )
 from holderpo.objectives import RolloutBatch, batch_terms
-from holderpo.sim import RHO_DIVERGENCE_LIMIT, _check_divergence, _rollout_rng
+from holderpo.sim import (
+    RHO_DIVERGENCE_LIMIT,
+    _check_divergence,
+    _rollout_rng,
+    _round_uniforms,
+    sample_rollouts,
+)
 
 from conftest import make_group
 
@@ -145,6 +155,20 @@ class TestSampling:
             for i in range(0, 4000, 2)
         ]
         assert np.mean(batch_rewards) == pytest.approx(1.0 / 8.0, abs=0.02)
+
+    def test_round_matches_per_group_sampling(self, rng):
+        task = default_sparse_task()
+        policy = PolicyParams(rng.normal(size=(8, 16)))
+        uniforms = _round_uniforms(3, 2, num_groups=3, group_size=4, length=8)
+        batch = sample_rollouts(policy, task, 4, uniforms)
+        for g, group in enumerate(batch.to_groups()):
+            streams = [_rollout_rng(3, 2, g, i) for i in range(4)]
+            expect = sample_group(policy, task, 4, streams)
+            np.testing.assert_array_equal(group.advantages, expect.advantages)
+            for got, want in zip(group.rollouts, expect.rollouts):
+                np.testing.assert_array_equal(got.token_ids, want.token_ids)
+                np.testing.assert_array_equal(got.old_logprobs, want.old_logprobs)
+                assert got.reward == want.reward
 
     def test_refresh_logprobs_updates_ratios(self, rng):
         task = default_sparse_task()
@@ -285,6 +309,54 @@ class TestTrain:
         for regime in ("none", "token", "sequence"):
             log = train(self.small_config(clipping_regime=regime), task)
             assert np.all(np.isfinite(log.final_policy.logits))
+
+    @pytest.mark.parametrize(
+        "regime, estimator",
+        [
+            ("none", lambda mb, pol, order, clip: grad_estimator_unclipped(
+                mb, pol, order)),
+            ("sequence", grad_estimator_seq_clip),
+            ("token", grad_estimator_token_clip),
+        ],
+    )
+    def test_updates_match_per_group_api(self, regime, estimator):
+        """Replays train with sample_group, refresh_logprobs and the
+        grad_estimator_* functions, one group at a time.  Eight updates per
+        round use each group twice, so the second pass is off-policy and
+        the gates fire."""
+        task = default_sparse_task()
+        config = self.small_config(
+            clipping_regime=regime, learning_rate=5.0, updates_per_round=8,
+            schedule=ScheduleSpec(2.0, -2.0, 7, "linear", "descending"),
+        )
+        log = train(config, task)
+        clip = ClipConfig(config.clip_epsilon)
+        policy = PolicyParams.uniform(task.length, task.vocab)
+        metrics = iter(log.metrics)
+        for round_idx in range(config.total_rounds):
+            groups = [
+                sample_group(policy, task, config.group_size, [
+                    _rollout_rng(config.seed, round_idx, g, i)
+                    for i in range(config.group_size)
+                ])
+                for g in range(config.num_groups)
+            ]
+            for update_idx in range(config.updates_per_round):
+                logged = next(metrics)
+                lo = update_idx * config.minibatch_size
+                minibatch = [
+                    refresh_logprobs(groups[(lo + k) % config.num_groups], policy)
+                    for k in range(config.minibatch_size)
+                ]
+                est = estimator(minibatch, policy, HolderOrder(logged.p_value), clip)
+                assert est.clip_fraction == logged.clip_fraction
+                step = config.learning_rate * est.vector.reshape(policy.logits.shape)
+                policy = PolicyParams(policy.logits + step)
+        np.testing.assert_allclose(
+            log.final_policy.logits, policy.logits, rtol=1e-12, atol=1e-12
+        )
+        clipped = any(m.clip_fraction > 0.0 for m in log.metrics)
+        assert clipped == (regime != "none")
 
     def test_initial_policy_respected(self):
         task = default_sparse_task()
