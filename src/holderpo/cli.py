@@ -263,7 +263,7 @@ def cmd_train(args) -> int:
         task, config, _ = load_config(args.config)
         if args.seed is not None:
             config = TrainConfig(**{**_train_kwargs(config), "seed": args.seed})
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out_dir)
@@ -324,6 +324,8 @@ def cmd_sweep(args) -> int:
         p_list = [float(tok) for tok in args.p_list.replace(",", " ").split()]
         if not p_list:
             raise ConfigError("--p-list must name at least one exponent")
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,7 +5,8 @@ configured clipping regime.
 The policy has an independent logit row per position, so score gradients
 are exact and cheap, and gradients at distinct positions live in disjoint
 parameter blocks.  Sampling uses one counter-derived RNG substream per
-rollout, so runs are bit-reproducible regardless of evaluation order.
+rollout, so runs are bit-reproducible regardless of evaluation order;
+``holderpo.streams`` derives all of a round's substreams in one pass.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, a minibatch is a selection of its
@@ -34,6 +35,7 @@ from holderpo.objectives import (
     policy_gradient,
 )
 from holderpo.schedule import ScheduleSpec, p_at
+from holderpo.streams import round_uniforms as _round_uniforms
 
 RHO_DIVERGENCE_LIMIT = 1e6
 
@@ -174,6 +176,8 @@ class TrainConfig:
     total_rounds: int = 60
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.group_size < 2:
             raise DomainError("group_size must be >= 2")
         if self.rollouts_per_round % self.group_size != 0:
@@ -209,20 +213,13 @@ class RunLog:
 
 
 def _rollout_rng(seed: int, round_idx: int, group_idx: int, rollout_idx: int):
+    """The RNG substream of one rollout: the per-group sampling API draws
+    from it, and ``_round_uniforms`` reproduces it bit for bit for a whole
+    round at once."""
     ss = np.random.SeedSequence(
         entropy=seed, spawn_key=(round_idx, group_idx, rollout_idx)
     )
     return np.random.default_rng(ss)
-
-
-def _round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
-                   length: int) -> np.ndarray:
-    """(N, T) sampling uniforms of one round, row g*G + i drawn from the
-    substream of rollout i of group g."""
-    out = np.empty((num_groups * group_size, length))
-    for row, (g, i) in zip(out, np.ndindex(num_groups, group_size)):
-        _rollout_rng(seed, round_idx, g, i).random(out=row)
-    return out
 
 
 def sample_rollouts(

@@ -3,6 +3,10 @@ byte-identical reruns."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,20 @@ class TestTrainCommand:
         assert code == EXIT_USAGE
         assert "clipping_regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, source):
+        if source == "config":
+            path, extra = write_config(tmp_path, train__seed=-1), []
+        else:
+            path, extra = write_config(tmp_path), ["--seed", "-2"]
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--out-dir", str(out), *extra])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error:") and "seed" in err
+        assert not out.exists()
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -245,6 +263,18 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(config), "--out-dir",
                      str(tmp_path / "sweep"), "--p-list", " "])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seed_count_below_one_rejected(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--out-dir", str(out),
+                     "--p-list", "0", "--seeds", seeds])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--seeds" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
@@ -297,6 +327,18 @@ class TestVerifyCommand:
         main(["verify", "--instances", "1", "--seed", "7", "--json-out", str(a)])
         main(["verify", "--instances", "1", "--seed", "7", "--json-out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_holderpo_help(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "holderpo", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: holderpo" in proc.stdout
 
 
 class TestExitCodes:

@@ -119,6 +119,11 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(clipping_regime="soft")
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(seed=seed)
+
     def test_total_updates(self):
         config = TrainConfig(total_rounds=5, updates_per_round=4)
         assert config.total_updates == 20
