@@ -31,7 +31,7 @@ from holderpo.sim import (
     TrainConfig,
     train,
 )
-from holderpo.verify import CHECKS, check_all
+from holderpo.verify import CHECKS, check_all, check_run_arguments
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -237,17 +237,16 @@ def cmd_mean(args) -> int:
             raise ConfigError("provide --ratios or --ratios-file")
         values = [float(tok) for tok in text.replace(",", " ").split()]
         ratios = RatioSequence(np.array(values))
-        p_values = [float(tok) for tok in args.p.replace(",", " ").split()]
+        orders = [HolderOrder(float(tok)) for tok in args.p.replace(",", " ").split()]
     except (ValueError, DomainError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = []
-    for p in p_values:
-        order = HolderOrder(p)
+    for order in orders:
         w = gradient_weights(ratios, order)
         out.append(
             {
-                "p": p,
+                "p": order.p,
                 "rho": holder_mean(ratios, order),
                 "weights": [float(x) for x in w.weights],
                 "entropy": shannon_entropy(w),
@@ -384,6 +383,11 @@ def cmd_verify(args) -> int:
         if unknown:
             print(f"error: unknown check(s) {sorted(unknown)}", file=sys.stderr)
             return EXIT_USAGE
+    try:
+        check_run_arguments(seed=args.seed, instance_count=args.instances)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = check_all(seed=args.seed, instance_count=args.instances, only=only)
     print(report.to_text())
     if args.json_out:

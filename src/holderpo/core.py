@@ -77,19 +77,32 @@ class LogRatioSequence:
 @dataclass(frozen=True)
 class HolderOrder:
     """The aggregation exponent; |p| below zero_threshold routes to the
-    geometric branch."""
+    geometric branch.
 
-    p: float
+    ``p`` is a float, or a one-dimensional float array holding one exponent
+    per row for :func:`holder_rows` (then ``is_zero`` is per row too).
+    """
+
+    p: float | np.ndarray
     zero_threshold: float = 1e-6
 
     def __post_init__(self):
-        if not np.isfinite(self.p):
+        if isinstance(self.p, np.ndarray):
+            p = np.array(self.p, dtype=np.float64)
+            if p.ndim > 1:
+                raise DomainError(f"an array p must be one-dimensional, got shape {p.shape}")
+            p.flags.writeable = False
+            object.__setattr__(self, "p", p if p.ndim else float(p))
+            finite = np.isfinite(p).all()
+        else:
+            finite = np.isfinite(self.p)
+        if not finite:
             raise DomainError("p must be finite")
         if self.zero_threshold <= 0.0:
             raise DomainError("zero_threshold must be positive")
 
     @property
-    def is_zero(self) -> bool:
+    def is_zero(self) -> bool | np.ndarray:
         return abs(self.p) < self.zero_threshold
 
 
@@ -145,16 +158,24 @@ def gradient_weights(ratios: RatioSequence, order: HolderOrder) -> WeightDistrib
     return WeightDistribution(w / w.sum())
 
 
+def _geometric_rows(logs, mask, n) -> tuple[np.ndarray, np.ndarray]:
+    """The p -> 0 branch: geometric means, uniform weights on valid positions."""
+    rho = np.exp(np.where(mask, logs, 0.0).sum(axis=1) / n)
+    return rho, mask / n[:, None]
+
+
 def holder_rows(
     log_ratios: np.ndarray, mask: np.ndarray, order: HolderOrder
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise power means and gradient weights of exp(log_ratios).
 
     Each row of the (N, T) arrays is one sequence; only its masked-in
-    positions count, and masked-out positions get zero weight.  Returns rho
+    positions count, and masked-out positions get zero weight.  ``order.p``
+    is one exponent for every row or an (N,) array of one exponent per row;
+    each row takes the geometric branch on its own exponent.  Returns rho
     with shape (N,) and W with shape (N, T), each row the same as
-    ``holder_mean_masked`` and ``gradient_weights`` give for that row, and
-    subject to the same checks.
+    ``holder_mean_masked`` and ``gradient_weights`` give for that row at
+    that row's exponent, and subject to the same checks.
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -165,15 +186,28 @@ def holder_rows(
         raise DomainError("mask must have at least one valid entry per row")
     if not np.isfinite(logs[mask]).all():
         raise DomainError("valid log_ratios must be finite")
-    if order.is_zero:
-        rho = np.exp(np.where(mask, logs, 0.0).sum(axis=1) / n)
-        return rho, mask / n[:, None]
-    scaled = np.where(mask, order.p * logs, -np.inf)
+    p = order.p
+    zero = None
+    if isinstance(p, np.ndarray):
+        if p.shape != n.shape:
+            raise DomainError(f"an array p must have shape {n.shape}, got {p.shape}")
+        zero = order.is_zero
+        # zero rows run the power path at a stand-in p = 1, then are replaced
+        p = np.where(zero, 1.0, p)
+        scaled = np.where(mask, p[:, None] * logs, -np.inf)
+    elif order.is_zero:
+        return _geometric_rows(logs, mask, n)
+    else:
+        scaled = np.where(mask, p * logs, -np.inf)
     shift = scaled.max(axis=1)
     shifted = np.exp(scaled - shift[:, None])
     total = shifted.sum(axis=1)
-    rho = np.exp((shift + np.log(total) - np.log(n)) / order.p)
+    rho = np.exp((shift + np.log(total) - np.log(n)) / p)
     weights = shifted / total[:, None]
+    if zero is not None:
+        geo_rho, geo_weights = _geometric_rows(logs, mask, n)
+        rho = np.where(zero, geo_rho, rho)
+        weights = np.where(zero[:, None], geo_weights, weights)
     if weights.min() < 0.0 or np.abs(weights.sum(axis=1) - 1.0).max() > 1e-10:
         raise DomainError("weights must be nonnegative and sum to 1 within 1e-10")
     return rho, weights
@@ -186,16 +220,21 @@ def weighted_log_mean(ratios: RatioSequence, order: HolderOrder) -> float:
 
 
 def weight_p_derivative(
-    ratios: RatioSequence, order: HolderOrder, token_index: int
-) -> float:
-    """d W_t / d p = W_t (log r_t - mu(p))."""
+    ratios: RatioSequence, order: HolderOrder, token_index: int | np.ndarray
+) -> float | np.ndarray:
+    """d W_t / d p = W_t (log r_t - mu), for one token index or an integer
+    array of them (then an array of the same shape)."""
     n = len(ratios)
-    if not 0 <= token_index < n:
+    index = np.asarray(token_index)
+    if index.dtype.kind not in "iu":
+        raise DomainError(f"token_index must be an integer, got {index.dtype}")
+    if not ((index >= 0) & (index < n)).all():
         raise DomainError(f"token_index {token_index} out of range for n={n}")
     w = gradient_weights(ratios, order).weights
     logs = ratios.log_ratios
     mu = float(w @ logs)
-    return float(w[token_index] * (logs[token_index] - mu))
+    derivative = w[index] * (logs[index] - mu)
+    return float(derivative) if index.ndim == 0 else derivative
 
 
 def mu_p_derivative(ratios: RatioSequence, order: HolderOrder) -> float:

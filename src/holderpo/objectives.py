@@ -26,7 +26,6 @@ from holderpo.core import (
     LogRatioSequence,
     RatioSequence,
     gradient_weights,
-    hhi,
     holder_mean,
     holder_mean_masked,
     holder_rows,
@@ -524,11 +523,14 @@ def second_moment_orthogonal(
     grad_norm_bound: float,
     ratios: RatioSequence,
     order: HolderOrder,
-) -> float:
+) -> float | np.ndarray:
     """Second moment under exact token-gradient orthogonality:
-    A^2 M^2 rho^2 * HHI(W)."""
+    A^2 M^2 rho^2 * HHI(W).  An array ``order.p`` gives one value per
+    exponent, from one ``holder_rows`` call."""
     if grad_norm_bound <= 0.0:
         raise DomainError("grad_norm_bound must be positive")
-    rho = holder_mean(ratios, order)
-    concentration = hhi(gradient_weights(ratios, order))
-    return advantage**2 * grad_norm_bound**2 * rho**2 * concentration
+    logs = np.broadcast_to(ratios.log_ratios, (np.size(order.p), len(ratios)))
+    rho, weights = holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
+    concentration = (weights**2).sum(axis=1)
+    moment = advantage**2 * grad_norm_bound**2 * rho**2 * concentration
+    return moment if isinstance(order.p, np.ndarray) else float(moment[0])

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from holderpo.core import (
     hhi,
     holder_mean,
     holder_mean_masked,
+    holder_rows,
     limit_weights,
     mu_p_derivative,
     shannon_entropy,
@@ -42,7 +43,7 @@ from holderpo.objectives import (
     second_moment_orthogonal,
     variance_bound_term,
 )
-from holderpo.sim import PolicyParams, refresh_logprobs, refresh_rollouts
+from holderpo.sim import PolicyParams, refresh_logprobs
 
 P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.0)
 LIMIT_P = 40.0
@@ -130,6 +131,14 @@ def _central_diff(f: Callable[[float], float], x: float, h: float = FD_STEP) -> 
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def _grid_rows(log_ratios: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """rho and W of one sequence at every exponent of the grid, one row per
+    exponent, from one holder_rows call."""
+    p = np.asarray(grid, dtype=np.float64)
+    logs = np.broadcast_to(log_ratios, (p.size, log_ratios.size))
+    return holder_rows(logs, np.ones(logs.shape, dtype=bool), HolderOrder(p))
+
+
 def _rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-12)
     return abs(a - b) / scale
@@ -185,7 +194,7 @@ def check_mean_monotone(rng, instances) -> CheckResult:
         if np.ptp(np.log(r.ratios)) < 1e-9:
             continue
         tested += 1
-        vals = [holder_mean(r, HolderOrder(p)) for p in P_GRID]
+        vals, _ = _grid_rows(r.log_ratios, P_GRID)
         diffs = np.diff(vals)
         err = max(0.0, float(-diffs.min()))
         res.observe(err, bool(np.all(diffs > -STRICT_SLACK)), "non-increasing step")
@@ -198,10 +207,11 @@ def check_weights_normalized(rng, instances) -> CheckResult:
     res = CheckResult(
         "weights_normalized", "gradient weights sum to 1 within 1e-10"
     )
+    grid = P_GRID + (LIMIT_P, -LIMIT_P)
     for _ in range(instances):
         r = _random_ratios(rng)
-        for p in P_GRID + (LIMIT_P, -LIMIT_P):
-            s = gradient_weights(r, HolderOrder(p)).weights.sum()
+        _, weights = _grid_rows(r.log_ratios, grid)
+        for p, s in zip(grid, weights.sum(axis=1)):
             err = abs(s - 1.0)
             res.observe(err, err <= 1e-10, f"sum {s} at p={p}")
     return res
@@ -214,10 +224,9 @@ def check_weight_derivative_sum_zero(rng, instances) -> CheckResult:
     )
     for _ in range(instances):
         r = _random_ratios(rng)
+        tokens = np.arange(len(r))
         for p in (-3.0, -1.0, 0.0, 1.0, 3.0):
-            total = sum(
-                weight_p_derivative(r, HolderOrder(p), t) for t in range(len(r))
-            )
+            total = float(weight_p_derivative(r, HolderOrder(p), tokens).sum())
             err = abs(total)
             res.observe(err, err <= 1e-10, f"sum {total} at p={p}")
     return res
@@ -288,20 +297,20 @@ def check_entropy_peak(rng, instances) -> CheckResult:
     )
     tested = 0
     grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+    signed = np.concatenate([grid, -grid])
     for _ in range(instances):
         r = _random_ratios(rng)
         if np.ptp(np.log(r.ratios)) < 1e-6:
             continue
         tested += 1
         n = len(r)
-        h0 = shannon_entropy(gradient_weights(r, HolderOrder(0.0)))
-        err = abs(h0 - math.log(n))
+        _, weights = _grid_rows(r.log_ratios, signed)
+        entropies = np.array(
+            [shannon_entropy(WeightDistribution(w)) for w in weights]
+        ).reshape(2, grid.size)
+        err = abs(entropies[0, 0] - math.log(n))
         res.observe(err, err <= 1e-12, "entropy at p=0 is not ln n")
-        for sign in (1.0, -1.0):
-            vals = [
-                shannon_entropy(gradient_weights(r, HolderOrder(sign * p)))
-                for p in grid
-            ]
+        for sign, vals in zip((1.0, -1.0), entropies):
             diffs = np.diff(vals)
             err = max(0.0, float(diffs.max()))
             res.observe(
@@ -348,39 +357,52 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
         "weighted log mean crosses its log-ratio; crossing bracketed by "
         "bisection",
     )
-    tested = 0
+    drawn = []  # (ratios, interior token t, log r_t) per tested instance, in order
     for _ in range(instances):
         n = int(rng.integers(3, 16))
         logs = np.sort(rng.uniform(-2.0, 2.0, n))
         if logs[-1] - logs[-2] < 0.05 or logs[1] - logs[0] < 0.05:
             continue
-        r = RatioSequence(np.exp(logs))
         t = int(rng.integers(1, n - 1))  # strictly interior log-ratio
         if logs[t] - logs[0] < 0.05 or logs[-1] - logs[t] < 0.05:
             continue
-        tested += 1
+        drawn.append((RatioSequence(np.exp(logs)), t, logs[t]))
+    if not drawn:
+        res.skip("no usable interior-token instance drawn")
+        return res
 
-        def gap(p: float) -> float:
-            return weighted_log_mean(r, HolderOrder(p)) - logs[t]
+    # Bisect every instance's crossing at once: one row and one p per instance.
+    width = max(len(r) for r, _, _ in drawn)
+    logs = np.zeros((len(drawn), width))
+    mask = np.zeros(logs.shape, dtype=bool)
+    for row, (r, _, _) in enumerate(drawn):
+        logs[row, : len(r)] = r.log_ratios
+        mask[row, : len(r)] = True
+    crossing = np.array([log_t for _, _, log_t in drawn])
 
-        lo, hi = -60.0, 60.0
-        if not (gap(lo) < 0.0 < gap(hi)):
+    def gap(p: np.ndarray) -> np.ndarray:
+        _, weights = holder_rows(logs, mask, HolderOrder(p))
+        return (weights * logs).sum(axis=1) - crossing
+
+    lo = np.full(len(drawn), -60.0)
+    hi = np.full(len(drawn), 60.0)
+    bracketed = (gap(lo) < 0.0) & (gap(hi) > 0.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = gap(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    p_t = 0.5 * (lo + hi)
+    before = np.linspace(-10.0, p_t - 0.2, 25, axis=1)
+    after = np.linspace(p_t + 0.2, p_t + 12.0, 25, axis=1)
+
+    for row, (r, t, _) in enumerate(drawn):
+        if not bracketed[row]:
             res.observe(1.0, False, "crossing not bracketed on [-60, 60]")
             continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        p_t = 0.5 * (lo + hi)
-
-        before = np.linspace(-10.0, p_t - 0.2, 25)
-        after = np.linspace(p_t + 0.2, p_t + 12.0, 25)
-        w_before = [gradient_weights(r, HolderOrder(p)).weights[t] for p in before]
-        w_after = [gradient_weights(r, HolderOrder(p)).weights[t] for p in after]
-        d_before = np.diff(w_before)
-        d_after = np.diff(w_after)
+        _, weights = _grid_rows(r.log_ratios, np.concatenate([before[row], after[row]]))
+        d_before = np.diff(weights[:25, t])
+        d_after = np.diff(weights[25:, t])
         res.observe(
             max(0.0, float(-d_before.min())),
             bool(np.all(d_before > -STRICT_SLACK)),
@@ -391,8 +413,6 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
             bool(np.all(d_after < STRICT_SLACK)),
             "weight not strictly falling after the crossing",
         )
-    if tested == 0:
-        res.skip("no usable interior-token instance drawn")
     return res
 
 
@@ -404,11 +424,11 @@ def check_hhi_profile(rng, instances) -> CheckResult:
     for _ in range(instances):
         r = _random_ratios(rng)
         n = len(r)
-        h0 = hhi(gradient_weights(r, HolderOrder(0.0)))
+        _, weights = _grid_rows(r.log_ratios, (0.0,) + P_GRID)
+        h0, *grid_hhi = (hhi(WeightDistribution(w)) for w in weights)
         err = abs(h0 - 1.0 / n)
         res.observe(err, err <= 1e-12, "HHI at p=0 is not 1/n")
-        for p in P_GRID:
-            h = hhi(gradient_weights(r, HolderOrder(p)))
+        for p, h in zip(P_GRID, grid_hhi):
             err = max(0.0, h0 - h - 1e-15)
             res.observe(err, h >= h0 - 1e-15, f"HHI below uniform at p={p}")
     return res
@@ -459,18 +479,36 @@ def _away_from_kinks(batch: GroupBatch, order, clip: ClipConfig) -> bool:
     return True
 
 
+def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> list[PolicyParams]:
+    """The policy with logit j moved by +h, then by -h, for every j in turn."""
+    flat = policy.logits.ravel()
+    bumped = []
+    for j in range(flat.size):
+        for step in (h, -h):
+            logits = flat.copy()
+            logits[j] = flat[j] + step
+            bumped.append(PolicyParams(logits.reshape(policy.logits.shape)))
+    return bumped
+
+
+def _central_diffs(values, h=FD_STEP) -> np.ndarray:
+    """Central differences from objective values in _bumped_policies order."""
+    values = np.asarray(values)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
 def _fd_policy_gradient(objective: Callable[[PolicyParams], float],
                         policy: PolicyParams, h=FD_STEP) -> np.ndarray:
-    flat = policy.logits.ravel().copy()
-    grad = np.zeros_like(flat)
-    for j in range(flat.size):
-        bumped = flat.copy()
-        bumped[j] = flat[j] + h
-        plus = objective(PolicyParams(bumped.reshape(policy.logits.shape)))
-        bumped[j] = flat[j] - h
-        minus = objective(PolicyParams(bumped.reshape(policy.logits.shape)))
-        grad[j] = (plus - minus) / (2.0 * h)
-    return grad
+    return _central_diffs([objective(c) for c in _bumped_policies(policy, h)], h)
+
+
+def _refreshed_copies(rollouts: RolloutBatch, policies) -> RolloutBatch:
+    """One copy of a one-group batch per policy, each refreshed under its
+    policy, stacked in policy order."""
+    stack = rollouts.select_groups(np.zeros(len(policies), dtype=np.int64))
+    return replace(stack, new_logprobs=np.concatenate(
+        [c.token_logprobs(rollouts.token_ids) for c in policies]
+    ))
 
 
 def check_grad_rho_forms(rng, instances) -> CheckResult:
@@ -559,30 +597,18 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
         done += 1
 
         rollouts = RolloutBatch.from_groups([batch])
-
-        def objective(regime: str) -> Callable[[PolicyParams], float]:
-            # the surrogate as the batched kernel computes it for train
-            return lambda c: batch_terms(
-                refresh_rollouts(rollouts, c), order, regime, clip
-            ).objective
-
+        # every central difference of every regime from one refreshed stack:
+        # group k of the stack is the batch under _bumped_policies(policy)[k]
+        bumped = _refreshed_copies(rollouts, _bumped_policies(policy))
         refreshed = [refresh_logprobs(batch, policy)]
         cases = [
-            (
-                grad_estimator_unclipped(refreshed, policy, order).vector,
-                objective("none"),
-            ),
-            (
-                grad_estimator_seq_clip(refreshed, policy, order, clip).vector,
-                objective("sequence"),
-            ),
-            (
-                grad_estimator_token_clip(refreshed, policy, order, clip).vector,
-                objective("token"),
-            ),
+            (grad_estimator_unclipped(refreshed, policy, order).vector, "none"),
+            (grad_estimator_seq_clip(refreshed, policy, order, clip).vector, "sequence"),
+            (grad_estimator_token_clip(refreshed, policy, order, clip).vector, "token"),
         ]
-        for analytic, objective in cases:
-            fd = _fd_policy_gradient(objective, policy)
+        for analytic, regime in cases:
+            # the surrogate as the batched kernel computes it for train
+            fd = _central_diffs(batch_terms(bumped, order, regime, clip).group_objectives)
             scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-9)
             err = float(np.abs(analytic - fd).max() / scale)
             res.observe(err, err <= POLICY_FD_RTOL, f"rel err {err:.2e} at p={p}")
@@ -704,14 +730,13 @@ def check_second_moment_pstar(rng, instances) -> CheckResult:
     )
     tested = 0
     grid = np.linspace(-10.0, 10.0, 201)
+    orders = HolderOrder(grid)
     for _ in range(instances):
         r = _random_ratios(rng, n_max=32)
         if np.ptp(np.log(r.ratios)) < 1e-6:
             continue
         tested += 1
-        vals = np.array(
-            [second_moment_orthogonal(1.0, 1.0, r, HolderOrder(p)) for p in grid]
-        )
+        vals = second_moment_orthogonal(1.0, 1.0, r, orders)
         p_star = grid[int(np.argmin(vals))]
         res.observe(max(0.0, p_star), p_star <= 0.0, f"p* = {p_star}")
         positive = vals[grid > 0.0]
@@ -802,6 +827,14 @@ CHECKS: dict[str, Callable] = {
 }
 
 
+def check_run_arguments(seed: int, instance_count: int) -> None:
+    """Reject a negative seed or an instance count below 1 (ValueError)."""
+    if instance_count < 1:
+        raise ValueError(f"instance_count must be >= 1, got {instance_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_all(
     seed: int = 0,
     instance_count: int = 100,
@@ -809,8 +842,7 @@ def check_all(
 ) -> Report:
     """Run every registered check (or the named subset) over randomized
     instances; failures become report entries, never exceptions."""
-    if instance_count < 1:
-        raise ValueError("instance_count must be >= 1")
+    check_run_arguments(seed, instance_count)
     names = list(CHECKS) if only is None else list(only)
     report = Report(seed=seed, instance_count=instance_count)
     for name in names:

@@ -79,6 +79,13 @@ class TestMeanCommand:
         assert main(["mean", "--ratios", "2,oops", "--p", "1"]) == EXIT_USAGE
         assert main(["mean", "--p", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "1,-inf"])
+    def test_nonfinite_exponent_is_usage_error(self, p, capsys):
+        assert main(["mean", "--ratios", "2,8", "--p", p]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestConfigSchema:
     def test_round_trip(self, tmp_path):
@@ -321,6 +328,15 @@ class TestVerifyCommand:
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--only", "bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [["--instances", "0"], ["--seed", "-1"]])
+    def test_bad_instances_or_seed_is_usage_error(self, flags, tmp_path, capsys):
+        json_out = tmp_path / "report.json"
+        assert main(["verify", *flags, "--json-out", str(json_out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not json_out.exists()
 
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -207,6 +207,21 @@ class TestLemmaWeightDerivative:
         with pytest.raises(DomainError):
             weight_p_derivative(TWO_EIGHT, HolderOrder(0.0), 2)
 
+    def test_index_array_matches_scalar_calls(self, rng):
+        r = RatioSequence(np.exp(rng.uniform(-2, 2, 7)))
+        for p in (-3.0, 0.0, 1.5):
+            order = HolderOrder(p)
+            index = np.array([[6, 0, 3], [3, 3, 1]])
+            got = weight_p_derivative(r, order, index)
+            assert got.shape == index.shape
+            want = [[weight_p_derivative(r, order, int(t)) for t in row] for row in index]
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("index", [[0, 2], [-1, 1], [1, 0, 7], [0.0, 1.0]])
+    def test_index_array_rejects_any_bad_entry(self, index):
+        with pytest.raises(DomainError):
+            weight_p_derivative(TWO_EIGHT, HolderOrder(1.0), np.array(index))
+
     def test_sums_to_zero(self, rng):
         for _ in range(20):
             r = RatioSequence(np.exp(rng.uniform(-2, 2, 6)))
@@ -394,33 +409,77 @@ def masked_log_ratio_rows(draw):
 
 
 # |p| <= 40, plus exponents straddling the +-1e-6 geometric branch.
-row_orders = st.one_of(
-    st.floats(-40.0, 40.0),
-    st.sampled_from([1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), -1e-6 * (1 - 1e-9),
-                     -1e-6 * (1 + 1e-9), 0.0, 2e-6, -2e-6]),
-).map(HolderOrder)
+BRANCH_SEAM = [1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), -1e-6 * (1 - 1e-9),
+               -1e-6 * (1 + 1e-9), 0.0, 2e-6, -2e-6]
+row_exponents = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(BRANCH_SEAM))
+
+
+@st.composite
+def rows_and_orders(draw):
+    """Masked rows with either one shared order or one exponent per row."""
+    logs, mask = draw(masked_log_ratio_rows())
+    exponents = draw(st.lists(row_exponents, min_size=logs.shape[0],
+                              max_size=logs.shape[0]))
+    if draw(st.booleans()):
+        return logs, mask, HolderOrder(exponents[0]), [exponents[0]] * len(exponents)
+    return logs, mask, HolderOrder(np.array(exponents)), exponents
 
 
 class TestHolderRows:
-    @given(masked_log_ratio_rows(), row_orders)
-    @settings(max_examples=200, deadline=None)
-    def test_rows_match_scalar_reference(self, rows, order):
-        logs, mask = rows
+    @given(rows_and_orders())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_scalar_reference(self, case):
+        logs, mask, order, exponents = case
         rho, weights = holder_rows(logs, mask, order)
         assert rho.shape == (logs.shape[0],) and weights.shape == logs.shape
-        # Off the geometric branch, rho = exp(log-mean-exp / p): rounding in the
-        # log-sum-exp (about T ulps, summed in a different order than the
-        # scalar path) is divided by p, so the agreement loosens near the seam.
         eps = np.finfo(np.float64).eps
-        seam = 0.0 if order.is_zero else 4 * logs.shape[1] * eps / abs(order.p)
-        for i in range(logs.shape[0]):
+        for i, p in enumerate(exponents):
+            row_order = HolderOrder(p)
+            # Off the geometric branch, rho = exp(log-mean-exp / p): rounding in
+            # the log-sum-exp (about T ulps, summed in a different order than
+            # the scalar path) is divided by p, so agreement loosens near the seam.
+            seam = 0.0 if row_order.is_zero else 4 * logs.shape[1] * eps / abs(p)
             valid = logs[i][mask[i]]
-            expect_rho = holder_mean_masked(LogRatioSequence(logs[i], mask[i]), order)
-            expect_w = gradient_weights(RatioSequence(np.exp(valid)), order).weights
+            expect_rho = holder_mean_masked(LogRatioSequence(logs[i], mask[i]), row_order)
+            expect_w = gradient_weights(RatioSequence(np.exp(valid)), row_order).weights
             assert rho[i] == pytest.approx(expect_rho, rel=1e-12 + seam)
             np.testing.assert_allclose(weights[i][mask[i]], expect_w,
                                        rtol=1e-10, atol=1e-14)
             assert np.all(weights[i][~mask[i]] == 0.0)
+            # one exponent per row gives each row exactly its one-row result
+            one_rho, one_w = holder_rows(logs[i : i + 1], mask[i : i + 1], row_order)
+            assert rho[i] == one_rho[0]
+            np.testing.assert_array_equal(weights[i], one_w[0])
+
+    def test_branch_chosen_per_row(self):
+        logs = np.tile(np.log([0.5, 2.0, 4.0, 0.25]), (len(BRANCH_SEAM) + 2, 1))
+        exponents = np.array(BRANCH_SEAM + [40.0, -40.0])
+        rho, weights = holder_rows(logs, np.ones(logs.shape, bool), HolderOrder(exponents))
+        zero = np.abs(exponents) < 1e-6
+        np.testing.assert_array_equal(weights[zero], 0.25)
+        assert not (weights[~zero] == 0.25).any()
+        geometric = math.exp(np.log([0.5, 2.0, 4.0, 0.25]).mean())
+        np.testing.assert_array_equal(rho[zero], geometric)
+        for p, row_rho in zip(exponents, rho):
+            r = RatioSequence(np.array([0.5, 2.0, 4.0, 0.25]))
+            assert row_rho == holder_mean(r, HolderOrder(float(p)))
+
+    @pytest.mark.parametrize("p", [np.ones(3), np.ones(1), np.ones((2, 1)), np.ones((2, 2))])
+    def test_rejects_array_p_of_wrong_shape(self, p):
+        with pytest.raises(DomainError):
+            holder_rows(np.zeros((2, 3)), np.ones((2, 3), bool), HolderOrder(p))
+
+    def test_zero_dimensional_array_p_is_one_exponent(self):
+        order = HolderOrder(np.array(2.0))
+        assert type(order.p) is float
+        rho, _ = holder_rows(np.log([[2.0, 8.0]]), np.ones((1, 2), bool), order)
+        assert rho[0] == holder_mean(TWO_EIGHT, HolderOrder(2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_array_p(self, bad):
+        with pytest.raises(DomainError):
+            holder_rows(np.zeros((2, 3)), np.ones((2, 3), bool),
+                        HolderOrder(np.array([1.0, bad])))
 
     def test_geometric_branch_is_uniform_over_valid(self):
         logs = np.array([[math.log(2.0), math.log(8.0), 5.0]])

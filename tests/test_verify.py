@@ -1,13 +1,20 @@
 """The theorem-check harness: full-suite pass, determinism, skip paths,
 and sensitivity to a deliberately corrupted formula."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holderpo import HolderOrder, RatioSequence, weight_p_derivative
+from holderpo import verify
 from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
+
+# check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
+# reported it, before the p-grid checks ran on batched holder_rows calls
+FIXTURE = Path(__file__).parent / "data" / "verify_seed0_n20.json"
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +69,60 @@ class TestSubsetAndErrors:
         with pytest.raises(ValueError):
             check_all(seed=0, instance_count=0)
 
+    def test_seed_nonnegative(self):
+        with pytest.raises(ValueError, match="seed"):
+            check_all(seed=-1, instance_count=5)
+
     def test_single_instance_never_errors(self):
         # tiny runs may skip hypothesis-gated checks but must not fail
         report = check_all(seed=5, instance_count=1)
         assert all(r.status in ("pass", "skip") for r in report.results)
 
 
+class TestRecordedReport:
+    def test_matches_recorded_statuses_and_worst_errors(self):
+        recorded = json.loads(FIXTURE.read_text())
+        report = check_all(seed=recorded["seed"],
+                           instance_count=recorded["instance_count"])
+        assert [r.name for r in report.results] == list(recorded["checks"])
+        for result in report.results:
+            want = recorded["checks"][result.name]
+            assert result.status == want["status"], result.name
+            assert result.worst_error == pytest.approx(
+                want["worst_error"], rel=1e-9, abs=1e-13
+            ), result.name
+
+
+def _reversed_rows(log_ratios, mask, order, holder_rows=verify.holder_rows):
+    """holder_rows with each call's rows in reverse order."""
+    rho, weights = holder_rows(log_ratios, mask, order)
+    return rho[::-1], weights[::-1]
+
+
 class TestHarnessSensitivity:
-    """A corrupted derivative formula must be caught, not waved through."""
+    """A corrupted formula or kernel call must be caught, not waved through."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mean_monotone_in_p", "weight_rise_then_fall", "entropy_peak_at_zero",
+         "hhi_profile"],
+    )
+    def test_grid_checks_catch_reversed_rows(self, name, monkeypatch):
+        assert check_all(seed=0, instance_count=20, only=[name]).results[0].status == "pass"
+        monkeypatch.setattr(verify, "holder_rows", _reversed_rows)
+        result = check_all(seed=0, instance_count=20, only=[name]).results[0]
+        assert result.status == "fail"
+
+    def test_estimators_check_catches_perturbed_plus_objectives(self, monkeypatch):
+        def perturbed(batch, order, regime, clip=None, batch_terms=verify.batch_terms):
+            terms = batch_terms(batch, order, regime, clip)
+            plus = terms.group_objectives.copy()
+            plus[0::2] += 1e-8  # the +h copies come first in each pair
+            return dataclasses.replace(terms, group_objectives=plus)
+
+        monkeypatch.setattr(verify, "batch_terms", perturbed)
+        result = check_all(seed=0, instance_count=20, only=["estimators_vs_fd"])
+        assert result.results[0].status == "fail"
 
     def test_corrupted_weight_derivative_fails_fd_check(self):
         def corrupted(ratios: RatioSequence, order: HolderOrder, t: int) -> float:
