@@ -1,9 +1,17 @@
 """Command-line entry point: `mean`, `train`, `sweep`, and `verify`.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
-3 divergence abort.  Run configs are JSON with a versioned schema and
-unknown keys rejected; every emitted file embeds the resolved config
-digest and code version so runs are self-describing.
+3 divergence abort.
+
+A run config is a JSON object with a `task` and a `train` section.  The
+dataclasses are its schema: the section keys are the fields of `TaskSpec`
+and `TrainConfig`, and `train.schedule` holds the fields of `ScheduleSpec`.
+Every key is optional and takes the dataclass default, except a few that
+depend on the rest of the config (see `_train_config`).  An unknown key, or
+a value of the wrong JSON type, is a usage error naming `section.field`.
+Every emitted file embeds the resolved config digest and code version, so
+runs are self-describing, and a run's `config.json` is itself a valid
+config.
 """
 
 from __future__ import annotations
@@ -15,22 +23,17 @@ import json
 import os
 import statistics
 import sys
-import time
+import typing
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 import holderpo
-from holderpo.analysis import table_to_csv
+from holderpo.analysis import UpdateMetrics, table_to_csv
 from holderpo.core import DomainError, HolderOrder, RatioSequence, gradient_weights, hhi, holder_mean, shannon_entropy
-from holderpo.schedule import DIRECTIONS, SHAPES, ScheduleSpec
-from holderpo.sim import (
-    CLIPPING_REGIMES,
-    DivergenceError,
-    TaskSpec,
-    TrainConfig,
-    train,
-)
+from holderpo.schedule import ScheduleSpec
+from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train
 from holderpo.verify import CHECKS, check_all, check_run_arguments
 
 EXIT_OK = 0
@@ -46,137 +49,113 @@ SCHEDULE_CONVENTION = (
     "ascending swapped; steps are optimizer updates"
 )
 
+# Written into every resolved config; informational when a config is read.
+STAMPS = {
+    "code_version": holderpo.__version__,
+    "schedule_convention": SCHEDULE_CONVENTION,
+}
+
+# The JSON values a field of each annotated type accepts; bool is never a
+# number, and an int field takes no float.
+_JSON_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+}
+
 
 class ConfigError(Exception):
     pass
 
 
-def _require_keys(obj: dict, allowed: set, context: str) -> None:
-    unknown = set(obj) - allowed
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _typed(hint, value, where: str):
+    """`value` as the field type `hint`, or a ConfigError naming `where`."""
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            item = typing.get_args(hint)[0]
+            return tuple(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+        expected = "a list"
+    else:
+        expected, json_types = _JSON_TYPES[hint]
+        if isinstance(value, json_types) and not isinstance(value, bool):
+            try:
+                return hint(value)
+            except OverflowError:  # a JSON integer past the float range
+                raise ConfigError(f"{where} is out of range for a float") from None
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def _from_dict(cls, obj, context: str, defaults=lambda **given: {}):
+    """An instance of the dataclass `cls` from the JSON object `obj`.
+
+    Each key names a field, and its value must have the field's annotated
+    type.  A missing key takes its value from `defaults(**given)`, the
+    defaults that depend on the keys given, or else the dataclass default.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = set(_object(obj, context)) - set(hints)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
-
-
-def _parse_task(obj: dict) -> TaskSpec:
-    _require_keys(
-        obj,
-        {"kind", "length", "vocab", "key_position", "key_token",
-         "target_sequence", "dense_threshold"},
-        "task",
-    )
+    given = {
+        name: _typed(hints[name], value, f"{context}.{name}")
+        for name, value in obj.items()
+    }
+    values = {**defaults(**given), **given}
+    missing = [
+        f.name for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {context}")
     try:
-        return TaskSpec(
-            kind=obj.get("kind", "sparse"),
-            length=int(obj.get("length", 8)),
-            vocab=int(obj.get("vocab", 16)),
-            key_position=int(obj.get("key_position", 0)),
-            key_token=int(obj.get("key_token", 0)),
-            target_sequence=tuple(obj.get("target_sequence", ())),
-            dense_threshold=int(obj.get("dense_threshold", 0)),
-        )
+        return cls(**values)
     except DomainError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_schedule(obj: dict, total_updates: int) -> ScheduleSpec:
-    _require_keys(
-        obj,
-        {"p_high", "p_low", "total_steps", "shape", "direction"},
-        "schedule",
-    )
-    try:
-        return ScheduleSpec(
-            p_high=float(obj["p_high"]),
-            p_low=float(obj.get("p_low", obj["p_high"])),
-            total_steps=int(obj.get("total_steps", max(1, total_updates - 1))),
-            shape=obj.get("shape", "linear"),
-            direction=obj.get("direction", "descending"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"schedule: missing {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+def _train_config(schedule=MISSING, **given) -> TrainConfig:
+    """The `train` section, passed as keyword arguments.  The defaults that
+    depend on the rest of the config: with no schedule p is constant at 1.0,
+    a schedule's p_low holds its p_high, and its horizon spans the run's
+    updates."""
+    config = _from_dict(TrainConfig, given, "train")
+    horizon = max(1, config.total_updates - 1)
+    if schedule is MISSING:
+        return replace(config, schedule=ScheduleSpec.constant(1.0, horizon))
+    return replace(config, schedule=_from_dict(
+        ScheduleSpec, schedule, "train.schedule",
+        lambda p_high=None, **_: dict(p_low=p_high, total_steps=horizon),
+    ))
 
 
-def _parse_train(obj: dict) -> TrainConfig:
-    _require_keys(
-        obj,
-        {"group_size", "rollouts_per_round", "minibatch_size",
-         "updates_per_round", "learning_rate", "clip_epsilon", "schedule",
-         "clipping_regime", "seed", "total_rounds"},
-        "train",
-    )
-    total_rounds = int(obj.get("total_rounds", 60))
-    updates_per_round = int(obj.get("updates_per_round", 4))
-    schedule = _parse_schedule(
-        obj.get("schedule", {"p_high": 1.0, "shape": "constant"}),
-        total_rounds * updates_per_round,
-    )
-    try:
-        return TrainConfig(
-            group_size=int(obj.get("group_size", 8)),
-            rollouts_per_round=int(obj.get("rollouts_per_round", 256)),
-            minibatch_size=int(obj.get("minibatch_size", 8)),
-            updates_per_round=updates_per_round,
-            learning_rate=float(obj.get("learning_rate", 0.05)),
-            clip_epsilon=float(obj.get("clip_epsilon", 0.2)),
-            schedule=schedule,
-            clipping_regime=obj.get("clipping_regime", "sequence"),
-            seed=int(obj.get("seed", 0)),
-            total_rounds=total_rounds,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
-def load_config(path: str) -> tuple[TaskSpec, TrainConfig, dict]:
+def load_config(path: str) -> tuple[TaskSpec, TrainConfig]:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(raw, {"schema_version", "task", "train"}, "config")
+    unknown = set(_object(raw, "config")) - {"schema_version", "task", "train", *STAMPS}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if _typed(int, version, "schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    task = _parse_task(raw.get("task", {}))
-    config = _parse_train(raw.get("train", {}))
-    return task, config, raw
+    task = _from_dict(TaskSpec, raw.get("task", {}), "task")
+    config = _train_config(**_object(raw.get("train", {}), "train"))
+    return task, config
 
 
 def resolved_config_dict(task: TaskSpec, config: TrainConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "code_version": holderpo.__version__,
-        "schedule_convention": SCHEDULE_CONVENTION,
-        "task": {
-            "kind": task.kind,
-            "length": task.length,
-            "vocab": task.vocab,
-            "key_position": task.key_position,
-            "key_token": task.key_token,
-            "target_sequence": list(task.target_sequence),
-            "dense_threshold": task.dense_threshold,
-        },
-        "train": {
-            "group_size": config.group_size,
-            "rollouts_per_round": config.rollouts_per_round,
-            "minibatch_size": config.minibatch_size,
-            "updates_per_round": config.updates_per_round,
-            "learning_rate": config.learning_rate,
-            "clip_epsilon": config.clip_epsilon,
-            "clipping_regime": config.clipping_regime,
-            "seed": config.seed,
-            "total_rounds": config.total_rounds,
-            "schedule": {
-                "p_high": config.schedule.p_high,
-                "p_low": config.schedule.p_low,
-                "total_steps": config.schedule.total_steps,
-                "shape": config.schedule.shape,
-                "direction": config.schedule.direction,
-            },
-        },
+        **STAMPS,
+        "task": asdict(task),
+        "train": asdict(config),
     }
 
 
@@ -190,11 +169,7 @@ def _stamp(resolved: dict) -> str:
     return f"# holderpo {holderpo.__version__} config_sha256={_digest(resolved)}\n"
 
 
-METRIC_COLUMNS = (
-    "step", "p_value", "objective", "grad_norm", "policy_entropy",
-    "log_ratio_max", "log_ratio_min", "clip_fraction", "mean_reward",
-    "v_of_p",
-)
+METRIC_COLUMNS = tuple(f.name for f in fields(UpdateMetrics))
 
 
 def write_run(out_dir: Path, task: TaskSpec, config: TrainConfig, log) -> dict:
@@ -259,9 +234,9 @@ def cmd_mean(args) -> int:
 
 def cmd_train(args) -> int:
     try:
-        task, config, _ = load_config(args.config)
+        task, config = load_config(args.config)
         if args.seed is not None:
-            config = TrainConfig(**{**_train_kwargs(config), "seed": args.seed})
+            config = replace(config, seed=args.seed)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -277,28 +252,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _train_kwargs(config: TrainConfig) -> dict:
-    return {
-        "group_size": config.group_size,
-        "rollouts_per_round": config.rollouts_per_round,
-        "minibatch_size": config.minibatch_size,
-        "updates_per_round": config.updates_per_round,
-        "learning_rate": config.learning_rate,
-        "clip_epsilon": config.clip_epsilon,
-        "schedule": config.schedule,
-        "clipping_regime": config.clipping_regime,
-        "seed": config.seed,
-        "total_rounds": config.total_rounds,
-    }
-
-
 def _sweep_run(job):
     """One (label, schedule, seed) run; module-level so worker pools can
     pickle it."""
     label, schedule, seed, task, config = job
-    run_config = TrainConfig(
-        **{**_train_kwargs(config), "schedule": schedule, "seed": seed}
-    )
+    run_config = replace(config, schedule=schedule, seed=seed)
     log = train(run_config, task)
     return label, seed, run_config, log
 
@@ -319,7 +277,7 @@ def _sweep_workers() -> int:
 def cmd_sweep(args) -> int:
     try:
         workers = _sweep_workers()
-        task, config, _ = load_config(args.config)
+        task, config = load_config(args.config)
         p_list = [float(tok) for tok in args.p_list.replace(",", " ").split()]
         if not p_list:
             raise ConfigError("--p-list must name at least one exponent")

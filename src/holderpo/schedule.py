@@ -40,6 +40,8 @@ class ScheduleSpec:
     direction: str = "descending"
 
     def __post_init__(self):
+        if not (math.isfinite(self.p_high) and math.isfinite(self.p_low)):
+            raise DomainError("p_high and p_low must be finite")
         if self.shape not in SHAPES:
             raise DomainError(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.direction not in DIRECTIONS:

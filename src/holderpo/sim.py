@@ -18,6 +18,7 @@ matrix; the ``grad_estimator_*`` functions call the same code.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -121,12 +122,12 @@ class TaskSpec:
     """Binary-reward synthetic task: sparse (one pivotal position) or dense
     (Hamming distance to a target sequence at most `dense_threshold`)."""
 
-    kind: str
-    length: int
-    vocab: int
+    kind: str = "sparse"
+    length: int = 8
+    vocab: int = 16
     key_position: int = 0
     key_token: int = 0
-    target_sequence: tuple = ()
+    target_sequence: tuple[int, ...] = ()
     dense_threshold: int = 0
 
     def __post_init__(self):
@@ -180,16 +181,20 @@ class TrainConfig:
             raise DomainError("seed must be >= 0")
         if self.group_size < 2:
             raise DomainError("group_size must be >= 2")
-        if self.rollouts_per_round % self.group_size != 0:
-            raise DomainError("rollouts_per_round must be divisible by group_size")
+        if self.rollouts_per_round < 1 or self.rollouts_per_round % self.group_size != 0:
+            raise DomainError(
+                "rollouts_per_round must be a positive multiple of group_size"
+            )
         if self.minibatch_size < 1:
             raise DomainError("minibatch_size must be >= 1")
         if self.num_groups % self.minibatch_size != 0:
             raise DomainError(
                 "groups per round must be divisible by minibatch_size"
             )
-        if self.learning_rate <= 0.0:
-            raise DomainError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DomainError("learning_rate must be positive and finite")
+        if not 0.0 < self.clip_epsilon < 1.0:
+            raise DomainError("clip_epsilon must lie in (0, 1)")
         if self.clipping_regime not in CLIPPING_REGIMES:
             raise DomainError(f"clipping_regime must be one of {CLIPPING_REGIMES}")
         if self.updates_per_round < 1 or self.total_rounds < 1:

@@ -4,6 +4,7 @@ byte-identical reruns."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,16 @@ from holderpo.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     ConfigError,
+    _digest,
     load_config,
     main,
+    resolved_config_dict,
 )
+
+# Configs with the resolved dict and digest the per-field parsers this
+# schema replaced gave them; reading a config must not change either.
+RESOLVED = Path(__file__).parent / "data" / "resolved_configs.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -89,7 +97,7 @@ class TestMeanCommand:
 
 class TestConfigSchema:
     def test_round_trip(self, tmp_path):
-        task, config, _ = load_config(write_config(tmp_path))
+        task, config = load_config(write_config(tmp_path))
         assert task.kind == "sparse"
         assert config.total_rounds == 3
         assert config.schedule.shape == "constant"
@@ -117,6 +125,60 @@ class TestConfigSchema:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("name", ["readme", "empty", "no_schedule",
+                                      "dense_token_clip"])
+    def test_resolved_config_pinned(self, tmp_path, name):
+        recorded = json.loads(RESOLVED.read_text())[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(recorded["config"]))
+        resolved = resolved_config_dict(*load_config(path))
+        assert json.loads(json.dumps(resolved)) == recorded["resolved"]
+        assert _digest(resolved) == recorded["config_sha256"]
+
+    def test_readme_example_loads(self, tmp_path):
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        task, config = load_config(path)
+        assert (task.kind, config.schedule.label()) == ("sparse", "linear_2_-2")
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"task": {"length": "x"}}, "task.length"),
+        ({"task": []}, "task"),
+        ({"train": {"schedule": None}}, "train.schedule"),
+        ({"train": {"schedule": {"p_high": "abc"}}}, "train.schedule.p_high"),
+        ({"task": {"kind": "dense", "length": 4, "vocab": 2,
+                   "target_sequence": "0101"}}, "task.target_sequence"),
+        ([], "config"),
+        ({"train": {"group_size": 2.9}}, "train.group_size"),
+        ({"train": {"seed": True}}, "train.seed"),
+        ({"train": {"learning_rate": 10**400}}, "train.learning_rate"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(path), "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named} ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train, named", [
+        ({"clip_epsilon": 1.5}, "clip_epsilon"),
+        ({"clip_epsilon": 0.0}, "clip_epsilon"),
+        ({"learning_rate": math.nan}, "learning_rate"),
+        ({"learning_rate": math.inf}, "learning_rate"),
+        ({"schedule": {"p_high": math.nan}}, "p_high"),
+        ({"schedule": {"p_high": 1.0, "p_low": -math.inf}}, "p_low"),
+        ({"rollouts_per_round": 0}, "rollouts_per_round"),
+    ])
+    def test_values_train_rejects_fail_at_load(self, tmp_path, train, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": train}))
+        with pytest.raises(ConfigError, match=named):
+            load_config(path)
 
 
 class TestTrainCommand:
@@ -169,6 +231,20 @@ class TestTrainCommand:
         np.testing.assert_array_equal(
             np.load(out_a / "final_policy.npy"), np.load(out_b / "final_policy.npy")
         )
+
+    def test_rerun_from_emitted_config(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            train__schedule={"p_high": 2.0, "p_low": -2.0, "shape": "sin"},
+        )
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        main(["train", "--config", str(config), "--out-dir", str(out_a)])
+        code = main(["train", "--config", str(out_a / "config.json"),
+                     "--out-dir", str(out_b)])
+        assert code == EXIT_OK
+        assert (out_a / "metrics.csv").read_bytes() == (
+            out_b / "metrics.csv"
+        ).read_bytes()
 
     def test_seed_override(self, tmp_path):
         config = write_config(tmp_path)

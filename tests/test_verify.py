@@ -13,7 +13,8 @@ from holderpo import verify
 from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
 
 # check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
-# reported it, before the p-grid checks ran on batched holder_rows calls
+# reported it, before the p-grid checks ran on batched holder_rows calls; the
+# three p-derivative finite-difference errors are the five-point stencil's
 FIXTURE = Path(__file__).parent / "data" / "verify_seed0_n20.json"
 
 
