@@ -44,7 +44,8 @@ class UpdateMetrics:
 
 def ratio_envelopes(batch: GroupBatch) -> tuple[float, float]:
     """(max, min) of log r over all valid tokens in the batch."""
-    return RolloutBatch.from_groups([batch]).ratio_envelope()
+    log_max, log_min = RolloutBatch.from_groups([batch]).ratio_envelope()
+    return log_max.item(), log_min.item()
 
 
 def weight_profile(

@@ -17,10 +17,8 @@ config.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import statistics
 import sys
 import typing
@@ -33,7 +31,7 @@ import holderpo
 from holderpo.analysis import UpdateMetrics, table_to_csv
 from holderpo.core import DomainError, HolderOrder, RatioSequence, gradient_weights, hhi, holder_mean, shannon_entropy
 from holderpo.schedule import ScheduleSpec
-from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train
+from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train, train_many
 from holderpo.verify import CHECKS, check_all, check_run_arguments
 
 EXIT_OK = 0
@@ -252,31 +250,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sweep_run(job):
-    """One (label, schedule, seed) run; module-level so worker pools can
-    pickle it."""
-    label, schedule, seed, task, config = job
-    run_config = replace(config, schedule=schedule, seed=seed)
-    log = train(run_config, task)
-    return label, seed, run_config, log
-
-
-def _sweep_workers() -> int:
-    """Worker processes for `sweep`: HOLDERPO_THREADS, an integer >= 1
-    (default 1)."""
-    raw = os.environ.get("HOLDERPO_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"HOLDERPO_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def cmd_sweep(args) -> int:
     try:
-        workers = _sweep_workers()
         task, config = load_config(args.config)
         p_list = [float(tok) for tok in args.p_list.replace(",", " ").split()]
         if not p_list:
@@ -288,32 +263,27 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
 
     horizon = max(1, config.total_updates - 1)
-    jobs = []
-    for p in p_list:
-        spec = ScheduleSpec.constant(p, horizon)
-        for seed in range(args.seeds):
-            jobs.append((spec.label(), spec, seed, task, config))
+    specs = [ScheduleSpec.constant(p, horizon) for p in p_list]
     if args.include_schedule:
-        spec = config.schedule
-        for seed in range(args.seeds):
-            jobs.append((spec.label(), spec, seed, task, config))
+        specs.append(config.schedule)
+    runs = [
+        replace(config, schedule=spec, seed=seed)
+        for spec in specs
+        for seed in range(args.seeds)
+    ]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
     try:
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(_sweep_run, jobs))
-        else:
-            results = [_sweep_run(job) for job in jobs]
+        logs = train_many(runs, task)
     except DivergenceError as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
     rows = []
     by_label: dict[str, list[float]] = {}
-    for label, seed, run_config, log in results:
+    for run_config, log in zip(runs, logs):
+        label, seed = run_config.schedule.label(), run_config.seed
         write_run(out_dir / label / f"seed{seed}", task, run_config, log)
         rows.append([label, seed, log.final_success])
         by_label.setdefault(label, []).append(log.final_success)

@@ -172,7 +172,8 @@ def holder_rows(
     Each row of the (N, T) arrays is one sequence; only its masked-in
     positions count, and masked-out positions get zero weight.  ``order.p``
     is one exponent for every row or an (N,) array of one exponent per row;
-    each row takes the geometric branch on its own exponent.  Returns rho
+    each row takes the geometric branch on its own exponent, and the
+    geometric rows are computed only when some row needs them.  Returns rho
     with shape (N,) and W with shape (N, T), each row the same as
     ``holder_mean_masked`` and ``gradient_weights`` give for that row at
     that row's exponent, and subject to the same checks.
@@ -192,8 +193,11 @@ def holder_rows(
         if p.shape != n.shape:
             raise DomainError(f"an array p must have shape {n.shape}, got {p.shape}")
         zero = order.is_zero
-        # zero rows run the power path at a stand-in p = 1, then are replaced
-        p = np.where(zero, 1.0, p)
+        if zero.any():
+            # zero rows run the power path at a stand-in p = 1, then are replaced
+            p = np.where(zero, 1.0, p)
+        else:
+            zero = None
         scaled = np.where(mask, p[:, None] * logs, -np.inf)
     elif order.is_zero:
         return _geometric_rows(logs, mask, n)

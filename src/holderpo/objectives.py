@@ -262,10 +262,15 @@ class RolloutBatch:
             advantages=self.advantages[rows],
         )
 
-    def ratio_envelope(self) -> tuple[float, float]:
-        """(max, min) of log r over all valid tokens."""
-        valid = self.log_ratios[self.mask]
-        return float(valid.max()), float(valid.min())
+    def ratio_envelope(self, runs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(max, min) of log r over the valid tokens of each run, the rows
+        being `runs` equal consecutive blocks; two (runs,) arrays."""
+        logs = self.log_ratios.reshape(runs, -1)
+        mask = self.mask.reshape(runs, -1)
+        return (
+            np.where(mask, logs, -np.inf).max(axis=1),
+            np.where(mask, logs, np.inf).min(axis=1),
+        )
 
 
 def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
@@ -283,13 +288,15 @@ def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     return total / group_size
 
 
-def minibatch_mean(values: np.ndarray, group_size: int) -> np.ndarray:
-    """Mean over groups of per-group means, as a left fold over groups."""
+def minibatch_mean(values: np.ndarray, group_size: int, runs: int = 1) -> np.ndarray:
+    """Mean over groups of per-group means, as a left fold over groups, for
+    each of `runs` equal consecutive blocks of rows: (N, ...) -> (runs, ...)."""
     per_group = group_means(values, group_size)
-    total = per_group[0].copy()
-    for group in per_group[1:]:
-        total += group
-    return total / per_group.shape[0]
+    per_group = per_group.reshape(runs, -1, *per_group.shape[1:])
+    total = per_group[:, 0].copy()
+    for k in range(1, per_group.shape[1]):
+        total += per_group[:, k]
+    return total / per_group.shape[1]
 
 
 @dataclass(frozen=True)
@@ -301,40 +308,59 @@ class BatchTerms:
     W_i(p) when unclipped or under the sequence gate (A_i zeroed where the
     gate closes), and A_i times the per-token factor I_t h^{1-p} r_t^p / n
     (row_scale 1) under token clipping.
+
+    The batch's rows may stack S independent runs as S equal consecutive
+    blocks; the aggregates are then per run, with shape (S,).
     """
 
     token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor
     row_scale: np.ndarray  # (N,) rho_i, or 1 under token clip
     row_coef: np.ndarray  # (N,) A_i, 0 where the sequence gate closed
     group_objectives: np.ndarray  # (N / G,) surrogate objective per group
-    clip_fraction: float
-    v_of_p: float  # mean of A^2 rho^2
-    log_ratio_max: float
-    log_ratio_min: float
+    clip_fraction: np.ndarray  # (S,)
+    v_of_p: np.ndarray  # (S,) mean of A^2 rho^2
+    log_ratio_max: np.ndarray  # (S,)
+    log_ratio_min: np.ndarray  # (S,)
 
     @property
-    def objective(self) -> float:
-        """Mean of the per-group surrogate objectives."""
-        return float(self.group_objectives.mean())
+    def runs(self) -> int:
+        return self.v_of_p.size
+
+    @property
+    def objective(self) -> np.ndarray:
+        """(S,) means of each run's per-group surrogate objectives."""
+        return self.group_objectives.reshape(self.runs, -1).mean(axis=1)
+
+
+def _column(value):
+    """A per-row value, one scalar for every row or an (N,) array, shaped to
+    broadcast over (N, T) arrays."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
 
 
 def _check_two_forms(logs, mask, order: HolderOrder, rho, weights) -> None:
-    """rho W must equal rho^{1-p}/n r^p token by token; entries whose raw
-    powers overflow float64 are skipped (the softmax form is the stable one)."""
-    if order.is_zero:
+    """rho W must equal rho^{1-p}/n r^p token by token on every row off the
+    geometric branch; entries whose raw powers overflow float64 are skipped
+    (the softmax form is the stable one)."""
+    per_row = isinstance(order.p, np.ndarray)
+    if not per_row and order.is_zero:
         return
     with np.errstate(over="ignore", invalid="ignore"):
         scale = rho ** (1.0 - order.p) / mask.sum(axis=1)
-        alt = scale[:, None] * np.where(mask, np.exp(order.p * logs), 0.0)
+        alt = scale[:, None] * np.where(mask, np.exp(_column(order.p) * logs), 0.0)
         result = rho[:, None] * weights
         bound = 1e-10 * np.maximum(np.maximum(np.abs(result), np.abs(alt)), 1.0)
         ok = np.abs(result - alt) <= bound
-    assert (ok | ~np.isfinite(alt)).all()
+    ok |= ~np.isfinite(alt)
+    if per_row:
+        ok |= order.is_zero[:, None]
+    assert ok.all()
 
 
 def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
-    positive advantage, D for a negative one) and the clipped-token mask."""
+    positive advantage, D for a negative one) and the clipped-token mask;
+    rows on the geometric branch take I_t h / n."""
     ratios = np.exp(logs)
     band = np.minimum(np.maximum(ratios, clip.low), clip.high)
     positive = (adv > 0.0)[:, None]
@@ -343,13 +369,18 @@ def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
     clipped = mask & ~kept & (adv != 0.0)[:, None]
     n = mask.sum(axis=1)
-    if order.is_zero:
-        factors = np.where(kept, (h / n)[:, None], 0.0)
+    per_row = isinstance(order.p, np.ndarray)
+    if not per_row and order.is_zero:
+        factors = (h / n)[:, None]
     else:
         # h^{1-p}/n * r^p in log-space to survive large |p|
-        log_terms = ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + order.p * logs
-        factors = np.where(kept, np.exp(log_terms), 0.0)
-    return factors, h, clipped
+        log_terms = (
+            ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + _column(order.p) * logs
+        )
+        factors = np.exp(log_terms)
+        if per_row and order.is_zero.any():
+            factors = np.where(order.is_zero[:, None], (h / n)[:, None], factors)
+    return np.where(kept, factors, 0.0), h, clipped
 
 
 def batch_terms(
@@ -358,11 +389,14 @@ def batch_terms(
     regime: str,
     clip: ClipConfig | None = None,
     guard: Callable[[RolloutBatch, np.ndarray], None] | None = None,
+    runs: int = 1,
 ) -> BatchTerms:
     """rho, W or the token-clip factors, the gated advantages, the objective,
     clip fraction, V(p) and log-ratio envelopes of a batch under one
     clipping regime ("none", "token" or "sequence"), with rho computed once
-    per rollout.
+    per rollout.  ``order.p`` is one exponent or an (N,) array of one per
+    row.  The rows are `runs` equal consecutive blocks of whole groups, one
+    per run, and each aggregate is taken per run.
 
     The sequence gate zeroes a rollout whose aggregated ratio has already
     left the clip band in the direction its advantage favors; token
@@ -375,6 +409,8 @@ def batch_terms(
     if regime != "none" and clip is None:
         raise DomainError(f"the {regime!r} regime needs a ClipConfig")
     logs, mask, adv = batch.log_ratios, batch.mask, batch.advantages
+    if runs < 1 or adv.size % (runs * batch.group_size):
+        raise DomainError(f"rows must form {runs} equal blocks of whole groups")
     rho, weights = holder_rows(logs, mask, order)
     if guard is not None:
         guard(batch, rho)
@@ -384,25 +420,28 @@ def batch_terms(
         token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
         row_scale, row_coef = np.ones_like(rho), adv
         objectives = h * adv
-        clip_fraction = np.count_nonzero(clipped) / np.count_nonzero(mask)
+        clip_fraction = (
+            clipped.reshape(runs, -1).sum(axis=1) / mask.reshape(runs, -1).sum(axis=1)
+        )
     else:
         token_weights, row_scale = weights, rho
         objectives = rho * adv
-        row_coef, clip_fraction = adv, 0.0
+        row_coef, clip_fraction = adv, np.zeros(runs)
         if regime == "sequence":
             gated = ((adv > 0.0) & (rho > clip.high)) | ((adv < 0.0) & (rho < clip.low))
             band = np.minimum(np.maximum(rho, clip.low), clip.high)
             objectives = np.minimum(objectives, band * adv)
             row_coef = np.where(gated, 0.0, adv)
-            clip_fraction = np.count_nonzero(gated) / gated.size
-    log_max, log_min = batch.ratio_envelope()
+            per_run = gated.reshape(runs, -1)
+            clip_fraction = per_run.sum(axis=1) / per_run.shape[1]
+    log_max, log_min = batch.ratio_envelope(runs)
     return BatchTerms(
         token_weights=token_weights,
         row_scale=row_scale,
         row_coef=row_coef,
         group_objectives=group_means(objectives, batch.group_size),
         clip_fraction=clip_fraction,
-        v_of_p=float((adv**2 * rho**2).mean()),
+        v_of_p=(adv**2 * rho**2).reshape(runs, -1).mean(axis=1),
         log_ratio_max=log_max,
         log_ratio_min=log_min,
     )
@@ -415,19 +454,19 @@ def _group_terms(batch: GroupBatch, order: HolderOrder, regime: str,
 
 def surrogate_unclipped(batch: GroupBatch, order: HolderOrder) -> float:
     """(1/G) sum_i rho_i * A_i."""
-    return _group_terms(batch, order, "none").objective
+    return _group_terms(batch, order, "none").objective.item()
 
 
 def surrogate_seq_clip(batch: GroupBatch, order: HolderOrder, clip: ClipConfig) -> float:
     """Pessimistic sequence-level objective min(rho A, clip(rho) A)."""
-    return _group_terms(batch, order, "sequence", clip).objective
+    return _group_terms(batch, order, "sequence", clip).objective.item()
 
 
 def surrogate_token_clip(
     batch: GroupBatch, order: HolderOrder, clip: ClipConfig
 ) -> float:
     """Token-level clipped objective: power means of per-token clipped ratios."""
-    return _group_terms(batch, order, "token", clip).objective
+    return _group_terms(batch, order, "token", clip).objective.item()
 
 
 def loss_holder_po(
@@ -463,16 +502,16 @@ def grad_rho(
 
 
 def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarray:
-    """The minibatch gradient as a (T, V) table, built per position block:
-    token t of rollout i adds coef_i * (scale_i * (w_it * s_it)) to row t,
-    s_it being its score block.  The products and the group sums run in
-    the order of a per-rollout loop over dense score vectors and match it
-    bit for bit."""
+    """Each run's minibatch gradient as a (T, V) table, stacked to
+    (S, T, V), built per position block: token t of rollout i adds
+    coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block.
+    The products and the group sums run in the order of a per-rollout loop
+    over dense score vectors and match it bit for bit."""
     per_rollout = policy.score_blocks(batch.token_ids)
     per_rollout *= terms.token_weights[:, :, None]
     per_rollout *= terms.row_scale[:, None, None]
     per_rollout *= terms.row_coef[:, None, None]
-    return minibatch_mean(per_rollout, batch.group_size)
+    return minibatch_mean(per_rollout, batch.group_size, terms.runs)
 
 
 def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
@@ -480,7 +519,7 @@ def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
     batch = RolloutBatch.from_groups(minibatch)
     terms = batch_terms(batch, order, regime, clip)
     return GradientEstimate(
-        policy_gradient(policy, batch, terms).ravel(), terms.clip_fraction
+        policy_gradient(policy, batch, terms).ravel(), terms.clip_fraction.item()
     )
 
 
@@ -515,7 +554,7 @@ def variance_bound_term(batches: Sequence[GroupBatch], order: HolderOrder) -> fl
     groups must share one size G."""
     if len(batches) == 0:
         raise DomainError("sample must contain at least one group")
-    return batch_terms(RolloutBatch.from_groups(batches), order, "none").v_of_p
+    return batch_terms(RolloutBatch.from_groups(batches), order, "none").v_of_p.item()
 
 
 def second_moment_orthogonal(

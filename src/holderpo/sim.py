@@ -14,13 +14,15 @@ groups, and one ``batch_terms`` call yields rho, the weights, the gates,
 the objective and the telemetry.  ``policy_gradient`` assembles the
 gradient per position block, (T, V), never as the dense (T, T*V) score
 matrix; the ``grad_estimator_*`` functions call the same code.
+``train_many`` stacks runs that differ only in seed and schedule along
+the rollout axis, and ``train`` is its one-run case.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,7 +44,18 @@ RHO_DIVERGENCE_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """An aggregated ratio exceeded the divergence guard."""
+    """An aggregated ratio exceeded the divergence guard; ``rollout`` is the
+    batch row that tripped it."""
+
+    def __init__(self, message: str, rollout: int):
+        super().__init__(message)
+        self.rollout = rollout
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities along the last (vocabulary) axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -77,9 +90,7 @@ class PolicyParams:
         return self.logits.size
 
     def log_probs(self) -> np.ndarray:
-        z = self.logits
-        shifted = z - z.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return _log_softmax(self.logits)
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs())
@@ -94,11 +105,8 @@ class PolicyParams:
         token ids of shape (..., T); returns (..., T, V).  The score vector
         of token t is zero outside logit row t."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        blocks = np.broadcast_to(-self.probs(), (*ids.shape[:-1], *self.logits.shape))
-        blocks = blocks.copy()
-        rows = blocks.reshape(-1, self.vocab)
-        rows[np.arange(rows.shape[0]), ids.ravel()] += 1.0
-        return blocks
+        rows = _PolicyStack(self.log_probs()[None]).score_blocks(ids.reshape(-1, self.length))
+        return rows.reshape(*ids.shape, self.vocab)
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
         """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened: the
@@ -110,11 +118,7 @@ class PolicyParams:
         return grads.reshape(self.length, self.param_dim)
 
     def mean_entropy(self) -> float:
-        lp = self.log_probs()
-        return float(-(np.exp(lp) * lp).sum(axis=1).mean())
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.logits.copy())
+        return _PolicyStack(self.log_probs()[None]).mean_entropy().item()
 
 
 @dataclass(frozen=True)
@@ -209,6 +213,39 @@ class TrainConfig:
         return self.total_rounds * self.updates_per_round
 
 
+# The TrainConfig fields runs stacked by train_many must share.
+_SHARED_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("seed", "schedule"))
+
+
+@dataclass(frozen=True)
+class _PolicyStack:
+    """The log-probability tables of S policies as one (S, T, V) array.  A
+    batch read against the stack has S equal consecutive blocks of rows,
+    block s belonging to policy s."""
+
+    log_probs: np.ndarray
+
+    def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
+        """log pi_s(token_ids[i, t] | pos t) for each row i of block s."""
+        runs, length, _ = self.log_probs.shape
+        run = np.arange(runs).repeat(len(token_ids) // runs)[:, None]
+        return self.log_probs[run, np.arange(length), token_ids]
+
+    def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
+        """Block t of each row's score vectors, onehot(token) - pi_t, from
+        the row's own policy: (N, T) ids -> (N, T, V)."""
+        runs, _, vocab = self.log_probs.shape
+        blocks = np.repeat(-np.exp(self.log_probs), len(token_ids) // runs, axis=0)
+        rows = blocks.reshape(-1, vocab)
+        rows[np.arange(rows.shape[0]), token_ids.ravel()] += 1.0
+        return blocks
+
+    def mean_entropy(self) -> np.ndarray:
+        """(S,) mean over positions of each policy's entropy."""
+        lp = self.log_probs
+        return -(np.exp(lp) * lp).sum(axis=2).mean(axis=1)
+
+
 @dataclass
 class RunLog:
     metrics: list[UpdateMetrics]
@@ -233,10 +270,20 @@ def sample_rollouts(
     """Sample one rollout per row of the (N, T) `uniforms` position-wise from
     the old policy by inverse CDF; rewards and group-normalized advantages
     (G consecutive rows per group) are filled in."""
-    log_probs = policy_old.log_probs()
-    cum = np.cumsum(np.exp(log_probs), axis=1)
-    token_ids = np.minimum((cum < uniforms[:, :, None]).sum(axis=2), task.vocab - 1)
-    old_lp = log_probs[np.arange(task.length), token_ids]
+    return _sample_stack(
+        _PolicyStack(policy_old.log_probs()[None]), task, group_size, uniforms[None]
+    )
+
+
+def _sample_stack(
+    policies: _PolicyStack, task: TaskSpec, group_size: int, uniforms: np.ndarray
+) -> RolloutBatch:
+    """`sample_rollouts` for S policies at once: (S, N, T) uniforms, block s
+    of the S*N rows drawn from policy s."""
+    cum = np.cumsum(np.exp(policies.log_probs), axis=2)
+    token_ids = np.minimum((cum[:, None] < uniforms[..., None]).sum(axis=3), task.vocab - 1)
+    token_ids = token_ids.reshape(-1, task.length)
+    old_lp = policies.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
     return RolloutBatch(
         token_ids=token_ids,
@@ -262,8 +309,9 @@ def sample_group(
     return sample_rollouts(policy_old, task, group_size, uniforms).to_groups()[0]
 
 
-def refresh_rollouts(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
-    """Recompute new_logprobs under the current policy."""
+def refresh_rollouts(batch: RolloutBatch, policy_new) -> RolloutBatch:
+    """Recompute new_logprobs under the current policy (or the current
+    policies of a stack)."""
     return replace(batch, new_logprobs=policy_new.token_logprobs(batch.token_ids))
 
 
@@ -307,11 +355,27 @@ def _check_divergence(batch: RolloutBatch, rho: np.ndarray) -> None:
     if extreme[first] > log_limit:
         raise DivergenceError(
             f"token ratio exp({extreme[first]:.1f}) left the divergence band "
-            f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]"
+            f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]",
+            first,
         )
     raise DivergenceError(
-        f"aggregated ratio {rho[first]:.3e} exceeded {RHO_DIVERGENCE_LIMIT:.0e}"
+        f"aggregated ratio {rho[first]:.3e} exceeded {RHO_DIVERGENCE_LIMIT:.0e}",
+        first,
     )
+
+
+def _shared_config(configs: list[TrainConfig]) -> TrainConfig:
+    """The first config, once every field but seed and schedule is checked
+    to be the same in all of them."""
+    if not configs:
+        raise DomainError("train_many needs at least one config")
+    base = configs[0]
+    for name in _SHARED_FIELDS:
+        if any(getattr(c, name) != getattr(base, name) for c in configs):
+            raise DomainError(
+                f"stacked configs differ in {name}; only seed and schedule may"
+            )
+    return base
 
 
 def train(
@@ -321,58 +385,121 @@ def train(
 ) -> RunLog:
     """Run the full loop: per round, sample the round's rollouts from the
     current policy, then apply gradient-ascent updates on minibatches of
-    groups with p taken from the schedule at the global update index."""
+    groups with p taken from the schedule at the global update index.  The
+    one-run case of ``train_many``."""
+    return train_many([config], task, initial_policy)[0]
+
+
+def train_many(
+    configs: list[TrainConfig],
+    task: TaskSpec,
+    initial_policy: PolicyParams | None = None,
+) -> list[RunLog]:
+    """Run S configs that differ only in `seed` and `schedule` as one stack;
+    return their RunLogs in order, each equal to its solo run bit for bit.
+
+    Per round the S policies are one (S, T, V) table and the rollouts one
+    RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
+    share the round's uniforms.  Per update one ``batch_terms`` call covers
+    every run, with one exponent per row (a scalar order when every run has
+    the same p), and one score-block product gives the S gradients; each run
+    keeps its own group and minibatch folds.
+
+    A run whose divergence guard trips stops updating and the others go on;
+    then the DivergenceError of the lowest-index diverged run is raised, the
+    one a loop of solo runs would raise first.  Every RunLog's wall_time is
+    the stack's elapsed time.
+    """
     start = time.monotonic()
-    policy = (
-        initial_policy.copy()
-        if initial_policy is not None
-        else PolicyParams.uniform(task.length, task.vocab)
-    )
-    clip = ClipConfig(config.clip_epsilon)
-    metrics: list[UpdateMetrics] = []
-    global_update = 0
-    horizon = config.schedule.total_steps
+    base = _shared_config(configs)
+    if initial_policy is None:
+        initial_policy = PolicyParams.uniform(task.length, task.vocab)
+    logits = np.repeat(initial_policy.logits[None], len(configs), axis=0)
+    policies = _PolicyStack(_log_softmax(logits))
+    clip = ClipConfig(base.clip_epsilon)
+    group_count, rows_per_run = base.num_groups, base.minibatch_size * base.group_size
+    live = list(range(len(configs)))  # runs still updating; row k of logits
+    diverged: dict[int, DivergenceError] = {}
+    metrics: list[list[UpdateMetrics]] = [[] for _ in configs]
+    step = 0
 
-    for round_idx in range(config.total_rounds):
-        uniforms = _round_uniforms(
-            config.seed, round_idx, config.num_groups, config.group_size, task.length
-        )
-        rollouts = sample_rollouts(policy, task, config.group_size, uniforms)
-        round_reward = float(np.mean(rollouts.rewards))
+    for round_idx in range(base.total_rounds):
+        seeds = [configs[run].seed for run in live]
+        draws = {
+            seed: _round_uniforms(seed, round_idx, group_count, base.group_size, task.length)
+            for seed in set(seeds)
+        }
+        uniforms = np.stack([draws[seed] for seed in seeds])
+        rollouts = _sample_stack(policies, task, base.group_size, uniforms)
+        round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
+        blocks = list(range(len(live)))  # block of live run k in `rollouts`
 
-        for update_idx in range(config.updates_per_round):
-            p = p_at(config.schedule, min(global_update, horizon))
-            order = HolderOrder(p)
-            lo = (update_idx * config.minibatch_size) % config.num_groups
-            groups = (lo + np.arange(config.minibatch_size)) % config.num_groups
-            minibatch = refresh_rollouts(rollouts.select_groups(groups), policy)
-            terms = batch_terms(
-                minibatch, order, config.clipping_regime, clip, guard=_check_divergence
-            )
-            gradient = policy_gradient(policy, minibatch, terms)
-            policy = PolicyParams(policy.logits + config.learning_rate * gradient)
-            metrics.append(
-                UpdateMetrics(
-                    step=global_update,
-                    p_value=p,
-                    objective=terms.objective,
-                    grad_norm=float(np.linalg.norm(gradient)),
-                    policy_entropy=policy.mean_entropy(),
-                    log_ratio_max=terms.log_ratio_max,
-                    log_ratio_min=terms.log_ratio_min,
-                    clip_fraction=terms.clip_fraction,
-                    mean_reward=round_reward,
-                    v_of_p=terms.v_of_p,
+        for update_idx in range(base.updates_per_round):
+            lo = (update_idx * base.minibatch_size) % group_count
+            groups = (lo + np.arange(base.minibatch_size)) % group_count
+            ps = [p_at(configs[run].schedule, min(step, configs[run].schedule.total_steps))
+                  for run in live]
+            # A run whose guard trips leaves the stack; the update is redone
+            # without it.
+            terms = None
+            while terms is None and live:
+                if ps.count(ps[0]) == len(ps):
+                    order = HolderOrder(ps[0])
+                else:
+                    order = HolderOrder(np.repeat(ps, rows_per_run))
+                picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
+                minibatch = refresh_rollouts(rollouts.select_groups(picks), policies)
+                try:
+                    terms = batch_terms(minibatch, order, base.clipping_regime, clip,
+                                        guard=_check_divergence, runs=len(live))
+                except DivergenceError as exc:
+                    k = exc.rollout // rows_per_run
+                    diverged[live.pop(k)] = exc
+                    del blocks[k], ps[k]
+                    logits = np.delete(logits, k, axis=0)
+                    policies = _PolicyStack(np.delete(policies.log_probs, k, axis=0))
+            if terms is None:
+                break
+            gradient = policy_gradient(policies, minibatch, terms)
+            logits = logits + base.learning_rate * gradient
+            if not np.isfinite(logits).all():
+                raise DomainError("logits must be finite")
+            policies = _PolicyStack(_log_softmax(logits))
+            entropy, objective, clip_fraction, v_of_p, log_max, log_min = (
+                values.tolist() for values in (
+                    policies.mean_entropy(), terms.objective, terms.clip_fraction,
+                    terms.v_of_p, terms.log_ratio_max, terms.log_ratio_min,
                 )
             )
-            global_update += 1
+            for k, run in enumerate(live):
+                metrics[run].append(
+                    UpdateMetrics(
+                        step=step,
+                        p_value=ps[k],
+                        objective=objective[k],
+                        grad_norm=float(np.linalg.norm(gradient[k])),
+                        policy_entropy=entropy[k],
+                        log_ratio_max=log_max[k],
+                        log_ratio_min=log_min[k],
+                        clip_fraction=clip_fraction[k],
+                        mean_reward=round_rewards[blocks[k]],
+                        v_of_p=v_of_p[k],
+                    )
+                )
+            step += 1
+        if not live:
+            break
 
-    return RunLog(
-        metrics=metrics,
-        final_policy=policy,
-        final_success=success_probability(policy, task),
-        wall_time=time.monotonic() - start,
-    )
+    if diverged:
+        raise diverged[min(diverged)]
+    finals = [PolicyParams(table) for table in logits]
+    successes = [success_probability(policy, task) for policy in finals]
+    elapsed = time.monotonic() - start
+    return [
+        RunLog(metrics=metrics[run], final_policy=policy, final_success=success,
+               wall_time=elapsed)
+        for run, policy, success in zip(live, finals, successes)
+    ]
 
 
 def default_sparse_task(length: int = 8, vocab: int = 16) -> TaskSpec:

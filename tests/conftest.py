@@ -67,3 +67,11 @@ def random_group(rng, policy_old, policy_new, group_size=4) -> GroupBatch:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def assert_same_run(got, want) -> None:
+    """Two RunLogs hold the same final policy, success and metrics, bit for
+    bit."""
+    np.testing.assert_array_equal(got.final_policy.logits, want.final_policy.logits)
+    assert got.final_success == want.final_success
+    assert got.metrics == want.metrics

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from holderpo import cli
 from holderpo.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -359,31 +360,40 @@ class TestSweepCommand:
         assert "--seeds" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
-                                             value):
-        config = write_config(tmp_path)
-        out = tmp_path / "sweep"
-        monkeypatch.setenv("HOLDERPO_THREADS", value)
-        code = main(["sweep", "--config", str(config), "--out-dir", str(out),
-                     "--p-list", "0", "--seeds", "1"])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "HOLDERPO_THREADS" in err and repr(value) in err
-        assert not out.exists()
+    def test_stacked_sweep_matches_solo_runs(self, tmp_path, monkeypatch):
+        """`sweep` trains its runs as one stack; a sweep whose runs are solo
+        `train` calls writes the same bytes, apart from wall times."""
+        config = write_config(tmp_path, train__clipping_regime="token",
+                              train__learning_rate=5.0)
+        argv = ["sweep", "--config", str(config), "--p-list=-1,0,2", "--seeds", "2",
+                "--include-schedule", "--out-dir"]
+        stacked, solo = tmp_path / "stacked", tmp_path / "solo"
+        assert main([*argv, str(stacked)]) == EXIT_OK
+        monkeypatch.setattr(cli, "train_many",
+                            lambda configs, task: [cli.train(c, task) for c in configs])
+        assert main([*argv, str(solo)]) == EXIT_OK
+        files = sorted(f.relative_to(stacked) for f in stacked.rglob("*") if f.is_file())
+        assert files == sorted(f.relative_to(solo) for f in solo.rglob("*") if f.is_file())
+        assert len([f for f in files if f.name == "metrics.csv"]) == 4 * 2
+        for name in files:
+            got, want = (stacked / name).read_bytes(), (solo / name).read_bytes()
+            if name.name == "summary.json":
+                got, want = json.loads(got), json.loads(want)
+                del got["wall_time_s"], want["wall_time_s"]
+            assert got == want, name
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path)
-        out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
-        main(["sweep", "--config", str(config), "--out-dir", str(out_serial),
-              "--p-list", "0,1", "--seeds", "1"])
-        monkeypatch.setenv("HOLDERPO_THREADS", "2")
-        main(["sweep", "--config", str(config), "--out-dir", str(out_pool),
-              "--p-list", "0,1", "--seeds", "1"])
-        assert (out_serial / "comparison.csv").read_bytes() == (
-            out_pool / "comparison.csv"
-        ).read_bytes()
+    def test_diverging_sweep_exit_code(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            train__learning_rate=1e4,
+            train__clipping_regime="none",
+            train__updates_per_round=8,
+            train__total_rounds=10,
+        )
+        code = main(["sweep", "--config", str(config), "--out-dir",
+                     str(tmp_path / "sweep"), "--p-list", "5", "--seeds", "2"])
+        assert code == EXIT_DIVERGED
+        assert "divergence abort" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

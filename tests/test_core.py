@@ -25,6 +25,7 @@ from holderpo import (
     weight_p_derivative,
     weighted_log_mean,
 )
+from holderpo import core
 from holderpo.core import holder_rows
 
 TWO_EIGHT = RatioSequence(np.array([2.0, 8.0]))
@@ -463,6 +464,18 @@ class TestHolderRows:
         for p, row_rho in zip(exponents, rho):
             r = RatioSequence(np.array([0.5, 2.0, 4.0, 0.25]))
             assert row_rho == holder_mean(r, HolderOrder(float(p)))
+
+    def test_geometric_rows_only_when_a_row_needs_them(self, monkeypatch):
+        calls = []
+        real = core._geometric_rows
+        monkeypatch.setattr(core, "_geometric_rows",
+                            lambda *args: calls.append(1) or real(*args))
+        logs, mask = np.log([[0.5, 2.0], [4.0, 0.25]]), np.ones((2, 2), bool)
+        holder_rows(logs, mask, HolderOrder(np.array([1.0, -2.0])))
+        assert calls == []
+        rho, _ = holder_rows(logs, mask, HolderOrder(np.array([0.0, -2.0])))
+        assert calls == [1]
+        assert rho[0] == 1.0
 
     @pytest.mark.parametrize("p", [np.ones(3), np.ones(1), np.ones((2, 1)), np.ones((2, 2))])
     def test_rejects_array_p_of_wrong_shape(self, p):

@@ -586,6 +586,28 @@ class TestMaskedMultiGroupOracles:
                     pytest.approx(expect[0], abs=1e-14)
                 )
 
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_row_exponents_match_scalar_calls(self, rng, regime):
+        """With one exponent per row, each row's weights or token-clip
+        factors, scale and coefficient equal, bit for bit, what a call with
+        that row's exponent as a scalar gives the row (rows do not interact),
+        with geometric-branch rows next to power rows."""
+        clip = ClipConfig(0.2)
+        clipped = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            batch = RolloutBatch.from_groups(masked_minibatch(rng, old, new))
+            exponents = rng.choice([-2.5, 0.0, 5e-7, 0.7, 3.0], size=batch.rewards.size)
+            exponents[:2] = (0.0, 3.0)
+            terms = batch_terms(batch, HolderOrder(exponents), regime, clip)
+            for i, p in enumerate(exponents):
+                solo = batch_terms(batch, HolderOrder(float(p)), regime, clip)
+                for name in ("token_weights", "row_scale", "row_coef"):
+                    np.testing.assert_array_equal(getattr(terms, name)[i],
+                                                  getattr(solo, name)[i])
+            clipped += terms.clip_fraction.item() > 0.0
+        assert clipped > 0 or regime == "none"
+
     def test_variance_bound_over_masked_groups(self, rng):
         old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.4)
         minibatch = masked_minibatch(rng, old, new)

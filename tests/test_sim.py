@@ -1,5 +1,7 @@
 """Tabular policy, synthetic tasks, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from holderpo import (
     sample_group,
     success_probability,
     train,
+    train_many,
     trend_config,
 )
 from holderpo.objectives import RolloutBatch, batch_terms
@@ -32,7 +35,7 @@ from holderpo.sim import (
     sample_rollouts,
 )
 
-from conftest import make_group
+from conftest import assert_same_run, make_group
 
 
 class TestPolicyParams:
@@ -368,6 +371,73 @@ class TestTrain:
         start = PolicyParams(np.full((8, 16), 0.3))
         log = train(self.small_config(learning_rate=1e-9), task, start)
         np.testing.assert_allclose(log.final_policy.logits, 0.3, atol=1e-6)
+
+
+class TestTrainMany:
+    def config(self, **overrides):
+        """Off-policy enough that token clipping fires."""
+        return TestTrain().small_config(**{
+            "clipping_regime": "token", "learning_rate": 5.0, "updates_per_round": 8,
+            "schedule": ScheduleSpec(2.0, -2.0, 7, "linear", "descending"),
+            **overrides,
+        })
+
+    def test_members_equal_solo_runs_from_an_initial_policy(self, rng):
+        task = default_sparse_task()
+        start = PolicyParams(rng.normal(scale=0.5, size=(8, 16)))
+        initial = start.logits.copy()
+        configs = [
+            self.config(),
+            self.config(seed=1, schedule=ScheduleSpec.constant(0.0, 7)),
+            self.config(seed=1, schedule=ScheduleSpec.constant(-1.5, 7)),
+        ]
+        for config, log in zip(configs, train_many(configs, task, start)):
+            assert_same_run(log, train(config, task, start))
+        assert_same_run(train_many(configs[:1], task, start)[0],
+                        train(configs[0], task, start))
+        np.testing.assert_array_equal(start.logits, initial)
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 0.25), ("clipping_regime", "none"), ("total_rounds", 2),
+        ("group_size", 2), ("clip_epsilon", 0.1),
+    ])
+    def test_only_seed_and_schedule_may_differ(self, name, value):
+        configs = [self.config(), self.config(seed=3, **{name: value})]
+        with pytest.raises(DomainError, match=name):
+            train_many(configs, default_sparse_task())
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(DomainError):
+            train_many([], default_sparse_task())
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 3, 2, 1)])
+    def test_lowest_diverged_run_raises_its_solo_error(self, order):
+        """Two of four runs diverge, at different updates; the stack raises
+        what the lowest-index one raises alone, the error a loop of solo
+        runs meets first."""
+        task = TaskSpec(kind="sparse", length=6, vocab=8, key_position=2, key_token=3)
+        base = TrainConfig(
+            rollouts_per_round=16, group_size=4, minibatch_size=2,
+            updates_per_round=8, total_rounds=10, learning_rate=100.0,
+            clipping_regime="none", schedule=ScheduleSpec.constant(2.0, 79),
+        )
+        members = [
+            base,
+            replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79)),
+            replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79)),
+            replace(base, schedule=ScheduleSpec.constant(5.0, 79)),
+        ]
+        configs = [members[k] for k in order]
+        train(configs[0], task)
+        train(configs[2], task)
+        with pytest.raises(DivergenceError) as solo:
+            train(configs[1], task)
+        with pytest.raises(DivergenceError) as other:
+            train(configs[3], task)
+        assert str(solo.value) != str(other.value)
+        with pytest.raises(DivergenceError) as stacked:
+            train_many(configs, task)
+        assert str(stacked.value) == str(solo.value)
 
 
 class TestDefaultTasks:
