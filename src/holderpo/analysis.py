@@ -8,12 +8,15 @@ import io
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from holderpo.core import (
     DomainError,
     HolderOrder,
     RatioSequence,
-    gradient_weights,
+    WeightDistribution,
     hhi,
+    holder_grid,
     shannon_entropy,
 )
 from holderpo.objectives import GroupBatch, RolloutBatch, variance_bound_term
@@ -51,14 +54,16 @@ def ratio_envelopes(batch: GroupBatch) -> tuple[float, float]:
 def weight_profile(
     ratios: RatioSequence, p_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
-    """Rows of (p, Shannon entropy, HHI) of the gradient weights."""
+    """Rows of (p, Shannon entropy, HHI) of the gradient weights, every
+    exponent's weights from one kernel call."""
     if len(p_grid) == 0:
         raise DomainError("p_grid must be non-empty")
-    rows = []
-    for p in p_grid:
-        w = gradient_weights(ratios, HolderOrder(p))
-        rows.append((float(p), shannon_entropy(w), hhi(w)))
-    return rows
+    exponents = np.array(p_grid, dtype=np.float64)
+    _, weights = holder_grid(ratios.log_ratios, HolderOrder(exponents))
+    return [
+        (float(p), shannon_entropy(w), hhi(w))
+        for p, w in zip(exponents, map(WeightDistribution, weights))
+    ]
 
 
 def v_curve(

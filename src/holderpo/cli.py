@@ -29,7 +29,15 @@ import numpy as np
 
 import holderpo
 from holderpo.analysis import UpdateMetrics, table_to_csv
-from holderpo.core import DomainError, HolderOrder, RatioSequence, gradient_weights, hhi, holder_mean, shannon_entropy
+from holderpo.core import (
+    DomainError,
+    HolderOrder,
+    RatioSequence,
+    WeightDistribution,
+    hhi,
+    holder_grid,
+    shannon_entropy,
+)
 from holderpo.schedule import ScheduleSpec
 from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train, train_many
 from holderpo.verify import CHECKS, check_all, check_run_arguments
@@ -210,18 +218,21 @@ def cmd_mean(args) -> int:
             raise ConfigError("provide --ratios or --ratios-file")
         values = [float(tok) for tok in text.replace(",", " ").split()]
         ratios = RatioSequence(np.array(values))
-        orders = [HolderOrder(float(tok)) for tok in args.p.replace(",", " ").split()]
+        exponents = [float(tok) for tok in args.p.replace(",", " ").split()]
+        if not exponents:
+            raise ConfigError("--p must name at least one exponent")
+        order = HolderOrder(np.array(exponents))
     except (ValueError, DomainError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    rho, weights = holder_grid(ratios.log_ratios, order)
     out = []
-    for order in orders:
-        w = gradient_weights(ratios, order)
+    for p, row_rho, w in zip(exponents, rho.tolist(), map(WeightDistribution, weights)):
         out.append(
             {
-                "p": order.p,
-                "rho": holder_mean(ratios, order),
-                "weights": [float(x) for x in w.weights],
+                "p": p,
+                "rho": row_rho,
+                "weights": w.weights.tolist(),
                 "entropy": shannon_entropy(w),
                 "hhi": hhi(w),
             }

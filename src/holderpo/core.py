@@ -1,14 +1,20 @@
 """Power-mean aggregation of token importance ratios and its derivatives.
 
+One kernel, :func:`holder_rows`, computes the power means rho and the
+gradient weights W of a batch of masked rows.  The scalar functions
+(``holder_mean``, ``holder_mean_masked``, ``gradient_weights`` and those built
+on them) are one-row calls of it, so they run the code training runs.
+
 All power computations run in log-space with a max shift, so exponents up
 to |p| = 40 on ratios spanning [1e-4, 1e4] stay finite.  The p -> 0 limit
-(the geometric mean) gets its own branch: below ``zero_threshold`` the
-weights are exactly uniform and the mean is exp(mean log r).
+(the geometric mean) gets its own branch, decided in ``holder_rows`` alone:
+below ``zero_threshold`` the weights are exactly uniform and the mean is
+exp(mean log r).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +86,8 @@ class HolderOrder:
     geometric branch.
 
     ``p`` is a float, or a one-dimensional float array holding one exponent
-    per row for :func:`holder_rows` (then ``is_zero`` is per row too).
+    per row for :func:`holder_rows` and :func:`holder_grid` (then ``is_zero``
+    is per row too).
     """
 
     p: float | np.ndarray
@@ -124,38 +131,19 @@ class WeightDistribution:
         return self.weights.size
 
 
-def _holder_mean_from_logs(logs: np.ndarray, order: HolderOrder) -> float:
-    """Power mean of exp(logs), evaluated via a max-shifted log-sum-exp."""
-    n = logs.size
-    if order.is_zero:
-        return float(np.exp(logs.mean()))
-    p = order.p
-    scaled = p * logs
-    shift = scaled.max()
-    lse = shift + np.log(np.exp(scaled - shift).sum())
-    return float(np.exp((lse - np.log(n)) / p))
-
-
 def holder_mean(ratios: RatioSequence, order: HolderOrder) -> float:
     """The power mean of order p, with the geometric mean as the p -> 0 branch."""
-    return _holder_mean_from_logs(ratios.log_ratios, order)
+    return _one_row(ratios.log_ratios, order)[0]
 
 
 def holder_mean_masked(logs: LogRatioSequence, order: HolderOrder) -> float:
     """Power mean over the valid positions only; masked tokens do not count."""
-    return _holder_mean_from_logs(logs.valid_logs(), order)
+    return _one_row(logs.valid_logs(), order)[0]
 
 
 def gradient_weights(ratios: RatioSequence, order: HolderOrder) -> WeightDistribution:
     """Softmax of p * log r over tokens; exactly uniform on the zero branch."""
-    logs = ratios.log_ratios
-    n = logs.size
-    if order.is_zero:
-        return WeightDistribution(np.full(n, 1.0 / n))
-    scaled = order.p * logs
-    scaled -= scaled.max()
-    w = np.exp(scaled)
-    return WeightDistribution(w / w.sum())
+    return WeightDistribution(_one_row(ratios.log_ratios, order)[1])
 
 
 def _geometric_rows(logs, mask, n) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +162,8 @@ def holder_rows(
     is one exponent for every row or an (N,) array of one exponent per row;
     each row takes the geometric branch on its own exponent, and the
     geometric rows are computed only when some row needs them.  Returns rho
-    with shape (N,) and W with shape (N, T), each row the same as
-    ``holder_mean_masked`` and ``gradient_weights`` give for that row at
-    that row's exponent, and subject to the same checks.
+    with shape (N,) and W with shape (N, T); W is checked to be nonnegative
+    and to sum to 1 within 1e-10 per row.
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -217,6 +204,23 @@ def holder_rows(
     return rho, weights
 
 
+def holder_grid(
+    log_ratios: np.ndarray, order: HolderOrder
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho and W of one all-valid sequence of log-ratios at every exponent of
+    ``order``, one row per exponent (one row for a scalar p), from one
+    :func:`holder_rows` call."""
+    rows = order.p.size if isinstance(order.p, np.ndarray) else 1
+    logs = np.asarray(log_ratios, dtype=np.float64)[None].repeat(rows, axis=0)
+    return holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
+
+
+def _one_row(logs: np.ndarray, order: HolderOrder) -> tuple[float, np.ndarray]:
+    """rho and W of one sequence at one exponent: the single row of holder_grid."""
+    (rho,), (weights,) = holder_grid(logs, order)
+    return float(rho), weights
+
+
 def weighted_log_mean(ratios: RatioSequence, order: HolderOrder) -> float:
     """Weight-averaged log-ratio, bounded by [min log r, max log r]."""
     w = gradient_weights(ratios, order).weights
@@ -253,7 +257,8 @@ def shannon_entropy(weights: WeightDistribution) -> float:
     """-sum W ln W with the 0 ln 0 = 0 convention."""
     w = weights.weights
     nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    # + 0.0 turns the -0.0 of a one-hot vector into 0.0
+    return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
 def entropy_p_derivative(ratios: RatioSequence, order: HolderOrder) -> float:

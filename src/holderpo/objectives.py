@@ -25,8 +25,7 @@ from holderpo.core import (
     HolderOrder,
     LogRatioSequence,
     RatioSequence,
-    gradient_weights,
-    holder_mean,
+    holder_grid,
     holder_mean_masked,
     holder_rows,
 )
@@ -338,25 +337,6 @@ def _column(value):
     return value[:, None] if isinstance(value, np.ndarray) else value
 
 
-def _check_two_forms(logs, mask, order: HolderOrder, rho, weights) -> None:
-    """rho W must equal rho^{1-p}/n r^p token by token on every row off the
-    geometric branch; entries whose raw powers overflow float64 are skipped
-    (the softmax form is the stable one)."""
-    per_row = isinstance(order.p, np.ndarray)
-    if not per_row and order.is_zero:
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = rho ** (1.0 - order.p) / mask.sum(axis=1)
-        alt = scale[:, None] * np.where(mask, np.exp(_column(order.p) * logs), 0.0)
-        result = rho[:, None] * weights
-        bound = 1e-10 * np.maximum(np.maximum(np.abs(result), np.abs(alt)), 1.0)
-        ok = np.abs(result - alt) <= bound
-    ok |= ~np.isfinite(alt)
-    if per_row:
-        ok |= order.is_zero[:, None]
-    assert ok.all()
-
-
 def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
     positive advantage, D for a negative one) and the clipped-token mask;
@@ -414,8 +394,6 @@ def batch_terms(
     rho, weights = holder_rows(logs, mask, order)
     if guard is not None:
         guard(batch, rho)
-    if __debug__:
-        _check_two_forms(logs, mask, order, rho, weights)
     if regime == "token":
         token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
         row_scale, row_coef = np.ones_like(rho), adv
@@ -481,24 +459,14 @@ def loss_holder_po(
 def grad_rho(
     ratios: RatioSequence, per_token_score_grads: np.ndarray, order: HolderOrder
 ) -> np.ndarray:
-    """Gradient of the aggregated ratio: rho * sum_t W_t g_t."""
+    """Gradient of the aggregated ratio: rho * sum_t W_t g_t, with rho and W
+    from one kernel row.  It equals rho^{1-p}/n sum_t r_t^p g_t, the form
+    verify's ``grad_rho_two_forms`` and the brute-force test oracles use."""
     grads = np.asarray(per_token_score_grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] != len(ratios):
         raise DomainError("score gradient matrix must be n x d")
-    rho = holder_mean(ratios, order)
-    w = gradient_weights(ratios, order).weights
-    result = rho * (w @ grads)
-    if __debug__ and not order.is_zero:
-        # The r^p form rho^{1-p}/n sum r^p g must agree; skipped when the raw
-        # powers overflow float64 (the softmax form above is the stable one).
-        with np.errstate(over="ignore"):
-            powers = ratios.ratios**order.p
-            alt_scale = rho ** (1.0 - order.p) / len(ratios)
-        if np.all(np.isfinite(powers)) and np.isfinite(alt_scale):
-            alt = alt_scale * (powers @ grads)
-            scale = max(np.abs(result).max(), np.abs(alt).max(), 1.0)
-            assert np.abs(result - alt).max() <= 1e-10 * scale
-    return result
+    (rho,), (weights,) = holder_grid(ratios.log_ratios, order)
+    return rho * (weights @ grads)
 
 
 def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarray:
@@ -568,8 +536,7 @@ def second_moment_orthogonal(
     exponent, from one ``holder_rows`` call."""
     if grad_norm_bound <= 0.0:
         raise DomainError("grad_norm_bound must be positive")
-    logs = np.broadcast_to(ratios.log_ratios, (np.size(order.p), len(ratios)))
-    rho, weights = holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
+    rho, weights = holder_grid(ratios.log_ratios, order)
     concentration = (weights**2).sum(axis=1)
     moment = advantage**2 * grad_norm_bound**2 * rho**2 * concentration
     return moment if isinstance(order.p, np.ndarray) else float(moment[0])

@@ -27,14 +27,12 @@ from holderpo.core import (
     mu_p_derivative,
     shannon_entropy,
     weight_p_derivative,
-    weighted_log_mean,
 )
 from holderpo.objectives import (
     ClipConfig,
     GroupBatch,
     RolloutBatch,
     RolloutRecord,
-    advantage_estimates,
     batch_terms,
     grad_estimator_seq_clip,
     grad_estimator_token_clip,
@@ -52,6 +50,8 @@ FD_STEP = 1e-5
 # The p-derivative checks use a five-point stencil: its O(h^4) truncation
 # error allows a step large enough that rounding stays well below FD_RTOL.
 P_FD_STEP = 3e-3
+# Exponent offsets of that stencil, in the order _stencil reads them.
+P_FD_STENCIL = np.array([P_FD_STEP, -P_FD_STEP, 2.0 * P_FD_STEP, -2.0 * P_FD_STEP])
 FD_RTOL = 1e-6
 POLICY_FD_RTOL = 1e-4
 KINK_MARGIN = 1e-3
@@ -130,17 +130,28 @@ def _random_ratios(rng, n_min=2, n_max=64) -> RatioSequence:
     return RatioSequence(np.exp(rng.uniform(-2.0, 2.0, n)))
 
 
-def _central_diff(f: Callable[[float], float], x: float, h: float = P_FD_STEP) -> float:
-    """Five-point central difference, with O(h^4) truncation error."""
-    return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2.0 * h) - f(x - 2.0 * h))) / (12.0 * h)
-
-
-def _grid_rows(log_ratios: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+def _grid_rows(
+    log_ratios: np.ndarray, grid, smooth: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """rho and W of one sequence at every exponent of the grid, one row per
-    exponent, from one holder_rows call."""
+    exponent, from one holder_rows call; ``smooth`` disables the geometric
+    snap."""
     p = np.asarray(grid, dtype=np.float64)
+    order = _smooth(p) if smooth else HolderOrder(p)
     logs = np.broadcast_to(log_ratios, (p.size, log_ratios.size))
-    return holder_rows(logs, np.ones(logs.shape, dtype=bool), HolderOrder(p))
+    return holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
+
+
+def _stencil_weights(r: RatioSequence, p: float) -> np.ndarray:
+    """W of r at each exponent p + P_FD_STENCIL, geometric snap off, one row each."""
+    return _grid_rows(r.log_ratios, p + P_FD_STENCIL, smooth=True)[1]
+
+
+def _stencil(values) -> float:
+    """Five-point central difference from f at p + P_FD_STENCIL, with O(h^4)
+    truncation error."""
+    f_h, f_minus_h, f_2h, f_minus_2h = values
+    return (8.0 * (f_h - f_minus_h) - (f_2h - f_minus_2h)) / (12.0 * P_FD_STEP)
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -161,12 +172,9 @@ def check_special_case_means(rng, instances) -> CheckResult:
     for _ in range(instances):
         r = _random_ratios(rng)
         x = r.ratios
-        pairs = [
-            (holder_mean(r, HolderOrder(1.0)), x.mean()),
-            (holder_mean(r, HolderOrder(0.0)), np.exp(np.log(x).mean())),
-            (holder_mean(r, HolderOrder(-1.0)), 1.0 / (1.0 / x).mean()),
-        ]
-        for got, want in pairs:
+        means, _ = _grid_rows(r.log_ratios, (1.0, 0.0, -1.0))
+        wants = (x.mean(), np.exp(np.log(x).mean()), 1.0 / (1.0 / x).mean())
+        for got, want in zip(means.tolist(), wants):
             err = _rel_err(got, want)
             res.observe(err, err <= 1e-12, f"got {got}, want {want}")
     return res
@@ -180,8 +188,8 @@ def check_geometric_limit(rng, instances) -> CheckResult:
     for _ in range(instances):
         r = _random_ratios(rng)
         geo = float(np.exp(np.log(r.ratios).mean()))
-        for p in (1e-7, -1e-7):
-            got = holder_mean(r, _smooth(p))
+        means, _ = _grid_rows(r.log_ratios, (1e-7, -1e-7), smooth=True)
+        for p, got in zip((1e-7, -1e-7), means.tolist()):
             err = _rel_err(got, geo)
             res.observe(err, err <= 1e-5, f"gap {err:.2e} at p={p}")
     return res
@@ -226,11 +234,14 @@ def check_weight_derivative_sum_zero(rng, instances) -> CheckResult:
         "weight_derivative_sum_zero",
         "per-token weight p-derivatives sum to zero (normalization preserved)",
     )
+    grid = (-3.0, -1.0, 0.0, 1.0, 3.0)
     for _ in range(instances):
         r = _random_ratios(rng)
-        tokens = np.arange(len(r))
-        for p in (-3.0, -1.0, 0.0, 1.0, 3.0):
-            total = float(weight_p_derivative(r, HolderOrder(p), tokens).sum())
+        logs = r.log_ratios
+        _, weights = _grid_rows(logs, grid)
+        for p, w in zip(grid, weights):
+            # dW_t/dp = W_t (log r_t - mu), as weight_p_derivative gives it
+            total = float((w * (logs - float(w @ logs))).sum())
             err = abs(total)
             res.observe(err, err <= 1e-10, f"sum {total} at p={p}")
     return res
@@ -252,9 +263,7 @@ def check_weight_derivative_fd(
         p = float(rng.uniform(-5.0, 5.0))
         t = int(rng.integers(0, len(r)))
         analytic = derivative_fn(r, _smooth(p), t)
-        fd = _central_diff(
-            lambda q: gradient_weights(r, _smooth(q)).weights[t], p
-        )
+        fd = _stencil(_stencil_weights(r, p)[:, t])
         err = _rel_err(analytic, fd)
         res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
     return res
@@ -270,7 +279,7 @@ def check_mu_derivative(rng, instances) -> CheckResult:
         p = float(rng.uniform(-5.0, 5.0))
         analytic = mu_p_derivative(r, _smooth(p))
         res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
-        fd = _central_diff(lambda q: weighted_log_mean(r, _smooth(q)), p)
+        fd = _stencil([float(w @ r.log_ratios) for w in _stencil_weights(r, p)])
         err = _rel_err(analytic, fd)
         res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
     return res
@@ -285,9 +294,8 @@ def check_entropy_derivative_fd(rng, instances) -> CheckResult:
         r = _random_ratios(rng)
         p = float(rng.uniform(-5.0, 5.0))
         analytic = entropy_p_derivative(r, _smooth(p))
-        fd = _central_diff(
-            lambda q: shannon_entropy(gradient_weights(r, _smooth(q))), p
-        )
+        fd = _stencil([shannon_entropy(WeightDistribution(w))
+                       for w in _stencil_weights(r, p)])
         err = _rel_err(analytic, fd)
         res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
     return res
@@ -501,11 +509,6 @@ def _central_diffs(values, h=FD_STEP) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
-def _fd_policy_gradient(objective: Callable[[PolicyParams], float],
-                        policy: PolicyParams, h=FD_STEP) -> np.ndarray:
-    return _central_diffs([objective(c) for c in _bumped_policies(policy, h)], h)
-
-
 def _refreshed_copies(rollouts: RolloutBatch, policies) -> RolloutBatch:
     """One copy of a one-group batch per policy, each refreshed under its
     policy, stacked in policy order."""
@@ -529,10 +532,7 @@ def check_grad_rho_forms(rng, instances) -> CheckResult:
         order = HolderOrder(p)
         got = grad_rho(r, grads, order)
         rho = holder_mean(r, order)
-        if order.is_zero:
-            alt = rho * grads.mean(axis=0)
-        else:
-            alt = rho ** (1.0 - p) / n * (r.ratios**p @ grads)
+        alt = rho ** (1.0 - p) / n * (r.ratios**p @ grads)
         scale = max(np.abs(got).max(), np.abs(alt).max(), 1e-12)
         err = float(np.abs(got - alt).max() / scale)
         res.observe(err, err <= 1e-10, f"forms differ by rel {err:.2e}")
@@ -556,19 +556,19 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         )
         p = float(rng.uniform(-4.0, 4.0))
         order = HolderOrder(p)
-
-        def rho_of(candidate: PolicyParams) -> float:
-            delta = candidate.token_logprobs(tokens) - policy_old.token_logprobs(tokens)
-            return holder_mean(RatioSequence(np.exp(delta)), order)
-
+        old_logprobs = policy_old.token_logprobs(tokens)
         analytic = grad_rho(
-            RatioSequence(
-                np.exp(policy.token_logprobs(tokens) - policy_old.token_logprobs(tokens))
-            ),
+            RatioSequence(np.exp(policy.token_logprobs(tokens) - old_logprobs)),
             policy.score_gradients(tokens),
             order,
         )
-        fd = _fd_policy_gradient(rho_of, policy)
+        # rho under every bumped policy from one kernel call; the log-ratios
+        # go through exp and log, as a RatioSequence's do, so each rho is
+        # what holder_mean gives for that policy
+        bumped = np.array([np.log(np.exp(c.token_logprobs(tokens) - old_logprobs))
+                           for c in _bumped_policies(policy)])
+        rho, _ = holder_rows(bumped, np.ones(bumped.shape, dtype=bool), order)
+        fd = _central_diffs(rho)
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
         err = float(np.abs(analytic - fd).max() / scale)
         res.observe(err, err <= POLICY_FD_RTOL, f"rel err {err:.2e} at p={p}")

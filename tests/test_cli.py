@@ -54,6 +54,43 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+# `holderpo mean --ratios 2,8 --p 1,0,-1`, byte for byte.
+MEAN_2_8_AT_1_0_MINUS_1 = """\
+[
+  {
+    "p": 1.0,
+    "rho": 4.999999999999998,
+    "weights": [
+      0.20000000000000004,
+      0.8
+    ],
+    "entropy": 0.5004024235381879,
+    "hhi": 0.6800000000000002
+  },
+  {
+    "p": 0.0,
+    "rho": 4.0,
+    "weights": [
+      0.5,
+      0.5
+    ],
+    "entropy": 0.6931471805599453,
+    "hhi": 0.5
+  },
+  {
+    "p": -1.0,
+    "rho": 3.2,
+    "weights": [
+      0.8,
+      0.20000000000000004
+    ],
+    "entropy": 0.5004024235381879,
+    "hhi": 0.6800000000000002
+  }
+]
+"""
+
+
 class TestMeanCommand:
     def test_arithmetic(self, capsys):
         assert main(["mean", "--ratios", "2,8", "--p", "1"]) == EXIT_OK
@@ -76,6 +113,22 @@ class TestMeanCommand:
         main(["mean", "--ratios", "2,8", "--p", "1,0,-1"])
         docs = json.loads(capsys.readouterr().out)
         assert [d["rho"] for d in docs] == pytest.approx([5.0, 4.0, 3.2])
+
+    def test_multiple_exponents_output_is_pinned(self, capsys):
+        assert main(["mean", "--ratios", "2,8", "--p", "1,0,-1"]) == EXIT_OK
+        assert capsys.readouterr().out == MEAN_2_8_AT_1_0_MINUS_1
+
+    def test_one_hot_entropy_prints_positive_zero(self, capsys):
+        assert main(["mean", "--ratios", "1e-320,2", "--p", "40"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '"entropy": 0.0,' in out and "-0.0" not in out
+
+    @pytest.mark.parametrize("p", ["", ",", " , "])
+    def test_no_exponent_is_usage_error(self, p, capsys):
+        assert main(["mean", "--ratios", "2,8", "--p", p]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_ratios_file(self, tmp_path, capsys):
         path = tmp_path / "ratios.txt"
