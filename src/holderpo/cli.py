@@ -221,11 +221,12 @@ def cmd_mean(args) -> int:
         exponents = [float(tok) for tok in args.p.replace(",", " ").split()]
         if not exponents:
             raise ConfigError("--p must name at least one exponent")
-        order = HolderOrder(np.array(exponents))
+        # an overflowing p * log r is reported as the kernel's DomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho, weights = holder_grid(ratios.log_ratios, HolderOrder(np.array(exponents)))
     except (ValueError, DomainError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rho, weights = holder_grid(ratios.log_ratios, order)
     out = []
     for p, row_rho, w in zip(exponents, rho.tolist(), map(WeightDistribution, weights)):
         out.append(

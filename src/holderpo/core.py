@@ -162,8 +162,8 @@ def holder_rows(
     is one exponent for every row or an (N,) array of one exponent per row;
     each row takes the geometric branch on its own exponent, and the
     geometric rows are computed only when some row needs them.  Returns rho
-    with shape (N,) and W with shape (N, T); W is checked to be nonnegative
-    and to sum to 1 within 1e-10 per row.
+    with shape (N,) and W with shape (N, T); W is checked to be finite,
+    nonnegative and to sum to 1 within 1e-10 per row (DomainError).
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -199,8 +199,9 @@ def holder_rows(
         geo_rho, geo_weights = _geometric_rows(logs, mask, n)
         rho = np.where(zero, geo_rho, rho)
         weights = np.where(zero[:, None], geo_weights, weights)
-    if weights.min() < 0.0 or np.abs(weights.sum(axis=1) - 1.0).max() > 1e-10:
-        raise DomainError("weights must be nonnegative and sum to 1 within 1e-10")
+    # written so that NaN weights, from p * log r overflowing, fail it too
+    if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):
+        raise DomainError("weights must be finite, nonnegative and sum to 1 within 1e-10")
     return rho, weights
 
 

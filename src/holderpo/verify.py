@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from holderpo import core
 from holderpo.core import (
     HolderOrder,
     RatioSequence,
@@ -20,9 +21,9 @@ from holderpo.core import (
     entropy_p_derivative,
     gradient_weights,
     hhi,
+    holder_grid,
     holder_mean,
     holder_mean_masked,
-    holder_rows,
     limit_weights,
     mu_p_derivative,
     shannon_entropy,
@@ -41,7 +42,7 @@ from holderpo.objectives import (
     second_moment_orthogonal,
     variance_bound_term,
 )
-from holderpo.sim import PolicyParams, refresh_logprobs
+from holderpo.sim import PolicyParams
 
 P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.0)
 LIMIT_P = 40.0
@@ -58,7 +59,7 @@ KINK_MARGIN = 1e-3
 
 # Orders used in p-derivative checks disable the geometric snap so finite
 # differences see the smooth function everywhere.
-def _smooth(p: float) -> HolderOrder:
+def _smooth(p: float | np.ndarray) -> HolderOrder:
     return HolderOrder(p, zero_threshold=1e-300)
 
 
@@ -83,13 +84,7 @@ class CheckResult:
             self.detail = reason
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "worst_error": self.worst_error,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,23 +125,6 @@ def _random_ratios(rng, n_min=2, n_max=64) -> RatioSequence:
     return RatioSequence(np.exp(rng.uniform(-2.0, 2.0, n)))
 
 
-def _grid_rows(
-    log_ratios: np.ndarray, grid, smooth: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho and W of one sequence at every exponent of the grid, one row per
-    exponent, from one holder_rows call; ``smooth`` disables the geometric
-    snap."""
-    p = np.asarray(grid, dtype=np.float64)
-    order = _smooth(p) if smooth else HolderOrder(p)
-    logs = np.broadcast_to(log_ratios, (p.size, log_ratios.size))
-    return holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
-
-
-def _stencil_weights(r: RatioSequence, p: float) -> np.ndarray:
-    """W of r at each exponent p + P_FD_STENCIL, geometric snap off, one row each."""
-    return _grid_rows(r.log_ratios, p + P_FD_STENCIL, smooth=True)[1]
-
-
 def _stencil(values) -> float:
     """Five-point central difference from f at p + P_FD_STENCIL, with O(h^4)
     truncation error."""
@@ -159,92 +137,199 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def _observe_rising(res: CheckResult, values, detail: str) -> None:
+    """Observe that values strictly increase along their grid, within
+    STRICT_SLACK; pass the negated values to observe a strict fall."""
+    diffs = np.diff(values)
+    res.observe(max(0.0, float(-diffs.min())), bool(np.all(diffs > -STRICT_SLACK)), detail)
+
+
 # ----------------------------------------------------------------------
 # holder_core checks
 # ----------------------------------------------------------------------
 
 
-def check_special_case_means(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "special_case_means",
-        "p = 1, 0, -1 recover the arithmetic, geometric, harmonic means",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        x = r.ratios
-        means, _ = _grid_rows(r.log_ratios, (1.0, 0.0, -1.0))
-        wants = (x.mean(), np.exp(np.log(x).mean()), 1.0 / (1.0 / x).mean())
-        for got, want in zip(means.tolist(), wants):
-            err = _rel_err(got, want)
-            res.observe(err, err <= 1e-12, f"got {got}, want {want}")
-    return res
+def _grid_check(
+    name: str,
+    claim: str,
+    grid,
+    judge: Callable,
+    usable: Callable[[RatioSequence], bool] | None = None,
+    skip_reason: str = "",
+    smooth: bool = False,
+) -> Callable[..., CheckResult]:
+    """A check that draws one ratio sequence r per instance, passes over those
+    ``usable`` rejects, and calls ``judge(res, r, grid, rho, weights)`` with rho
+    and W of r at every exponent of ``grid``, one row each, from one
+    holder_grid call; ``smooth`` disables the geometric snap."""
+    p = np.asarray(grid, dtype=np.float64)
+    order = _smooth(p) if smooth else HolderOrder(p)
+
+    def check(rng, instances) -> CheckResult:
+        res = CheckResult(name, claim)
+        tested = 0
+        for _ in range(instances):
+            r = _random_ratios(rng)
+            if usable is None or usable(r):
+                tested += 1
+                judge(res, r, grid, *holder_grid(r.log_ratios, order))
+        if usable is not None and tested == 0:
+            res.skip(skip_reason)
+        return res
+
+    return check
 
 
-def check_geometric_limit(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "geometric_limit",
-        "the mean at p = +-1e-7 is within rel. 1e-5 of the geometric mean",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        geo = float(np.exp(np.log(r.ratios).mean()))
-        means, _ = _grid_rows(r.log_ratios, (1e-7, -1e-7), smooth=True)
-        for p, got in zip((1e-7, -1e-7), means.tolist()):
-            err = _rel_err(got, geo)
-            res.observe(err, err <= 1e-5, f"gap {err:.2e} at p={p}")
-    return res
+def _stencil_check(
+    name: str, claim: str, derivative: Callable, nonnegative: bool = False
+) -> Callable[..., CheckResult]:
+    """A check that draws a ratio sequence r and an exponent p in [-5, 5] per
+    instance.  ``derivative(rng, r, order)`` returns the analytic d/dp at p,
+    geometric snap off, and the function of one weight row it differentiates;
+    that function is differenced on the five-point stencil from one
+    holder_grid call.  ``nonnegative`` also requires the derivative >= 0."""
+
+    def check(rng, instances) -> CheckResult:
+        res = CheckResult(name, claim)
+        for _ in range(instances):
+            r = _random_ratios(rng)
+            p = float(rng.uniform(-5.0, 5.0))
+            analytic, of_weights = derivative(rng, r, _smooth(p))
+            if nonnegative:
+                res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
+            _, weights = holder_grid(r.log_ratios, _smooth(p + P_FD_STENCIL))
+            fd = _stencil([of_weights(w) for w in weights])
+            err = _rel_err(analytic, fd)
+            res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
+        return res
+
+    return check
 
 
-def check_mean_monotone(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "mean_monotone_in_p",
-        "the power mean strictly increases in p for non-uniform ratios",
-    )
-    tested = 0
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        if np.ptp(np.log(r.ratios)) < 1e-9:
-            continue
-        tested += 1
-        vals, _ = _grid_rows(r.log_ratios, P_GRID)
-        diffs = np.diff(vals)
-        err = max(0.0, float(-diffs.min()))
-        res.observe(err, bool(np.all(diffs > -STRICT_SLACK)), "non-increasing step")
-    if tested == 0:
-        res.skip("all instances degenerate (uniform ratios)")
-    return res
+def _non_uniform(gap: float) -> Callable[[RatioSequence], bool]:
+    return lambda r: np.ptp(r.log_ratios) >= gap
 
 
-def check_weights_normalized(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "weights_normalized", "gradient weights sum to 1 within 1e-10"
-    )
-    grid = P_GRID + (LIMIT_P, -LIMIT_P)
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        _, weights = _grid_rows(r.log_ratios, grid)
-        for p, s in zip(grid, weights.sum(axis=1)):
-            err = abs(s - 1.0)
-            res.observe(err, err <= 1e-10, f"sum {s} at p={p}")
-    return res
+def _judge_special_means(res, r, grid, rho, weights) -> None:
+    x = r.ratios
+    wants = (x.mean(), np.exp(np.log(x).mean()), 1.0 / (1.0 / x).mean())
+    for got, want in zip(rho.tolist(), wants):
+        err = _rel_err(got, want)
+        res.observe(err, err <= 1e-12, f"got {got}, want {want}")
 
 
-def check_weight_derivative_sum_zero(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "weight_derivative_sum_zero",
-        "per-token weight p-derivatives sum to zero (normalization preserved)",
-    )
-    grid = (-3.0, -1.0, 0.0, 1.0, 3.0)
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        logs = r.log_ratios
-        _, weights = _grid_rows(logs, grid)
-        for p, w in zip(grid, weights):
-            # dW_t/dp = W_t (log r_t - mu), as weight_p_derivative gives it
-            total = float((w * (logs - float(w @ logs))).sum())
-            err = abs(total)
-            res.observe(err, err <= 1e-10, f"sum {total} at p={p}")
-    return res
+def _judge_geometric_limit(res, r, grid, rho, weights) -> None:
+    geo = float(np.exp(np.log(r.ratios).mean()))
+    for p, got in zip(grid, rho.tolist()):
+        err = _rel_err(got, geo)
+        res.observe(err, err <= 1e-5, f"gap {err:.2e} at p={p}")
+
+
+def _judge_normalized(res, r, grid, rho, weights) -> None:
+    for p, s in zip(grid, weights.sum(axis=1)):
+        err = abs(s - 1.0)
+        res.observe(err, err <= 1e-10, f"sum {s} at p={p}")
+
+
+def _judge_derivative_sum(res, r, grid, rho, weights) -> None:
+    logs = r.log_ratios
+    for p, w in zip(grid, weights):
+        # dW_t/dp = W_t (log r_t - mu), as weight_p_derivative gives it
+        total = float((w * (logs - float(w @ logs))).sum())
+        err = abs(total)
+        res.observe(err, err <= 1e-10, f"sum {total} at p={p}")
+
+
+def _judge_entropy_peak(res, r, grid, rho, weights) -> None:
+    entropies = np.array(
+        [shannon_entropy(WeightDistribution(w)) for w in weights]
+    ).reshape(2, -1)
+    err = abs(entropies[0, 0] - math.log(len(r)))
+    res.observe(err, err <= 1e-12, "entropy at p=0 is not ln n")
+    for sign, vals in zip((1.0, -1.0), entropies):
+        _observe_rising(res, -vals, f"entropy not decreasing in |p| (sign {sign:+.0f})")
+
+
+def _extremes_separated(r: RatioSequence) -> bool:
+    logs = np.sort(r.log_ratios)
+    return logs[-1] - logs[-2] >= 0.5 and logs[1] - logs[0] >= 0.5
+
+
+def _judge_limit_concentration(res, r, grid, rho, weights) -> None:
+    for p, w in zip(grid, weights):
+        lim = limit_weights(r, 1 if p > 0.0 else -1).weights
+        mass = float(w[lim > 0.0].sum())
+        err = max(0.0, 0.999 - mass)
+        res.observe(err, mass >= 0.999, f"mass {mass} at p={p}")
+
+
+def _judge_hhi_profile(res, r, grid, rho, weights) -> None:
+    h0, *grid_hhi = (hhi(WeightDistribution(w)) for w in weights)
+    err = abs(h0 - 1.0 / len(r))
+    res.observe(err, err <= 1e-12, "HHI at p=0 is not 1/n")
+    for p, h in zip(grid[1:], grid_hhi):
+        err = max(0.0, h0 - h - 1e-15)
+        res.observe(err, h >= h0 - 1e-15, f"HHI below uniform at p={p}")
+
+
+check_special_case_means = _grid_check(
+    "special_case_means",
+    "p = 1, 0, -1 recover the arithmetic, geometric, harmonic means",
+    (1.0, 0.0, -1.0),
+    _judge_special_means,
+)
+check_geometric_limit = _grid_check(
+    "geometric_limit",
+    "the mean at p = +-1e-7 is within rel. 1e-5 of the geometric mean",
+    (1e-7, -1e-7),
+    _judge_geometric_limit,
+    smooth=True,
+)
+check_mean_monotone = _grid_check(
+    "mean_monotone_in_p",
+    "the power mean strictly increases in p for non-uniform ratios",
+    P_GRID,
+    lambda res, r, grid, rho, weights: _observe_rising(res, rho, "non-increasing step"),
+    usable=_non_uniform(1e-9),
+    skip_reason="all instances degenerate (uniform ratios)",
+)
+check_weights_normalized = _grid_check(
+    "weights_normalized",
+    "gradient weights sum to 1 within 1e-10",
+    P_GRID + (LIMIT_P, -LIMIT_P),
+    _judge_normalized,
+)
+check_weight_derivative_sum_zero = _grid_check(
+    "weight_derivative_sum_zero",
+    "per-token weight p-derivatives sum to zero (normalization preserved)",
+    (-3.0, -1.0, 0.0, 1.0, 3.0),
+    _judge_derivative_sum,
+)
+_ENTROPY_P = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+check_entropy_peak = _grid_check(
+    "entropy_peak_at_zero",
+    "weight entropy peaks at p = 0 with value ln n and strictly "
+    "decreases in |p| for non-uniform ratios",
+    np.concatenate([_ENTROPY_P, -_ENTROPY_P]),
+    _judge_entropy_peak,
+    usable=_non_uniform(1e-6),
+    skip_reason="all instances degenerate (uniform ratios)",
+)
+check_limit_concentration = _grid_check(
+    "limit_concentration",
+    "at p = +-40 with a log-gap >= 0.5, mass >= 0.999 sits on the "
+    "argmax/argmin set, whose limit is limit_weights",
+    (LIMIT_P, -LIMIT_P),
+    _judge_limit_concentration,
+    usable=_extremes_separated,
+    skip_reason="no instance with a 0.5 log-gap at both extremes",
+)
+check_hhi_profile = _grid_check(
+    "hhi_profile",
+    "HHI is minimized at p = 0 (value 1/n) and approaches 1 at p = +-40",
+    (0.0,) + P_GRID,
+    _judge_hhi_profile,
+)
 
 
 def check_weight_derivative_fd(
@@ -254,112 +339,32 @@ def check_weight_derivative_fd(
 ) -> CheckResult:
     """The derivative_fn hook lets the test suite verify this check rejects
     a corrupted formula."""
-    res = CheckResult(
+
+    def token_weight(rng, r, order):
+        t = int(rng.integers(0, len(r)))
+        return derivative_fn(r, order, t), lambda w: w[t]
+
+    return _stencil_check(
         "weight_derivative_vs_fd",
         "dW/dp = W (log r - mu) matches central finite differences",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        p = float(rng.uniform(-5.0, 5.0))
-        t = int(rng.integers(0, len(r)))
-        analytic = derivative_fn(r, _smooth(p), t)
-        fd = _stencil(_stencil_weights(r, p)[:, t])
-        err = _rel_err(analytic, fd)
-        res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
-    return res
+        token_weight,
+    )(rng, instances)
 
 
-def check_mu_derivative(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "mu_derivative_vs_fd",
-        "dmu/dp equals the weighted log-ratio variance, and is >= 0",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        p = float(rng.uniform(-5.0, 5.0))
-        analytic = mu_p_derivative(r, _smooth(p))
-        res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
-        fd = _stencil([float(w @ r.log_ratios) for w in _stencil_weights(r, p)])
-        err = _rel_err(analytic, fd)
-        res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
-    return res
-
-
-def check_entropy_derivative_fd(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "entropy_derivative_vs_fd",
-        "dH/dp = -p Var_W(log r) matches central finite differences",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        p = float(rng.uniform(-5.0, 5.0))
-        analytic = entropy_p_derivative(r, _smooth(p))
-        fd = _stencil([shannon_entropy(WeightDistribution(w))
-                       for w in _stencil_weights(r, p)])
-        err = _rel_err(analytic, fd)
-        res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
-    return res
-
-
-def check_entropy_peak(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "entropy_peak_at_zero",
-        "weight entropy peaks at p = 0 with value ln n and strictly "
-        "decreases in |p| for non-uniform ratios",
-    )
-    tested = 0
-    grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
-    signed = np.concatenate([grid, -grid])
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        if np.ptp(np.log(r.ratios)) < 1e-6:
-            continue
-        tested += 1
-        n = len(r)
-        _, weights = _grid_rows(r.log_ratios, signed)
-        entropies = np.array(
-            [shannon_entropy(WeightDistribution(w)) for w in weights]
-        ).reshape(2, grid.size)
-        err = abs(entropies[0, 0] - math.log(n))
-        res.observe(err, err <= 1e-12, "entropy at p=0 is not ln n")
-        for sign, vals in zip((1.0, -1.0), entropies):
-            diffs = np.diff(vals)
-            err = max(0.0, float(diffs.max()))
-            res.observe(
-                err,
-                bool(np.all(diffs < STRICT_SLACK)),
-                f"entropy not decreasing in |p| (sign {sign:+.0f})",
-            )
-    if tested == 0:
-        res.skip("all instances degenerate (uniform ratios)")
-    return res
-
-
-def check_limit_concentration(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "limit_concentration",
-        "at p = +-40 with a log-gap >= 0.5, mass >= 0.999 sits on the "
-        "argmax/argmin set, whose limit is limit_weights",
-    )
-    tested = 0
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        logs = np.log(r.ratios)
-        order_idx = np.argsort(logs)
-        if logs[order_idx[-1]] - logs[order_idx[-2]] < 0.5:
-            continue
-        if logs[order_idx[1]] - logs[order_idx[0]] < 0.5:
-            continue
-        tested += 1
-        for p, direction in ((LIMIT_P, 1), (-LIMIT_P, -1)):
-            w = gradient_weights(r, HolderOrder(p)).weights
-            lim = limit_weights(r, direction).weights
-            mass = float(w[lim > 0.0].sum())
-            err = max(0.0, 0.999 - mass)
-            res.observe(err, mass >= 0.999, f"mass {mass} at p={p}")
-    if tested == 0:
-        res.skip("no instance with a 0.5 log-gap at both extremes")
-    return res
+check_mu_derivative = _stencil_check(
+    "mu_derivative_vs_fd",
+    "dmu/dp equals the weighted log-ratio variance, and is >= 0",
+    lambda rng, r, order: (mu_p_derivative(r, order), lambda w: float(w @ r.log_ratios)),
+    nonnegative=True,
+)
+check_entropy_derivative_fd = _stencil_check(
+    "entropy_derivative_vs_fd",
+    "dH/dp = -p Var_W(log r) matches central finite differences",
+    lambda rng, r, order: (
+        entropy_p_derivative(r, order),
+        lambda w: shannon_entropy(WeightDistribution(w)),
+    ),
+)
 
 
 def check_weight_rise_fall(rng, instances) -> CheckResult:
@@ -393,7 +398,7 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
     crossing = np.array([log_t for _, _, log_t in drawn])
 
     def gap(p: np.ndarray) -> np.ndarray:
-        _, weights = holder_rows(logs, mask, HolderOrder(p))
+        _, weights = core.holder_rows(logs, mask, HolderOrder(p))
         return (weights * logs).sum(axis=1) - crossing
 
     lo = np.full(len(drawn), -60.0)
@@ -412,37 +417,11 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
         if not bracketed[row]:
             res.observe(1.0, False, "crossing not bracketed on [-60, 60]")
             continue
-        _, weights = _grid_rows(r.log_ratios, np.concatenate([before[row], after[row]]))
-        d_before = np.diff(weights[:25, t])
-        d_after = np.diff(weights[25:, t])
-        res.observe(
-            max(0.0, float(-d_before.min())),
-            bool(np.all(d_before > -STRICT_SLACK)),
-            "weight not rising before the crossing",
-        )
-        res.observe(
-            max(0.0, float(d_after.max())),
-            bool(np.all(d_after < STRICT_SLACK)),
-            "weight not strictly falling after the crossing",
-        )
-    return res
-
-
-def check_hhi_profile(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "hhi_profile",
-        "HHI is minimized at p = 0 (value 1/n) and approaches 1 at p = +-40",
-    )
-    for _ in range(instances):
-        r = _random_ratios(rng)
-        n = len(r)
-        _, weights = _grid_rows(r.log_ratios, (0.0,) + P_GRID)
-        h0, *grid_hhi = (hhi(WeightDistribution(w)) for w in weights)
-        err = abs(h0 - 1.0 / n)
-        res.observe(err, err <= 1e-12, "HHI at p=0 is not 1/n")
-        for p, h in zip(P_GRID, grid_hhi):
-            err = max(0.0, h0 - h - 1e-15)
-            res.observe(err, h >= h0 - 1e-15, f"HHI below uniform at p={p}")
+        order = HolderOrder(np.concatenate([before[row], after[row]]))
+        _, weights = holder_grid(r.log_ratios, order)
+        _observe_rising(res, weights[:25, t], "weight not rising before the crossing")
+        _observe_rising(res, -weights[25:, t],
+                        "weight not strictly falling after the crossing")
     return res
 
 
@@ -476,6 +455,23 @@ def _random_batch(
             )
         )
     return GroupBatch(rollouts)
+
+
+def _perturbed_batch(rng, scale: float) -> tuple[PolicyParams, GroupBatch]:
+    """A random old policy moved by N(0, scale^2) logit noise, and a group
+    sampled from the old policy with logprobs under both."""
+    policy_old = _random_policy(rng)
+    policy = PolicyParams(
+        policy_old.logits + rng.normal(scale=scale, size=policy_old.logits.shape)
+    )
+    return policy, _random_batch(rng, policy_old, policy)
+
+
+def _informative(batch: GroupBatch) -> bool:
+    """Some advantage is nonzero and some rollout's log-ratios are not all equal."""
+    return bool(np.any(batch.advantages != 0.0)) and any(
+        np.ptp(r.log_ratio_sequence().valid_logs()) >= 1e-9 for r in batch.rollouts
+    )
 
 
 def _away_from_kinks(batch: GroupBatch, order, clip: ClipConfig) -> bool:
@@ -567,7 +563,7 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         # what holder_mean gives for that policy
         bumped = np.array([np.log(np.exp(c.token_logprobs(tokens) - old_logprobs))
                            for c in _bumped_policies(policy)])
-        rho, _ = holder_rows(bumped, np.ones(bumped.shape, dtype=bool), order)
+        rho, _ = core.holder_rows(bumped, np.ones(bumped.shape, dtype=bool), order)
         fd = _central_diffs(rho)
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
         err = float(np.abs(analytic - fd).max() / scale)
@@ -587,11 +583,7 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
     target = max(1, instances // 10)
     while done < target and attempts < target * 20:
         attempts += 1
-        policy_old = _random_policy(rng)
-        policy = PolicyParams(
-            policy_old.logits + rng.normal(scale=0.15, size=policy_old.logits.shape)
-        )
-        batch = _random_batch(rng, policy_old, policy)
+        policy, batch = _perturbed_batch(rng, 0.15)
         p = float(rng.uniform(-3.0, 3.0))
         order = HolderOrder(p)
         if not _away_from_kinks(batch, order, clip):
@@ -604,11 +596,10 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
         # every central difference of every regime from one refreshed stack:
         # group k of the stack is the batch under _bumped_policies(policy)[k]
         bumped = _refreshed_copies(rollouts, _bumped_policies(policy))
-        refreshed = [refresh_logprobs(batch, policy)]
         cases = [
-            (grad_estimator_unclipped(refreshed, policy, order).vector, "none"),
-            (grad_estimator_seq_clip(refreshed, policy, order, clip).vector, "sequence"),
-            (grad_estimator_token_clip(refreshed, policy, order, clip).vector, "token"),
+            (grad_estimator_unclipped([batch], policy, order).vector, "none"),
+            (grad_estimator_seq_clip([batch], policy, order, clip).vector, "sequence"),
+            (grad_estimator_token_clip([batch], policy, order, clip).vector, "token"),
         ]
         for analytic, regime in cases:
             # the surrogate as the batched kernel computes it for train
@@ -649,12 +640,7 @@ def check_seq_clip_contraction(rng, instances) -> CheckResult:
     )
     clip = ClipConfig(0.2)
     for _ in range(max(1, instances // 5)):
-        policy_old = _random_policy(rng)
-        policy = PolicyParams(
-            policy_old.logits + rng.normal(scale=0.3, size=policy_old.logits.shape)
-        )
-        batch = _random_batch(rng, policy_old, policy)
-        batch = refresh_logprobs(batch, policy)
+        policy, batch = _perturbed_batch(rng, 0.3)
         p = float(rng.uniform(-3.0, 3.0))
         order = HolderOrder(p)
         for rollout, adv in zip(batch.rollouts, batch.advantages):
@@ -679,26 +665,13 @@ def check_variance_term_monotone(rng, instances) -> CheckResult:
     )
     tested = 0
     for _ in range(max(1, instances // 5)):
-        policy_old = _random_policy(rng)
-        policy = PolicyParams(
-            policy_old.logits + rng.normal(scale=0.2, size=policy_old.logits.shape)
-        )
-        batch = _random_batch(rng, policy_old, policy)
-        batch = refresh_logprobs(batch, policy)
-        if np.all(batch.advantages == 0.0):
-            continue
-        degenerate = all(
-            np.ptp(r.log_ratio_sequence().valid_logs()) < 1e-9
-            for r in batch.rollouts
-        )
-        if degenerate:
+        _, batch = _perturbed_batch(rng, 0.2)
+        if not _informative(batch):
             continue
         tested += 1
         grid = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
         vals = [variance_bound_term([batch], HolderOrder(p)) for p in grid]
-        diffs = np.diff(vals)
-        err = max(0.0, float(-diffs.min()))
-        res.observe(err, bool(np.all(diffs > -STRICT_SLACK)), "V(p) not increasing")
+        _observe_rising(res, vals, "V(p) not increasing")
     if tested == 0:
         res.skip("all sampled batches degenerate")
     return res
@@ -743,11 +716,7 @@ def check_second_moment_pstar(rng, instances) -> CheckResult:
         vals = second_moment_orthogonal(1.0, 1.0, r, orders)
         p_star = grid[int(np.argmin(vals))]
         res.observe(max(0.0, p_star), p_star <= 0.0, f"p* = {p_star}")
-        positive = vals[grid > 0.0]
-        diffs = np.diff(positive)
-        err = max(0.0, float(-diffs.min()))
-        res.observe(err, bool(np.all(diffs > -STRICT_SLACK)),
-                    "not increasing on (0, 10]")
+        _observe_rising(res, vals[grid > 0.0], "not increasing on (0, 10]")
     if tested == 0:
         res.skip("all instances degenerate (uniform ratios)")
     return res
@@ -780,18 +749,8 @@ def check_schedule_contraction(rng, instances) -> CheckResult:
     )
     tested = 0
     for _ in range(max(1, instances // 5)):
-        policy_old = _random_policy(rng)
-        policy = PolicyParams(
-            policy_old.logits + rng.normal(scale=0.2, size=policy_old.logits.shape)
-        )
-        batch = _random_batch(rng, policy_old, policy)
-        batch = refresh_logprobs(batch, policy)
-        if np.all(batch.advantages == 0.0):
-            continue
-        if all(
-            np.ptp(r.log_ratio_sequence().valid_logs()) < 1e-9
-            for r in batch.rollouts
-        ):
+        _, batch = _perturbed_batch(rng, 0.2)
+        if not _informative(batch):
             continue
         tested += 1
         p_stat = float(rng.uniform(-1.0, 2.0))

@@ -141,7 +141,8 @@ class TestMeanCommand:
         assert main(["mean", "--ratios", "2,oops", "--p", "1"]) == EXIT_USAGE
         assert main(["mean", "--p", "1"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("p", ["nan", "inf", "1,-inf"])
+    # 1e308 is finite, but p * log r overflows and the weights come out NaN
+    @pytest.mark.parametrize("p", ["nan", "inf", "1,-inf", "1e308", "1,1e308"])
     def test_nonfinite_exponent_is_usage_error(self, p, capsys):
         assert main(["mean", "--ratios", "2,8", "--p", p]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -518,6 +518,14 @@ class TestHolderRows:
             holder_rows(np.zeros((2, 3)), np.ones((2, 3), bool),
                         HolderOrder(np.array([1.0, bad])))
 
+    @pytest.mark.parametrize("p", [1e308, np.array([1.0, 1e308])])
+    def test_overflowing_row_raises(self, p):
+        # p * log r overflows and the weights come out NaN, which the
+        # normalisation check must reject rather than pass through
+        logs = np.log([[2.0, 8.0], [2.0, 8.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            holder_rows(logs, np.ones(logs.shape, bool), HolderOrder(p))
+
     def test_geometric_branch_is_uniform_over_valid(self):
         logs = np.array([[math.log(2.0), math.log(8.0), 5.0]])
         mask = np.array([[True, True, False]])

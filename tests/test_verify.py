@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from holderpo import HolderOrder, RatioSequence, weight_p_derivative
-from holderpo import verify
+from holderpo import core, verify
 from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
 
 # check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
@@ -94,7 +94,7 @@ class TestRecordedReport:
             ), result.name
 
 
-def _reversed_rows(log_ratios, mask, order, holder_rows=verify.holder_rows):
+def _reversed_rows(log_ratios, mask, order, holder_rows=core.holder_rows):
     """holder_rows with each call's rows in reverse order."""
     rho, weights = holder_rows(log_ratios, mask, order)
     return rho[::-1], weights[::-1]
@@ -103,14 +103,18 @@ def _reversed_rows(log_ratios, mask, order, holder_rows=verify.holder_rows):
 class TestHarnessSensitivity:
     """A corrupted formula or kernel call must be caught, not waved through."""
 
+    # every check whose verdict depends on which exponent or policy a kernel
+    # row belongs to; core.holder_rows is the one kernel they all reach
     @pytest.mark.parametrize(
         "name",
-        ["mean_monotone_in_p", "weight_rise_then_fall", "entropy_peak_at_zero",
-         "hhi_profile"],
+        ["special_case_means", "mean_monotone_in_p", "weight_derivative_vs_fd",
+         "mu_derivative_vs_fd", "entropy_derivative_vs_fd", "entropy_peak_at_zero",
+         "weight_rise_then_fall", "hhi_profile", "grad_rho_vs_fd",
+         "second_moment_pstar_nonpositive"],
     )
     def test_grid_checks_catch_reversed_rows(self, name, monkeypatch):
         assert check_all(seed=0, instance_count=20, only=[name]).results[0].status == "pass"
-        monkeypatch.setattr(verify, "holder_rows", _reversed_rows)
+        monkeypatch.setattr(core, "holder_rows", _reversed_rows)
         result = check_all(seed=0, instance_count=20, only=[name]).results[0]
         assert result.status == "fail"
 
