@@ -270,12 +270,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError("--p-list must name at least one exponent")
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        horizon = max(1, config.total_updates - 1)
+        specs = [ScheduleSpec.constant(p, horizon) for p in p_list]
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    horizon = max(1, config.total_updates - 1)
-    specs = [ScheduleSpec.constant(p, horizon) for p in p_list]
     if args.include_schedule:
         specs.append(config.schedule)
     runs = [

@@ -6,10 +6,10 @@ gradient weights W of a batch of masked rows.  The scalar functions
 on them) are one-row calls of it, so they run the code training runs.
 
 All power computations run in log-space with a max shift, so exponents up
-to |p| = 40 on ratios spanning [1e-4, 1e4] stay finite.  The p -> 0 limit
-(the geometric mean) gets its own branch, decided in ``holder_rows`` alone:
-below ``zero_threshold`` the weights are exactly uniform and the mean is
-exp(mean log r).
+to |p| = 40 on ratios spanning [1e-4, 1e4] stay finite.  Every exponent,
+p = 0 included, takes one formula: W is the softmax of p * log r, and rho is
+exp(log-mean-exp(p log r) / p), or below ``SERIES_CUTOFF`` the same mean as a
+series about the mean log-ratio, which is exact at p = 0 (the geometric mean).
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Below this |p|, rho comes from the series about the mean log-ratio.
+SERIES_CUTOFF = 1e-3
 
 
 class DomainError(ValueError):
@@ -82,16 +85,14 @@ class LogRatioSequence:
 
 @dataclass(frozen=True)
 class HolderOrder:
-    """The aggregation exponent; |p| below zero_threshold routes to the
-    geometric branch.
+    """The aggregation exponent p, any finite value; p = 0 is the geometric
+    mean.
 
     ``p`` is a float, or a one-dimensional float array holding one exponent
-    per row for :func:`holder_rows` and :func:`holder_grid` (then ``is_zero``
-    is per row too).
+    per row for :func:`holder_rows` and :func:`holder_grid`.
     """
 
     p: float | np.ndarray
-    zero_threshold: float = 1e-6
 
     def __post_init__(self):
         if isinstance(self.p, np.ndarray):
@@ -105,12 +106,6 @@ class HolderOrder:
             finite = np.isfinite(self.p)
         if not finite:
             raise DomainError("p must be finite")
-        if self.zero_threshold <= 0.0:
-            raise DomainError("zero_threshold must be positive")
-
-    @property
-    def is_zero(self) -> bool | np.ndarray:
-        return abs(self.p) < self.zero_threshold
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class WeightDistribution:
 
 
 def holder_mean(ratios: RatioSequence, order: HolderOrder) -> float:
-    """The power mean of order p, with the geometric mean as the p -> 0 branch."""
+    """The power mean of order p; the geometric mean at p = 0."""
     return _one_row(ratios.log_ratios, order)[0]
 
 
@@ -142,14 +137,24 @@ def holder_mean_masked(logs: LogRatioSequence, order: HolderOrder) -> float:
 
 
 def gradient_weights(ratios: RatioSequence, order: HolderOrder) -> WeightDistribution:
-    """Softmax of p * log r over tokens; exactly uniform on the zero branch."""
+    """Softmax of p * log r over tokens; exactly uniform at p = 0."""
     return WeightDistribution(_one_row(ratios.log_ratios, order)[1])
 
 
-def _geometric_rows(logs, mask, n) -> tuple[np.ndarray, np.ndarray]:
-    """The p -> 0 branch: geometric means, uniform weights on valid positions."""
-    rho = np.exp(np.where(mask, logs, 0.0).sum(axis=1) / n)
-    return rho, mask / n[:, None]
+def _centred_log_rho(logs, mask, n, p) -> np.ndarray:
+    """log rho for small |p| as m + log1p(mean(expm1(p (log r - m)))) / p about
+    the masked mean m of the log-ratios, whose masked-out entries are zero;
+    no rounding is divided by p, and at p = 0 this is m."""
+    centre = logs.sum(axis=1) / n
+    terms = np.expm1(_column(p) * (logs - centre[:, None]))
+    spread = np.where(mask, terms, 0.0).sum(axis=1) / n
+    return centre + np.log1p(spread) / np.where(p == 0.0, 1.0, p)
+
+
+def _column(value):
+    """A per-row value, one scalar for every row or an (N,) array, shaped to
+    broadcast over (N, T) arrays."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
 
 
 def holder_rows(
@@ -158,12 +163,12 @@ def holder_rows(
     """Row-wise power means and gradient weights of exp(log_ratios).
 
     Each row of the (N, T) arrays is one sequence; only its masked-in
-    positions count, and masked-out positions get zero weight.  ``order.p``
-    is one exponent for every row or an (N,) array of one exponent per row;
-    each row takes the geometric branch on its own exponent, and the
-    geometric rows are computed only when some row needs them.  Returns rho
-    with shape (N,) and W with shape (N, T); W is checked to be finite,
-    nonnegative and to sum to 1 within 1e-10 per row (DomainError).
+    positions count, and masked-out positions get zero weight whatever they
+    hold.  ``order.p`` is one exponent for every row or an (N,) array of one
+    exponent per row; each row picks log-sum-exp or series on its own
+    exponent.  Returns rho with shape (N,) and W with shape (N, T); W is
+    checked to be finite, nonnegative and to sum to 1 within 1e-10 per row
+    (DomainError).
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -172,33 +177,28 @@ def holder_rows(
     n = mask.sum(axis=1)
     if not n.all():
         raise DomainError("mask must have at least one valid entry per row")
-    if not np.isfinite(logs[mask]).all():
+    # zeroed once, so no masked-out inf or NaN reaches a product below
+    logs = np.where(mask, logs, 0.0)
+    if not np.isfinite(logs).all():
         raise DomainError("valid log_ratios must be finite")
     p = order.p
-    zero = None
-    if isinstance(p, np.ndarray):
-        if p.shape != n.shape:
-            raise DomainError(f"an array p must have shape {n.shape}, got {p.shape}")
-        zero = order.is_zero
-        if zero.any():
-            # zero rows run the power path at a stand-in p = 1, then are replaced
-            p = np.where(zero, 1.0, p)
-        else:
-            zero = None
-        scaled = np.where(mask, p[:, None] * logs, -np.inf)
-    elif order.is_zero:
-        return _geometric_rows(logs, mask, n)
-    else:
-        scaled = np.where(mask, p * logs, -np.inf)
+    if isinstance(p, np.ndarray) and p.shape != n.shape:
+        raise DomainError(f"an array p must have shape {n.shape}, got {p.shape}")
+    scaled = np.where(mask, _column(p) * logs, -np.inf)
     shift = scaled.max(axis=1)
     shifted = np.exp(scaled - shift[:, None])
     total = shifted.sum(axis=1)
-    rho = np.exp((shift + np.log(total) - np.log(n)) / p)
     weights = shifted / total[:, None]
-    if zero is not None:
-        geo_rho, geo_weights = _geometric_rows(logs, mask, n)
-        rho = np.where(zero, geo_rho, rho)
-        weights = np.where(zero[:, None], geo_weights, weights)
+    log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
+    if not isinstance(p, np.ndarray):
+        series = abs(p) < SERIES_CUTOFF
+        log_rho = _centred_log_rho(logs, mask, n, p) if series else log_mean / p
+    else:
+        series = np.abs(p) < SERIES_CUTOFF
+        log_rho = np.divide(log_mean, p, out=np.empty(n.shape), where=~series)
+        if series.any():
+            log_rho[series] = _centred_log_rho(logs[series], mask[series], n[series], p[series])
+    rho = np.exp(log_rho)
     # written so that NaN weights, from p * log r overflowing, fail it too
     if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):
         raise DomainError("weights must be finite, nonnegative and sum to 1 within 1e-10")

@@ -25,6 +25,7 @@ from holderpo.core import (
     HolderOrder,
     LogRatioSequence,
     RatioSequence,
+    _column,
     holder_grid,
     holder_mean_masked,
     holder_rows,
@@ -331,16 +332,9 @@ class BatchTerms:
         return self.group_objectives.reshape(self.runs, -1).mean(axis=1)
 
 
-def _column(value):
-    """A per-row value, one scalar for every row or an (N,) array, shaped to
-    broadcast over (N, T) arrays."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
-
-
 def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
-    positive advantage, D for a negative one) and the clipped-token mask;
-    rows on the geometric branch take I_t h / n."""
+    positive advantage, D for a negative one) and the clipped-token mask."""
     ratios = np.exp(logs)
     band = np.minimum(np.maximum(ratios, clip.low), clip.high)
     positive = (adv > 0.0)[:, None]
@@ -349,18 +343,9 @@ def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
     clipped = mask & ~kept & (adv != 0.0)[:, None]
     n = mask.sum(axis=1)
-    per_row = isinstance(order.p, np.ndarray)
-    if not per_row and order.is_zero:
-        factors = (h / n)[:, None]
-    else:
-        # h^{1-p}/n * r^p in log-space to survive large |p|
-        log_terms = (
-            ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + _column(order.p) * logs
-        )
-        factors = np.exp(log_terms)
-        if per_row and order.is_zero.any():
-            factors = np.where(order.is_zero[:, None], (h / n)[:, None], factors)
-    return np.where(kept, factors, 0.0), h, clipped
+    # h^{1-p}/n * r^p in log-space to survive large |p|
+    log_terms = ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + _column(order.p) * logs
+    return np.where(kept, np.exp(log_terms), 0.0), h, clipped
 
 
 def batch_terms(

@@ -57,11 +57,6 @@ FD_RTOL = 1e-6
 POLICY_FD_RTOL = 1e-4
 KINK_MARGIN = 1e-3
 
-# Orders used in p-derivative checks disable the geometric snap so finite
-# differences see the smooth function everywhere.
-def _smooth(p: float | np.ndarray) -> HolderOrder:
-    return HolderOrder(p, zero_threshold=1e-300)
-
 
 @dataclass
 class CheckResult:
@@ -156,14 +151,12 @@ def _grid_check(
     judge: Callable,
     usable: Callable[[RatioSequence], bool] | None = None,
     skip_reason: str = "",
-    smooth: bool = False,
 ) -> Callable[..., CheckResult]:
     """A check that draws one ratio sequence r per instance, passes over those
     ``usable`` rejects, and calls ``judge(res, r, grid, rho, weights)`` with rho
     and W of r at every exponent of ``grid``, one row each, from one
-    holder_grid call; ``smooth`` disables the geometric snap."""
-    p = np.asarray(grid, dtype=np.float64)
-    order = _smooth(p) if smooth else HolderOrder(p)
+    holder_grid call."""
+    order = HolderOrder(np.asarray(grid, dtype=np.float64))
 
     def check(rng, instances) -> CheckResult:
         res = CheckResult(name, claim)
@@ -184,20 +177,20 @@ def _stencil_check(
     name: str, claim: str, derivative: Callable, nonnegative: bool = False
 ) -> Callable[..., CheckResult]:
     """A check that draws a ratio sequence r and an exponent p in [-5, 5] per
-    instance.  ``derivative(rng, r, order)`` returns the analytic d/dp at p,
-    geometric snap off, and the function of one weight row it differentiates;
-    that function is differenced on the five-point stencil from one
-    holder_grid call.  ``nonnegative`` also requires the derivative >= 0."""
+    instance.  ``derivative(rng, r, order)`` returns the analytic d/dp at p
+    and the function of one weight row it differentiates; that function is
+    differenced on the five-point stencil from one holder_grid call.
+    ``nonnegative`` also requires the derivative >= 0."""
 
     def check(rng, instances) -> CheckResult:
         res = CheckResult(name, claim)
         for _ in range(instances):
             r = _random_ratios(rng)
             p = float(rng.uniform(-5.0, 5.0))
-            analytic, of_weights = derivative(rng, r, _smooth(p))
+            analytic, of_weights = derivative(rng, r, HolderOrder(p))
             if nonnegative:
                 res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
-            _, weights = holder_grid(r.log_ratios, _smooth(p + P_FD_STENCIL))
+            _, weights = holder_grid(r.log_ratios, HolderOrder(p + P_FD_STENCIL))
             fd = _stencil([of_weights(w) for w in weights])
             err = _rel_err(analytic, fd)
             res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
@@ -283,7 +276,6 @@ check_geometric_limit = _grid_check(
     "the mean at p = +-1e-7 is within rel. 1e-5 of the geometric mean",
     (1e-7, -1e-7),
     _judge_geometric_limit,
-    smooth=True,
 )
 check_mean_monotone = _grid_check(
     "mean_monotone_in_p",

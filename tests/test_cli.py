@@ -402,6 +402,17 @@ class TestSweepCommand:
                      str(tmp_path / "sweep"), "--p-list", " "])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("p_list", ["nan", "inf", "1,-inf"])
+    def test_nonfinite_p_list_rejected(self, tmp_path, capsys, p_list):
+        config = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(config), "--out-dir", str(out),
+                     f"--p-list={p_list}"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_seed_count_below_one_rejected(self, tmp_path, capsys, seeds):
         config = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Power-mean substrate: special cases, weights, derivatives, limits."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -27,14 +28,9 @@ from holderpo import (
     weighted_log_mean,
 )
 from holderpo import core
-from holderpo.core import holder_rows
+from holderpo.core import SERIES_CUTOFF, holder_rows
 
 TWO_EIGHT = RatioSequence(np.array([2.0, 8.0]))
-
-
-def smooth(p: float) -> HolderOrder:
-    """Order with the geometric snap disabled, for finite differencing."""
-    return HolderOrder(p, zero_threshold=1e-300)
 
 
 def central_diff(f, x, h=1e-5):
@@ -70,11 +66,6 @@ class TestDomainTypes:
     def test_mask_needs_one_valid_entry(self):
         with pytest.raises(DomainError):
             LogRatioSequence(np.array([0.1, 0.2]), np.array([0, 0]))
-
-    def test_order_routes_small_p_to_zero_branch(self):
-        assert HolderOrder(5e-7).is_zero
-        assert not HolderOrder(2e-6).is_zero
-        assert not HolderOrder(1e-7, zero_threshold=1e-9).is_zero
 
     def test_order_rejects_nonfinite_p(self):
         with pytest.raises(DomainError):
@@ -122,7 +113,7 @@ class TestHolderMean:
     def test_geometric_limit(self):
         geo = float(np.exp(np.log(TWO_EIGHT.ratios).mean()))
         for p in (1e-7, -1e-7):
-            assert holder_mean(TWO_EIGHT, smooth(p)) == pytest.approx(geo, rel=1e-5)
+            assert holder_mean(TWO_EIGHT, HolderOrder(p)) == pytest.approx(geo, rel=1e-5)
 
 
 class TestHolderMeanMasked:
@@ -236,8 +227,8 @@ class TestLemmaWeightDerivative:
             r = RatioSequence(np.exp(rng.uniform(-2, 2, 5)))
             p = float(rng.uniform(-5, 5))
             t = int(rng.integers(0, 5))
-            analytic = weight_p_derivative(r, smooth(p), t)
-            fd = central_diff(lambda q: gradient_weights(r, smooth(q)).weights[t], p)
+            analytic = weight_p_derivative(r, HolderOrder(p), t)
+            fd = central_diff(lambda q: gradient_weights(r, HolderOrder(q)).weights[t], p)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -258,8 +249,8 @@ class TestLemmaMuDerivative:
         for _ in range(30):
             r = RatioSequence(np.exp(rng.uniform(-2, 2, 5)))
             p = float(rng.uniform(-5, 5))
-            analytic = mu_p_derivative(r, smooth(p))
-            fd = central_diff(lambda q: weighted_log_mean(r, smooth(q)), p)
+            analytic = mu_p_derivative(r, HolderOrder(p))
+            fd = central_diff(lambda q: weighted_log_mean(r, HolderOrder(q)), p)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     @given(log_ratio_vectors, orders)
@@ -299,9 +290,9 @@ class TestTheoremEntropyDeformation:
         for _ in range(30):
             r = RatioSequence(np.exp(rng.uniform(-2, 2, 5)))
             p = float(rng.uniform(-5, 5))
-            analytic = entropy_p_derivative(r, smooth(p))
+            analytic = entropy_p_derivative(r, HolderOrder(p))
             fd = central_diff(
-                lambda q: shannon_entropy(gradient_weights(r, smooth(q))), p
+                lambda q: shannon_entropy(gradient_weights(r, HolderOrder(q))), p
             )
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -411,10 +402,15 @@ def masked_log_ratio_rows(draw):
     return np.where(mask, logs, 1e3), mask
 
 
-# |p| <= 40, plus exponents straddling the +-1e-6 geometric branch.
-BRANCH_SEAM = [1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9), -1e-6 * (1 - 1e-9),
-               -1e-6 * (1 + 1e-9), 0.0, 2e-6, -2e-6]
-row_exponents = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(BRANCH_SEAM))
+# |p| <= 40, log-uniform small exponents of both signs, and exponents
+# straddling the series cut-off and 1e-6, where a snap to the geometric mean
+# would show.
+SEAM_EXPONENTS = [sign * cut * (1.0 + step) for sign in (1.0, -1.0)
+                  for cut in (1e-6, SERIES_CUTOFF) for step in (-1e-9, 1e-9)]
+small_exponents = st.builds(lambda exponent, sign: sign * 10.0**exponent,
+                            st.floats(-12.0, -2.0), st.sampled_from([1.0, -1.0]))
+row_exponents = st.one_of(st.floats(-40.0, 40.0),
+                          st.sampled_from(SEAM_EXPONENTS + [0.0]), small_exponents)
 
 
 def mpmath_row(valid_logs: np.ndarray, p: float) -> tuple[float, np.ndarray]:
@@ -456,50 +452,65 @@ class TestHolderRows:
         eps = np.finfo(np.float64).eps
         for i, p in enumerate(exponents):
             row_order = HolderOrder(p)
-            valid = logs[i][mask[i]]
-            expect_rho, expect_w = mpmath_row(valid, p)
-            if row_order.is_zero:
-                # The geometric snap is off by about |p| Var(log r) / 2 in rho,
-                # and W_t by about |p| |log r_t - mean| / n from uniform.
-                rho_tol = abs(p) * valid.var() + 1e-12
-                w_tol = abs(p) * np.ptp(valid) / valid.size + 1e-14
+            expect_rho, expect_w = mpmath_row(logs[i][mask[i]], p)
+            if abs(p) < SERIES_CUTOFF:
+                # the centred series sums T terms of size |p (log r - mean)|
+                # and divides by p: about T ulps of rho whatever p is
+                rho_tol = 8 * logs.shape[1] * eps
             else:
                 # rho = exp(log-mean-exp / p): rounding in the log-sum-exp,
-                # about T ulps, is divided by p, so accuracy loosens near the seam.
+                # about T ulps, is divided by p
                 rho_tol = 1e-12 + 4 * logs.shape[1] * eps / abs(p)
-                w_tol = 1e-14
             assert rho[i] == pytest.approx(expect_rho, rel=rho_tol)
-            np.testing.assert_allclose(weights[i][mask[i]], expect_w, rtol=0, atol=w_tol)
+            np.testing.assert_allclose(weights[i][mask[i]], expect_w, rtol=0, atol=1e-14)
             assert np.all(weights[i][~mask[i]] == 0.0)
             # one exponent per row gives each row exactly its one-row result
             one_rho, one_w = holder_rows(logs[i : i + 1], mask[i : i + 1], row_order)
             assert rho[i] == one_rho[0]
             np.testing.assert_array_equal(weights[i], one_w[0])
 
-    def test_branch_chosen_per_row(self):
-        logs = np.tile(np.log([0.5, 2.0, 4.0, 0.25]), (len(BRANCH_SEAM) + 2, 1))
-        exponents = np.array(BRANCH_SEAM + [40.0, -40.0])
+    def test_continuous_across_series_cutoff(self):
+        ratios = np.array([0.5, 2.0, 4.0, 0.25])
+        exponents = np.array(SEAM_EXPONENTS + [0.0, 40.0, -40.0])
+        logs = np.tile(np.log(ratios), (exponents.size, 1))
         rho, weights = holder_rows(logs, np.ones(logs.shape, bool), HolderOrder(exponents))
-        zero = np.abs(exponents) < 1e-6
-        np.testing.assert_array_equal(weights[zero], 0.25)
-        assert not (weights[~zero] == 0.25).any()
-        geometric = math.exp(np.log([0.5, 2.0, 4.0, 0.25]).mean())
-        np.testing.assert_array_equal(rho[zero], geometric)
+        # consecutive pairs straddle one seam, 2e-9 relative apart in p
+        jumps = np.abs(np.diff(rho[:8])[::2]) / rho[:8:2]
+        assert jumps.reshape(2, 2)[:, 0].max() <= 1e-14  # at +-1e-6
+        assert jumps.reshape(2, 2)[:, 1].max() <= 1e-11  # at +-SERIES_CUTOFF
+        # p = 0 is the geometric mean, with exactly uniform weights
+        assert rho[8] == math.exp(np.log(ratios).mean())
+        np.testing.assert_array_equal(weights[8], 0.25)
+        assert not (weights[np.arange(exponents.size) != 8] == 0.25).any()
         for p, row_rho in zip(exponents, rho):
-            r = RatioSequence(np.array([0.5, 2.0, 4.0, 0.25]))
-            assert row_rho == holder_mean(r, HolderOrder(float(p)))
+            assert row_rho == holder_mean(RatioSequence(ratios), HolderOrder(float(p)))
 
-    def test_geometric_rows_only_when_a_row_needs_them(self, monkeypatch):
+    def test_series_rows_only_when_a_row_needs_them(self, monkeypatch):
         calls = []
-        real = core._geometric_rows
-        monkeypatch.setattr(core, "_geometric_rows",
-                            lambda *args: calls.append(1) or real(*args))
+        real = core._centred_log_rho
+        monkeypatch.setattr(core, "_centred_log_rho",
+                            lambda *args: calls.append(len(args[0])) or real(*args))
         logs, mask = np.log([[0.5, 2.0], [4.0, 0.25]]), np.ones((2, 2), bool)
         holder_rows(logs, mask, HolderOrder(np.array([1.0, -2.0])))
+        holder_rows(logs, mask, HolderOrder(SERIES_CUTOFF))
         assert calls == []
         rho, _ = holder_rows(logs, mask, HolderOrder(np.array([0.0, -2.0])))
         assert calls == [1]
         assert rho[0] == 1.0
+        holder_rows(logs, mask, HolderOrder(-1e-4))
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("p", [0.0, 1e-7, 2.0, np.array([0.0, 2.0])])
+    def test_masked_out_junk_stays_out(self, p):
+        logs = np.log([[0.5, 2.0, 4.0, 0.25], [3.0, 0.1, 1.0, 1.0]])
+        mask = np.array([[True, False, True, False], [False, True, True, False]])
+        clean_rho, clean_w = holder_rows(np.where(mask, logs, 0.0), mask, HolderOrder(p))
+        for junk in (np.inf, -np.inf, np.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rho, w = holder_rows(np.where(mask, logs, junk), mask, HolderOrder(p))
+            np.testing.assert_array_equal(rho, clean_rho)
+            np.testing.assert_array_equal(w, clean_w)
 
     @pytest.mark.parametrize("p", [np.ones(3), np.ones(1), np.ones((2, 1)), np.ones((2, 2))])
     def test_rejects_array_p_of_wrong_shape(self, p):

@@ -83,7 +83,7 @@ def test_trajectory_unchanged(case, recorded):
 @pytest.mark.parametrize("case", CASES)
 def test_trajectory_unchanged_in_a_stack(case, recorded):
     """The case stacked between runs with other seeds and exponents (one
-    on the geometric branch) still matches, and every other member of the
+    at p = 0, on the series path) still matches, and every other member of the
     stack equals its solo run."""
     config, task = case_config(case), TASKS[case.split("-")[0]]()
     configs = [
