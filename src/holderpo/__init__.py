@@ -22,8 +22,7 @@ from holderpo.core import (
 from holderpo.objectives import (
     ClipConfig,
     GradientEstimate,
-    GroupBatch,
-    RolloutRecord,
+    RolloutBatch,
     advantage_estimates,
     grad_estimator_seq_clip,
     grad_estimator_token_clip,
@@ -62,57 +61,3 @@ from holderpo.sim import (
 from holderpo.verify import check_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClipConfig",
-    "DivergenceError",
-    "PolicyParams",
-    "RunLog",
-    "TaskSpec",
-    "TrainConfig",
-    "UpdateMetrics",
-    "check_all",
-    "default_dense_task",
-    "default_sparse_task",
-    "ratio_envelopes",
-    "refresh_logprobs",
-    "sample_group",
-    "success_probability",
-    "table_to_csv",
-    "train",
-    "train_many",
-    "trend_config",
-    "v_curve",
-    "weight_profile",
-    "DomainError",
-    "GradientEstimate",
-    "GroupBatch",
-    "HolderOrder",
-    "LogRatioSequence",
-    "RatioSequence",
-    "RolloutRecord",
-    "ScheduleSpec",
-    "WeightDistribution",
-    "advantage_estimates",
-    "entropy_p_derivative",
-    "grad_estimator_seq_clip",
-    "grad_estimator_token_clip",
-    "grad_estimator_unclipped",
-    "grad_rho",
-    "gradient_weights",
-    "hhi",
-    "holder_mean",
-    "holder_mean_masked",
-    "limit_weights",
-    "loss_holder_po",
-    "mu_p_derivative",
-    "p_at",
-    "second_moment_orthogonal",
-    "shannon_entropy",
-    "surrogate_seq_clip",
-    "surrogate_token_clip",
-    "surrogate_unclipped",
-    "variance_bound_term",
-    "weight_p_derivative",
-    "weighted_log_mean",
-]

@@ -19,7 +19,7 @@ from holderpo.core import (
     holder_grid,
     shannon_entropy,
 )
-from holderpo.objectives import GroupBatch, RolloutBatch, variance_bound_term
+from holderpo.objectives import RolloutBatch, variance_bound_term
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,9 @@ class UpdateMetrics:
         return asdict(self)
 
 
-def ratio_envelopes(batch: GroupBatch) -> tuple[float, float]:
+def ratio_envelopes(batch: RolloutBatch) -> tuple[float, float]:
     """(max, min) of log r over all valid tokens in the batch."""
-    log_max, log_min = RolloutBatch.from_groups([batch]).ratio_envelope()
+    log_max, log_min = batch.ratio_envelope()
     return log_max.item(), log_min.item()
 
 
@@ -67,7 +67,7 @@ def weight_profile(
 
 
 def v_curve(
-    samples: Sequence[GroupBatch], p_grid: Sequence[float]
+    samples: Sequence[RolloutBatch], p_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Rows of (p, V(p)) with V the empirical mean of A^2 rho^2."""
     if len(p_grid) == 0:

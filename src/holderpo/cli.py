@@ -284,8 +284,8 @@ def cmd_sweep(args) -> int:
         for seed in range(args.seeds)
     ]
 
+    # write_run makes the directory, so a diverged sweep leaves none behind
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         logs = train_many(runs, task)
     except DivergenceError as exc:

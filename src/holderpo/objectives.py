@@ -2,9 +2,11 @@
 unclipped, token-level clipped, and sequence-level clipped.
 
 All of them are computed by one batched kernel, :func:`batch_terms`, over a
-:class:`RolloutBatch` of (rollouts x tokens) arrays.  The per-group
-functions (``surrogate_*``, ``grad_estimator_*``, ``variance_bound_term``)
-pack their groups into a batch and call it.
+:class:`RolloutBatch` of (rollouts x tokens) arrays, the one rollout
+container: a group is a batch with N = G.  The per-group functions
+(``surrogate_*`` take one group, ``grad_estimator_*`` and
+``variance_bound_term`` a sequence of groups, joined by
+``RolloutBatch.concat``) call the kernel on them.
 
 The KL term is deliberately absent.  Gradient estimators take a
 position-conditioned policy: the score vector of token t is zero outside
@@ -15,7 +17,7 @@ gradient is its flattened (T, V) logit table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,65 +58,6 @@ class ClipConfig:
 
 
 @dataclass(frozen=True)
-class RolloutRecord:
-    """One sampled sequence with log-probabilities under both policies."""
-
-    token_ids: np.ndarray
-    old_logprobs: np.ndarray
-    new_logprobs: np.ndarray
-    reward: float
-    mask: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.token_ids, dtype=np.int64)
-        old = np.asarray(self.old_logprobs, dtype=np.float64)
-        new = np.asarray(self.new_logprobs, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
-        if not (ids.shape == old.shape == new.shape == mask.shape):
-            raise DomainError("token_ids, logprobs, and mask must share one length")
-        if np.any(old[mask] > 0.0) or np.any(new[mask] > 0.0):
-            raise DomainError("log-probabilities must be <= 0")
-        if not mask.any():
-            raise DomainError("rollout must have at least one valid token")
-        for name, value in (
-            ("token_ids", ids),
-            ("old_logprobs", old),
-            ("new_logprobs", new),
-            ("mask", mask),
-        ):
-            object.__setattr__(self, name, value)
-
-    def log_ratio_sequence(self) -> LogRatioSequence:
-        return LogRatioSequence(self.new_logprobs - self.old_logprobs, self.mask)
-
-    def ratio_sequence(self) -> RatioSequence:
-        return self.log_ratio_sequence().to_ratio_sequence()
-
-
-@dataclass
-class GroupBatch:
-    """A group of G rollouts sharing one prompt, with normalized advantages."""
-
-    rollouts: list[RolloutRecord]
-    advantages: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if len(self.rollouts) < 2:
-            raise DomainError("a group needs G >= 2 rollouts")
-        if self.advantages is None:
-            self.advantages = advantage_estimates(
-                np.array([r.reward for r in self.rollouts])
-            )
-        self.advantages = np.asarray(self.advantages, dtype=np.float64)
-        if self.advantages.shape != (len(self.rollouts),):
-            raise DomainError("advantages must have one entry per rollout")
-
-    @property
-    def group_size(self) -> int:
-        return len(self.rollouts)
-
-
-@dataclass(frozen=True)
 class GradientEstimate:
     """A flat gradient over policy parameters plus the clipped share."""
 
@@ -151,11 +94,13 @@ def advantage_estimates(rewards) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """N rollouts as (N, T) arrays; rows k*G .. k*G + G - 1 form group k.
+    """N rollouts as (N, T) arrays; rows k*G .. k*G + G - 1 form group k, and
+    a group is a batch with N = G.
 
-    Checked once per batch, under the conditions RolloutRecord and
-    LogRatioSequence check per rollout: log-probabilities <= 0 and finite
-    log-ratios at valid positions, and at least one valid position per row.
+    Arrays from outside are checked at construction: log-probabilities <= 0
+    and finite log-ratios at valid positions, and at least one valid position
+    per row.  Batches derived from a checked one (``select_groups``,
+    ``concat`` and a logprob refresh) are not checked again.
     ``log_ratios`` is new - old at valid positions and 0 elsewhere.
     """
 
@@ -204,63 +149,52 @@ class RolloutBatch:
         ):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_groups(cls, groups: Sequence[GroupBatch]) -> "RolloutBatch":
-        """Pack groups of one size G into a batch; shorter rollouts are padded
-        with masked-out positions."""
-        if len(groups) == 0:
+    def _derive(self, **arrays) -> "RolloutBatch":
+        """This batch with the given arrays in place of its own, trusted as
+        coming from checked arrays: ``__post_init__`` does not run.  Selected
+        rows come from a checked batch and a log-softmax of finite logits is
+        <= 0; a non-finite valid log-ratio still raises, in ``holder_rows``.
+        ``log_ratios`` is recomputed when ``new_logprobs`` is given."""
+        if "new_logprobs" in arrays:
+            mask = arrays.get("mask", self.mask)
+            old = arrays.get("old_logprobs", self.old_logprobs)
+            arrays["log_ratios"] = np.where(mask, arrays["new_logprobs"] - old, 0.0)
+        derived = object.__new__(RolloutBatch)
+        derived.__dict__.update(vars(self), **arrays)
+        return derived
+
+    @staticmethod
+    def concat(batches: Sequence["RolloutBatch"]) -> "RolloutBatch":
+        """The batches of one group size G joined in order; shorter rows are
+        padded with masked-out positions."""
+        if len(batches) == 0:
             raise DomainError("minibatch must contain at least one group")
-        size = groups[0].group_size
-        if any(g.group_size != size for g in groups):
+        size = batches[0].group_size
+        if any(b.group_size != size for b in batches):
             raise DomainError("groups in one batch must share a group size")
-        rollouts = [r for g in groups for r in g.rollouts]
-        length = max(r.token_ids.size for r in rollouts)
+        length = max(b.mask.shape[1] for b in batches)
 
-        def column(name, fill, dtype):
-            out = np.full((len(rollouts), length), fill, dtype=dtype)
-            for row, rollout in zip(out, rollouts):
-                values = getattr(rollout, name)
-                row[: values.size] = values
-            return out
+        def join(name):
+            return np.concatenate([
+                np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])))
+                for b in batches
+            ])
 
-        return cls(
-            token_ids=column("token_ids", 0, np.int64),
-            old_logprobs=column("old_logprobs", 0.0, np.float64),
-            new_logprobs=column("new_logprobs", 0.0, np.float64),
-            mask=column("mask", False, bool),
-            rewards=np.array([r.reward for r in rollouts]),
-            advantages=np.concatenate([g.advantages for g in groups]),
-            group_size=size,
+        return batches[0]._derive(
+            **{name: join(name) for name in
+               ("token_ids", "old_logprobs", "new_logprobs", "mask")},
+            rewards=np.concatenate([b.rewards for b in batches]),
+            advantages=np.concatenate([b.advantages for b in batches]),
         )
-
-    def to_groups(self) -> list[GroupBatch]:
-        """One GroupBatch per group, advantages carried over."""
-        rollouts = [
-            RolloutRecord(ids, old, new, float(reward), mask)
-            for ids, old, new, reward, mask in zip(
-                self.token_ids, self.old_logprobs, self.new_logprobs,
-                self.rewards, self.mask,
-            )
-        ]
-        size = self.group_size
-        return [
-            GroupBatch(rollouts[k : k + size], advantages=self.advantages[k : k + size])
-            for k in range(0, len(rollouts), size)
-        ]
 
     def select_groups(self, groups) -> "RolloutBatch":
         """The batch made of the given groups, in the given order."""
         size = self.group_size
         rows = (np.asarray(groups)[:, None] * size + np.arange(size)).ravel()
-        return replace(
-            self,
-            token_ids=self.token_ids[rows],
-            old_logprobs=self.old_logprobs[rows],
-            new_logprobs=self.new_logprobs[rows],
-            mask=self.mask[rows],
-            rewards=self.rewards[rows],
-            advantages=self.advantages[rows],
-        )
+        return self._derive(**{
+            name: getattr(self, name)[rows] for name in
+            ("token_ids", "old_logprobs", "new_logprobs", "mask", "rewards", "advantages")
+        })
 
     def ratio_envelope(self, runs: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(max, min) of log r over the valid tokens of each run, the rows
@@ -410,26 +344,21 @@ def batch_terms(
     )
 
 
-def _group_terms(batch: GroupBatch, order: HolderOrder, regime: str,
-                 clip: ClipConfig | None = None) -> BatchTerms:
-    return batch_terms(RolloutBatch.from_groups([batch]), order, regime, clip)
+def surrogate_unclipped(batch: RolloutBatch, order: HolderOrder) -> float:
+    """(1/G) sum_i rho_i * A_i over one group."""
+    return batch_terms(batch, order, "none").objective.item()
 
 
-def surrogate_unclipped(batch: GroupBatch, order: HolderOrder) -> float:
-    """(1/G) sum_i rho_i * A_i."""
-    return _group_terms(batch, order, "none").objective.item()
-
-
-def surrogate_seq_clip(batch: GroupBatch, order: HolderOrder, clip: ClipConfig) -> float:
+def surrogate_seq_clip(batch: RolloutBatch, order: HolderOrder, clip: ClipConfig) -> float:
     """Pessimistic sequence-level objective min(rho A, clip(rho) A)."""
-    return _group_terms(batch, order, "sequence", clip).objective.item()
+    return batch_terms(batch, order, "sequence", clip).objective.item()
 
 
 def surrogate_token_clip(
-    batch: GroupBatch, order: HolderOrder, clip: ClipConfig
+    batch: RolloutBatch, order: HolderOrder, clip: ClipConfig
 ) -> float:
     """Token-level clipped objective: power means of per-token clipped ratios."""
-    return _group_terms(batch, order, "token", clip).objective.item()
+    return batch_terms(batch, order, "token", clip).objective.item()
 
 
 def loss_holder_po(
@@ -467,9 +396,9 @@ def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarra
     return minibatch_mean(per_rollout, batch.group_size, terms.runs)
 
 
-def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
+def _estimate(minibatch: Sequence[RolloutBatch], policy, order: HolderOrder,
               regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
-    batch = RolloutBatch.from_groups(minibatch)
+    batch = RolloutBatch.concat(minibatch)
     terms = batch_terms(batch, order, regime, clip)
     return GradientEstimate(
         policy_gradient(policy, batch, terms).ravel(), terms.clip_fraction.item()
@@ -477,7 +406,7 @@ def _estimate(minibatch: Sequence[GroupBatch], policy, order: HolderOrder,
 
 
 def grad_estimator_unclipped(
-    minibatch: Sequence[GroupBatch], policy, order: HolderOrder
+    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder
 ) -> GradientEstimate:
     """Minibatch average of per-group averages of A_i * grad rho_i.  All
     groups must share one size G."""
@@ -485,7 +414,7 @@ def grad_estimator_unclipped(
 
 
 def grad_estimator_seq_clip(
-    minibatch: Sequence[GroupBatch], policy, order: HolderOrder, clip: ClipConfig
+    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder, clip: ClipConfig
 ) -> GradientEstimate:
     """Unclipped per-sequence terms gated by the sequence indicator: zero when
     the aggregated ratio has already left the clip band in the favored
@@ -494,7 +423,7 @@ def grad_estimator_seq_clip(
 
 
 def grad_estimator_token_clip(
-    minibatch: Sequence[GroupBatch], policy, order: HolderOrder, clip: ClipConfig
+    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder, clip: ClipConfig
 ) -> GradientEstimate:
     """Per-token indicators zero out tokens clipped against the advantage
     direction; the outer factor uses the clipped power mean, not rho.  All
@@ -502,12 +431,10 @@ def grad_estimator_token_clip(
     return _estimate(minibatch, policy, order, "token", clip)
 
 
-def variance_bound_term(batches: Sequence[GroupBatch], order: HolderOrder) -> float:
+def variance_bound_term(batches: Sequence[RolloutBatch], order: HolderOrder) -> float:
     """Empirical mean of A^2 rho^2 over every rollout in the sample.  All
     groups must share one size G."""
-    if len(batches) == 0:
-        raise DomainError("sample must contain at least one group")
-    return batch_terms(RolloutBatch.from_groups(batches), order, "none").v_of_p.item()
+    return batch_terms(RolloutBatch.concat(batches), order, "none").v_of_p.item()
 
 
 def second_moment_orthogonal(

@@ -9,20 +9,23 @@ rollout, so runs are bit-reproducible regardless of evaluation order;
 ``holderpo.streams`` derives all of a round's substreams in one pass.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
-round's rollouts are one RolloutBatch, a minibatch is a selection of its
-groups, and one ``batch_terms`` call yields rho, the weights, the gates,
-the objective and the telemetry.  ``policy_gradient`` assembles the
-gradient per position block, (T, V), never as the dense (T, T*V) score
-matrix; the ``grad_estimator_*`` functions call the same code.
-``train_many`` stacks runs that differ only in seed and schedule along
-the rollout axis, and ``train`` is its one-run case.
+round's rollouts are one RolloutBatch, checked once when sampled; a
+minibatch is a selection of its groups and ``refresh_logprobs`` re-reads it
+under the current policy, both derived without re-checking; and one
+``batch_terms`` call yields rho, the weights, the gates, the objective and
+the telemetry.  The per-group API (``sample_group``, ``refresh_logprobs``)
+works on the same container, a group being a batch with N = G.
+``policy_gradient`` assembles the gradient per position block, (T, V), never
+as the dense (T, T*V) score matrix; the ``grad_estimator_*`` functions call
+the same code.  ``train_many`` stacks runs that differ only in seed and
+schedule along the rollout axis, and ``train`` is its one-run case.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from holderpo.core import DomainError, HolderOrder
 from holderpo.objectives import (
     CLIPPING_REGIMES,
     ClipConfig,
-    GroupBatch,
     RolloutBatch,
     batch_terms,
     group_advantages,
@@ -301,24 +303,18 @@ def sample_group(
     task: TaskSpec,
     group_size: int,
     rng_streams,
-) -> GroupBatch:
-    """Sample G rollouts position-wise from the old policy; rewards and
-    group-normalized advantages are filled in.  `rng_streams` is one RNG
-    per rollout."""
+) -> RolloutBatch:
+    """Sample G rollouts position-wise from the old policy, as a batch of one
+    group; rewards and group-normalized advantages are filled in.
+    `rng_streams` is one RNG per rollout."""
     uniforms = np.stack([rng_streams[i].random(task.length) for i in range(group_size)])
-    return sample_rollouts(policy_old, task, group_size, uniforms).to_groups()[0]
+    return sample_rollouts(policy_old, task, group_size, uniforms)
 
 
-def refresh_rollouts(batch: RolloutBatch, policy_new) -> RolloutBatch:
+def refresh_logprobs(batch: RolloutBatch, policy_new) -> RolloutBatch:
     """Recompute new_logprobs under the current policy (or the current
-    policies of a stack)."""
-    return replace(batch, new_logprobs=policy_new.token_logprobs(batch.token_ids))
-
-
-def refresh_logprobs(batch: GroupBatch, policy_new: PolicyParams) -> GroupBatch:
-    """Recompute new_logprobs under the current policy."""
-    rollouts = RolloutBatch.from_groups([batch])
-    return refresh_rollouts(rollouts, policy_new).to_groups()[0]
+    policies of a stack), deriving the batch without re-checking it."""
+    return batch._derive(new_logprobs=policy_new.token_logprobs(batch.token_ids))
 
 
 def success_probability(policy: PolicyParams, task: TaskSpec) -> float:
@@ -354,7 +350,7 @@ def _check_divergence(batch: RolloutBatch, rho: np.ndarray) -> None:
     first = int(np.argmax(bad))
     if extreme[first] > log_limit:
         raise DivergenceError(
-            f"token ratio exp({extreme[first]:.1f}) left the divergence band "
+            f"token ratio exp({extreme[first]:.3g}) left the divergence band "
             f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]",
             first,
         )
@@ -448,7 +444,7 @@ def train_many(
                 else:
                     order = HolderOrder(np.repeat(ps, rows_per_run))
                 picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
-                minibatch = refresh_rollouts(rollouts.select_groups(picks), policies)
+                minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)
                 try:
                     terms = batch_terms(minibatch, order, base.clipping_regime, clip,
                                         guard=_check_divergence, runs=len(live))

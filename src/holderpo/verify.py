@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from holderpo import core
 from holderpo.core import (
     HolderOrder,
+    LogRatioSequence,
     RatioSequence,
     WeightDistribution,
     entropy_p_derivative,
@@ -31,9 +32,8 @@ from holderpo.core import (
 )
 from holderpo.objectives import (
     ClipConfig,
-    GroupBatch,
     RolloutBatch,
-    RolloutRecord,
+    advantage_estimates,
     batch_terms,
     grad_estimator_seq_clip,
     grad_estimator_token_clip,
@@ -48,11 +48,13 @@ P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.
 LIMIT_P = 40.0
 STRICT_SLACK = 1e-12
 FD_STEP = 1e-5
-# The p-derivative checks use a five-point stencil: its O(h^4) truncation
-# error allows a step large enough that rounding stays well below FD_RTOL.
+# The p-derivative checks take one Richardson step over five-point stencils
+# at steps h/2 and h: the result's O(h^6) truncation error allows a step large
+# enough that rounding stays well below FD_RTOL, even next to p = 0 where
+# dH/dp is tiny but the higher derivatives of H are not.
 P_FD_STEP = 3e-3
-# Exponent offsets of that stencil, in the order _stencil reads them.
-P_FD_STENCIL = np.array([P_FD_STEP, -P_FD_STEP, 2.0 * P_FD_STEP, -2.0 * P_FD_STEP])
+# Exponent offsets of those stencils, in the order _stencil reads them.
+P_FD_STENCIL = P_FD_STEP * np.array([0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 FD_RTOL = 1e-6
 POLICY_FD_RTOL = 1e-4
 KINK_MARGIN = 1e-3
@@ -120,11 +122,18 @@ def _random_ratios(rng, n_min=2, n_max=64) -> RatioSequence:
     return RatioSequence(np.exp(rng.uniform(-2.0, 2.0, n)))
 
 
+def _five_point(f_h, f_minus_h, f_2h, f_minus_2h, h: float) -> float:
+    """Five-point central difference at step h, with O(h^4) truncation error."""
+    return (8.0 * (f_h - f_minus_h) - (f_2h - f_minus_2h)) / (12.0 * h)
+
+
 def _stencil(values) -> float:
-    """Five-point central difference from f at p + P_FD_STENCIL, with O(h^4)
-    truncation error."""
-    f_h, f_minus_h, f_2h, f_minus_2h = values
-    return (8.0 * (f_h - f_minus_h) - (f_2h - f_minus_2h)) / (12.0 * P_FD_STEP)
+    """d/dp from f at p + P_FD_STENCIL: (16 D(h/2) - D(h)) / 15 over the
+    five-point differences D, which cancels their h^4 truncation term."""
+    f_half, f_minus_half, f_h, f_minus_h, f_2h, f_minus_2h = values
+    fine = _five_point(f_half, f_minus_half, f_h, f_minus_h, 0.5 * P_FD_STEP)
+    coarse = _five_point(f_h, f_minus_h, f_2h, f_minus_2h, P_FD_STEP)
+    return (16.0 * fine - coarse) / 15.0
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -179,7 +188,7 @@ def _stencil_check(
     """A check that draws a ratio sequence r and an exponent p in [-5, 5] per
     instance.  ``derivative(rng, r, order)`` returns the analytic d/dp at p
     and the function of one weight row it differentiates; that function is
-    differenced on the five-point stencil from one holder_grid call.
+    differenced by _stencil from one holder_grid call.
     ``nonnegative`` also requires the derivative >= 0."""
 
     def check(rng, instances) -> CheckResult:
@@ -428,28 +437,28 @@ def _random_policy(rng, length=4, vocab=5) -> PolicyParams:
 
 def _random_batch(
     rng, policy_old: PolicyParams, policy_new: PolicyParams, group_size=4
-) -> GroupBatch:
-    """A group sampled from the old policy with logprobs under both."""
+) -> RolloutBatch:
+    """A group sampled from the old policy with logprobs under both; per
+    rollout, its tokens are drawn position by position, then its reward."""
     probs = policy_old.probs()
     length, vocab = probs.shape
-    rollouts = []
-    for _ in range(group_size):
-        tokens = np.array(
-            [rng.choice(vocab, p=probs[pos]) for pos in range(length)]
-        )
-        rollouts.append(
-            RolloutRecord(
-                token_ids=tokens,
-                old_logprobs=policy_old.token_logprobs(tokens),
-                new_logprobs=policy_new.token_logprobs(tokens),
-                reward=float(rng.integers(0, 2)),
-                mask=np.ones(length, dtype=bool),
-            )
-        )
-    return GroupBatch(rollouts)
+    tokens = np.zeros((group_size, length), dtype=np.int64)
+    rewards = np.zeros(group_size)
+    for i in range(group_size):
+        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]
+        rewards[i] = rng.integers(0, 2)
+    return RolloutBatch(
+        token_ids=tokens,
+        old_logprobs=policy_old.token_logprobs(tokens),
+        new_logprobs=policy_new.token_logprobs(tokens),
+        mask=np.ones(tokens.shape, dtype=bool),
+        rewards=rewards,
+        advantages=advantage_estimates(rewards),
+        group_size=group_size,
+    )
 
 
-def _perturbed_batch(rng, scale: float) -> tuple[PolicyParams, GroupBatch]:
+def _perturbed_batch(rng, scale: float) -> tuple[PolicyParams, RolloutBatch]:
     """A random old policy moved by N(0, scale^2) logit noise, and a group
     sampled from the old policy with logprobs under both."""
     policy_old = _random_policy(rng)
@@ -459,19 +468,19 @@ def _perturbed_batch(rng, scale: float) -> tuple[PolicyParams, GroupBatch]:
     return policy, _random_batch(rng, policy_old, policy)
 
 
-def _informative(batch: GroupBatch) -> bool:
+def _informative(batch: RolloutBatch) -> bool:
     """Some advantage is nonzero and some rollout's log-ratios are not all equal."""
     return bool(np.any(batch.advantages != 0.0)) and any(
-        np.ptp(r.log_ratio_sequence().valid_logs()) >= 1e-9 for r in batch.rollouts
+        np.ptp(logs[mask]) >= 1e-9 for logs, mask in zip(batch.log_ratios, batch.mask)
     )
 
 
-def _away_from_kinks(batch: GroupBatch, order, clip: ClipConfig) -> bool:
-    for rollout in batch.rollouts:
-        rho = holder_mean_masked(rollout.log_ratio_sequence(), order)
+def _away_from_kinks(batch: RolloutBatch, order, clip: ClipConfig) -> bool:
+    for logs, mask in zip(batch.log_ratios, batch.mask):
+        rho = holder_mean_masked(LogRatioSequence(logs, mask), order)
         if min(abs(rho - clip.low), abs(rho - clip.high)) < KINK_MARGIN:
             return False
-        ratios = np.exp(rollout.log_ratio_sequence().valid_logs())
+        ratios = np.exp(logs[mask])
         if np.min(np.abs(ratios - clip.low)) < KINK_MARGIN:
             return False
         if np.min(np.abs(ratios - clip.high)) < KINK_MARGIN:
@@ -501,7 +510,7 @@ def _refreshed_copies(rollouts: RolloutBatch, policies) -> RolloutBatch:
     """One copy of a one-group batch per policy, each refreshed under its
     policy, stacked in policy order."""
     stack = rollouts.select_groups(np.zeros(len(policies), dtype=np.int64))
-    return replace(stack, new_logprobs=np.concatenate(
+    return stack._derive(new_logprobs=np.concatenate(
         [c.token_logprobs(rollouts.token_ids) for c in policies]
     ))
 
@@ -584,10 +593,9 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
             continue
         done += 1
 
-        rollouts = RolloutBatch.from_groups([batch])
         # every central difference of every regime from one refreshed stack:
         # group k of the stack is the batch under _bumped_policies(policy)[k]
-        bumped = _refreshed_copies(rollouts, _bumped_policies(policy))
+        bumped = _refreshed_copies(batch, _bumped_policies(policy))
         cases = [
             (grad_estimator_unclipped([batch], policy, order).vector, "none"),
             (grad_estimator_seq_clip([batch], policy, order, clip).vector, "sequence"),
@@ -614,9 +622,8 @@ def check_reinforce_invariance(rng, instances) -> CheckResult:
         policy = _random_policy(rng)
         batch = _random_batch(rng, policy, policy)
         reference = np.zeros(policy.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            grads = policy.score_gradients(rollout.token_ids)
-            reference += adv * grads.mean(axis=0)
+        for ids, adv in zip(batch.token_ids, batch.advantages):
+            reference += adv * policy.score_gradients(ids).mean(axis=0)
         reference /= batch.group_size
         for p in (-5.0, -1.0, 0.0, 1.0, 5.0):
             got = grad_estimator_unclipped([batch], policy, HolderOrder(p)).vector
@@ -635,11 +642,13 @@ def check_seq_clip_contraction(rng, instances) -> CheckResult:
         policy, batch = _perturbed_batch(rng, 0.3)
         p = float(rng.uniform(-3.0, 3.0))
         order = HolderOrder(p)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
+        for ids, logs, mask, adv in zip(
+            batch.token_ids, batch.log_ratios, batch.mask, batch.advantages
+        ):
             if adv == 0.0:
                 continue
-            ratios = rollout.ratio_sequence()
-            g = adv * grad_rho(ratios, policy.score_gradients(rollout.token_ids), order)
+            ratios = RatioSequence(np.exp(logs[mask]))
+            g = adv * grad_rho(ratios, policy.score_gradients(ids), order)
             rho = holder_mean(ratios, order)
             indicator = 0.0 if (
                 (adv > 0.0 and rho > clip.high) or (adv < 0.0 and rho < clip.low)

@@ -1,36 +1,30 @@
-"""Shared builders for randomized rollouts, groups, and policies."""
+"""Shared helpers that make randomized groups and policies."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from holderpo import GroupBatch, PolicyParams, RolloutRecord
+from holderpo import PolicyParams, RolloutBatch, advantage_estimates
 
 
-def make_rollout(log_ratios, reward=0.0, mask=None) -> RolloutRecord:
-    """Rollout whose new-minus-old log-probabilities equal `log_ratios`.
+def make_group(log_ratio_rows, rewards) -> RolloutBatch:
+    """A group whose new-minus-old log-probabilities equal `log_ratio_rows`,
+    one row per rollout, with group-normalized advantages.
 
-    Both logprob vectors are shifted down so they stay <= 0.
+    Each row's logprobs are shifted down so they stay <= 0.
     """
-    deltas = np.asarray(log_ratios, dtype=np.float64)
-    n = deltas.size
-    old = np.full(n, -np.abs(deltas).max() - 1.0)
-    new = old + deltas
-    return RolloutRecord(
-        token_ids=np.zeros(n, dtype=np.int64),
+    deltas = np.asarray(log_ratio_rows, dtype=np.float64)
+    old = np.broadcast_to(-np.abs(deltas).max(axis=1, keepdims=True) - 1.0, deltas.shape)
+    return RolloutBatch(
+        token_ids=np.zeros(deltas.shape, dtype=np.int64),
         old_logprobs=old,
-        new_logprobs=new,
-        reward=float(reward),
-        mask=np.ones(n, dtype=bool) if mask is None else np.asarray(mask, bool),
+        new_logprobs=old + deltas,
+        mask=np.ones(deltas.shape, dtype=bool),
+        rewards=rewards,
+        advantages=advantage_estimates(rewards),
+        group_size=len(deltas),
     )
-
-
-def make_group(log_ratio_rows, rewards) -> GroupBatch:
-    rollouts = [
-        make_rollout(row, reward) for row, reward in zip(log_ratio_rows, rewards)
-    ]
-    return GroupBatch(rollouts)
 
 
 def random_policy_pair(rng, length=4, vocab=5, drift=0.15):
@@ -47,21 +41,33 @@ def sample_tokens(rng, policy: PolicyParams) -> np.ndarray:
     )
 
 
-def random_group(rng, policy_old, policy_new, group_size=4) -> GroupBatch:
-    """Group sampled from the old policy with logprobs under both policies."""
-    rollouts = []
-    for _ in range(group_size):
-        tokens = sample_tokens(rng, policy_old)
-        rollouts.append(
-            RolloutRecord(
-                token_ids=tokens,
-                old_logprobs=policy_old.token_logprobs(tokens),
-                new_logprobs=policy_new.token_logprobs(tokens),
-                reward=float(rng.integers(0, 2)),
-                mask=np.ones(policy_old.length, dtype=bool),
-            )
-        )
-    return GroupBatch(rollouts)
+def random_group(rng, policy_old, policy_new, group_size=4) -> RolloutBatch:
+    """Group sampled from the old policy with logprobs under both policies;
+    per rollout, the tokens are drawn, then the reward."""
+    tokens = np.zeros((group_size, policy_old.length), dtype=np.int64)
+    rewards = np.zeros(group_size)
+    for i in range(group_size):
+        tokens[i] = sample_tokens(rng, policy_old)
+        rewards[i] = rng.integers(0, 2)
+    return RolloutBatch(
+        token_ids=tokens,
+        old_logprobs=policy_old.token_logprobs(tokens),
+        new_logprobs=policy_new.token_logprobs(tokens),
+        mask=np.ones(tokens.shape, dtype=bool),
+        rewards=rewards,
+        advantages=advantage_estimates(rewards),
+        group_size=group_size,
+    )
+
+
+def rollout_rows(batch: RolloutBatch):
+    """Per rollout: token ids, the ratios at valid positions read from the
+    logprobs, the mask and the advantage; the view the brute-force oracles
+    loop over."""
+    for ids, old, new, mask, adv in zip(batch.token_ids, batch.old_logprobs,
+                                        batch.new_logprobs, batch.mask,
+                                        batch.advantages):
+        yield ids, np.exp((new - old)[mask]), mask, adv
 
 
 @pytest.fixture

@@ -249,10 +249,10 @@ class TestCriterion4VarianceStructure:
         order = HolderOrder(1.0)
         gated = grad_estimator_seq_clip([batch], policy, order, clip)
         free = grad_estimator_unclipped([batch], policy, order)
-        clipped_rollout = batch.rollouts[0]  # rho = e^0.5 > 1.2 with adv > 0
+        # rollout 0 has rho = e^0.5 > 1.2 with adv > 0
         clipped_term = batch.advantages[0] * grad_rho(
-            clipped_rollout.ratio_sequence(),
-            policy.score_gradients(clipped_rollout.token_ids),
+            RatioSequence(np.exp(batch.log_ratios[0])),
+            policy.score_gradients(batch.token_ids[0]),
             order,
         )
         assert gated.clip_fraction == pytest.approx(0.5)

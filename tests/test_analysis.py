@@ -1,6 +1,7 @@
 """Diagnostics: envelopes, weight profiles, the V(p) curve, CSV export."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,8 +89,8 @@ class TestVCurve:
         assert np.all(np.diff(values) > 0.0)
 
     def test_single_rollout_hand_value(self):
-        batch = make_group([[math.log(5.0)] * 2, [0.0] * 2], [1.0, 0.0])
-        batch.advantages = np.array([1.0, 0.0])
+        batch = replace(make_group([[math.log(5.0)] * 2, [0.0] * 2], [1.0, 0.0]),
+                        advantages=np.array([1.0, 0.0]))
         rows = v_curve([batch], [1.0])
         assert rows[0] == (1.0, pytest.approx(12.5))
 

@@ -369,6 +369,17 @@ class TestTrainCommand:
         assert code == EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
 
+    def test_divergence_message_stays_short(self, tmp_path, capsys):
+        """At a huge learning rate the log-ratio is ~1e306; the message
+        prints it in three significant digits, not in full."""
+        path = write_config(tmp_path, train__learning_rate=1e308)
+        code = main(["train", "--config", str(path), "--out-dir",
+                     str(tmp_path / "run")])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("divergence abort: token ratio exp(")
+        assert len(err.splitlines()[0]) < 200
+
 
 class TestSweepCommand:
     def test_comparison_and_medians(self, tmp_path, capsys):
@@ -459,6 +470,7 @@ class TestSweepCommand:
                      str(tmp_path / "sweep"), "--p-list", "5", "--seeds", "2"])
         assert code == EXIT_DIVERGED
         assert "divergence abort" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestVerifyCommand:

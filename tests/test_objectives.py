@@ -7,6 +7,7 @@ checked against something other than themselves.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from holderpo import (
     ClipConfig,
     DomainError,
     GradientEstimate,
-    GroupBatch,
     HolderOrder,
     PolicyParams,
     RatioSequence,
-    RolloutRecord,
+    RolloutBatch,
     advantage_estimates,
     grad_estimator_seq_clip,
     grad_estimator_token_clip,
@@ -35,13 +35,13 @@ from holderpo import (
     variance_bound_term,
 )
 from holderpo.core import LogRatioSequence
-from holderpo.objectives import RolloutBatch, batch_terms
+from holderpo.objectives import batch_terms
 
 from conftest import (
     make_group,
-    make_rollout,
     random_group,
     random_policy_pair,
+    rollout_rows,
     sample_tokens,
 )
 
@@ -55,26 +55,22 @@ def closed_form_rho(ratios, p: float) -> float:
     return float(np.mean(ratios**p) ** (1.0 / p))
 
 
-def grpo_objective(batch: GroupBatch, epsilon: float) -> float:
+def grpo_objective(batch: RolloutBatch, epsilon: float) -> float:
     """Independent GRPO surrogate: per-token PPO min, averaged per sequence."""
     total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        ratios = np.exp(
-            (rollout.new_logprobs - rollout.old_logprobs)[rollout.mask]
-        )
+    for _, ratios, _, adv in rollout_rows(batch):
         clipped = np.clip(ratios, 1.0 - epsilon, 1.0 + epsilon)
         total += float(np.minimum(ratios * adv, clipped * adv).mean())
     return total / batch.group_size
 
 
-def gspo_objective(batch: GroupBatch, epsilon: float) -> float:
+def gspo_objective(batch: RolloutBatch, epsilon: float) -> float:
     """Independent GSPO surrogate: PPO min on the geometric-mean sequence
     ratio s_i = exp(mean of per-token log-ratios)."""
     total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        s = math.exp(
-            float((rollout.new_logprobs - rollout.old_logprobs)[rollout.mask].mean())
-        )
+    for old, new, mask, adv in zip(batch.old_logprobs, batch.new_logprobs,
+                                   batch.mask, batch.advantages):
+        s = math.exp(float((new - old)[mask].mean()))
         clipped = min(max(s, 1.0 - epsilon), 1.0 + epsilon)
         total += min(s * adv, clipped * adv)
     return total / batch.group_size
@@ -90,34 +86,6 @@ class TestClipConfig:
     def test_epsilon_range(self, epsilon):
         with pytest.raises(DomainError):
             ClipConfig(epsilon)
-
-
-class TestRolloutRecord:
-    def test_rejects_positive_logprobs(self):
-        with pytest.raises(DomainError):
-            RolloutRecord(
-                token_ids=np.array([0]),
-                old_logprobs=np.array([0.5]),
-                new_logprobs=np.array([-0.5]),
-                reward=0.0,
-                mask=np.array([True]),
-            )
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            RolloutRecord(
-                token_ids=np.array([0, 1]),
-                old_logprobs=np.array([-0.5]),
-                new_logprobs=np.array([-0.5]),
-                reward=0.0,
-                mask=np.array([True]),
-            )
-
-    def test_ratio_sequence_round_trip(self):
-        rollout = make_rollout([0.3, -0.1])
-        np.testing.assert_allclose(
-            rollout.ratio_sequence().ratios, np.exp([0.3, -0.1])
-        )
 
 
 class TestAdvantageEstimates:
@@ -162,8 +130,8 @@ class TestSurrogateUnclipped:
         batch = refresh_logprobs(random_group(rng, old, new, 3), new)
         order = HolderOrder(1.7)
         brute = sum(
-            closed_form_rho(r.ratio_sequence().ratios, order.p) * a
-            for r, a in zip(batch.rollouts, batch.advantages)
+            closed_form_rho(ratios, order.p) * a
+            for _, ratios, _, a in rollout_rows(batch)
         ) / 3.0
         assert surrogate_unclipped(batch, order) == pytest.approx(brute, rel=1e-12)
 
@@ -341,8 +309,7 @@ class TestGradRho:
 class TestGradientEstimators:
     def test_zero_advantages_give_zero_vector(self, rng):
         old, new = random_policy_pair(rng)
-        batch = random_group(rng, old, new)
-        batch.advantages = np.zeros(batch.group_size)
+        batch = replace(random_group(rng, old, new), advantages=np.zeros(4))
         est = grad_estimator_unclipped([batch], new, HolderOrder(1.0))
         np.testing.assert_array_equal(est.vector, np.zeros(new.param_dim))
         assert est.clip_fraction == 0.0
@@ -357,11 +324,11 @@ class TestGradientEstimators:
         batch = refresh_logprobs(random_group(rng, old, new, 3), new)
         order = HolderOrder(2.3)
         brute = np.zeros(new.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            r = rollout.ratio_sequence()
+        for ids, ratios, _, adv in rollout_rows(batch):
+            r = RatioSequence(ratios)
             rho = holder_mean(r, order)
             n = len(r)
-            grads = new.score_gradients(rollout.token_ids)
+            grads = new.score_gradients(ids)
             # closed form: A rho^{1-p}/n sum_t r^p g_t
             brute += adv * rho ** (1.0 - order.p) / n * (r.ratios**order.p @ grads)
         est = grad_estimator_unclipped([batch], new, order)
@@ -405,11 +372,11 @@ class TestGradientEstimators:
                 # equality unless something was zeroed; never a larger batch
                 # norm from pure zeroing when the removed terms dominate is
                 # possible, so check the per-sequence property instead
-                for rollout, adv in zip(batch.rollouts, batch.advantages):
+                for ids, ratios, _, adv in rollout_rows(batch):
                     if adv == 0.0:
                         continue
-                    r = rollout.ratio_sequence()
-                    g = adv * grad_rho(r, new.score_gradients(rollout.token_ids), order)
+                    r = RatioSequence(ratios)
+                    g = adv * grad_rho(r, new.score_gradients(ids), order)
                     rho = holder_mean(r, order)
                     zeroed = (adv > 0 and rho > clip.high) or (
                         adv < 0 and rho < clip.low
@@ -451,11 +418,10 @@ class TestGradientEstimators:
             old, new = random_policy_pair(rng, drift=0.3)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             oracle = np.zeros(new.param_dim)
-            for rollout, adv in zip(batch.rollouts, batch.advantages):
+            for ids, ratios, _, adv in rollout_rows(batch):
                 if adv == 0.0:
                     continue
-                ratios = np.exp(rollout.new_logprobs - rollout.old_logprobs)
-                grads = new.score_gradients(rollout.token_ids)
+                grads = new.score_gradients(ids)
                 if adv > 0:
                     keep = ratios <= clip.high
                 else:
@@ -470,23 +436,25 @@ def masked_minibatch(rng, policy_old, policy_new, groups=3, group_size=4):
     """Groups sampled from the old policy with random masks; the masked-out
     positions carry junk new logprobs that must not leak into any term."""
     minibatch = []
+    shape = (group_size, policy_old.length)
     for _ in range(groups):
-        rollouts = []
-        for _ in range(group_size):
-            tokens = sample_tokens(rng, policy_old)
-            mask = rng.random(policy_old.length) < 0.6
-            mask[rng.integers(policy_old.length)] = True
-            new = np.where(mask, policy_new.token_logprobs(tokens), -30.0)
-            rollouts.append(
-                RolloutRecord(
-                    token_ids=tokens,
-                    old_logprobs=policy_old.token_logprobs(tokens),
-                    new_logprobs=new,
-                    reward=float(rng.integers(0, 2)),
-                    mask=mask,
-                )
-            )
-        minibatch.append(GroupBatch(rollouts))
+        tokens = np.zeros(shape, dtype=np.int64)
+        mask = np.zeros(shape, dtype=bool)
+        rewards = np.zeros(group_size)
+        for i in range(group_size):
+            tokens[i] = sample_tokens(rng, policy_old)
+            mask[i] = rng.random(policy_old.length) < 0.6
+            mask[i, rng.integers(policy_old.length)] = True
+            rewards[i] = rng.integers(0, 2)
+        minibatch.append(RolloutBatch(
+            token_ids=tokens,
+            old_logprobs=policy_old.token_logprobs(tokens),
+            new_logprobs=np.where(mask, policy_new.token_logprobs(tokens), -30.0),
+            mask=mask,
+            rewards=rewards,
+            advantages=advantage_estimates(rewards),
+            group_size=group_size,
+        ))
     return minibatch
 
 
@@ -498,9 +466,8 @@ def brute_force_estimate(minibatch, policy, order, regime, clip):
     zeroed = counted = 0
     for batch in minibatch:
         group = np.zeros(policy.param_dim)
-        for rollout, adv in zip(batch.rollouts, batch.advantages):
-            r = rollout.ratio_sequence().ratios
-            grads = policy.score_gradients(rollout.token_ids)[rollout.mask]
+        for ids, r, mask, adv in rollout_rows(batch):
+            grads = policy.score_gradients(ids)[mask]
             n = r.size
             rho = closed_form_rho(r, order.p)
             if regime == "token":
@@ -529,8 +496,7 @@ def brute_force_estimate(minibatch, policy, order, regime, clip):
 
 def brute_force_objective(batch, order, regime, clip):
     total = 0.0
-    for rollout, adv in zip(batch.rollouts, batch.advantages):
-        r = rollout.ratio_sequence().ratios
+    for _, r, _, adv in rollout_rows(batch):
         rho = closed_form_rho(r, order.p)
         if regime == "none":
             total += rho * adv
@@ -584,8 +550,7 @@ class TestMaskedMultiGroupOracles:
             minibatch = masked_minibatch(rng, old, new)
             for p in (-2.5, 0.0, 0.7, 3.0):
                 order = HolderOrder(p)
-                terms = batch_terms(RolloutBatch.from_groups(minibatch), order, regime,
-                                    clip)
+                terms = batch_terms(RolloutBatch.concat(minibatch), order, regime, clip)
                 expect = [brute_force_objective(b, order, regime, clip)
                           for b in minibatch]
                 np.testing.assert_allclose(terms.group_objectives, expect,
@@ -605,7 +570,7 @@ class TestMaskedMultiGroupOracles:
         clipped = 0
         for _ in range(8):
             old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
-            batch = RolloutBatch.from_groups(masked_minibatch(rng, old, new))
+            batch = RolloutBatch.concat(masked_minibatch(rng, old, new))
             exponents = rng.choice([-2.5, 0.0, 5e-7, 0.7, 3.0], size=batch.rewards.size)
             exponents[:2] = (0.0, 3.0)
             terms = batch_terms(batch, HolderOrder(exponents), regime, clip)
@@ -622,9 +587,9 @@ class TestMaskedMultiGroupOracles:
         minibatch = masked_minibatch(rng, old, new)
         order = HolderOrder(1.5)
         values = [
-            adv**2 * closed_form_rho(r.ratio_sequence().ratios, order.p) ** 2
+            adv**2 * closed_form_rho(r, order.p) ** 2
             for b in minibatch
-            for r, adv in zip(b.rollouts, b.advantages)
+            for _, r, _, adv in rollout_rows(b)
         ]
         assert variance_bound_term(minibatch, order) == pytest.approx(
             np.mean(values), rel=1e-12
@@ -673,25 +638,73 @@ class TestRolloutBatch:
         batch = RolloutBatch(**self._arrays(old_logprobs=old, mask=mask))
         assert batch.log_ratios[0, 2] == 0.0
 
-    def test_group_round_trip(self, rng):
-        old, new = random_policy_pair(rng)
-        groups = [refresh_logprobs(random_group(rng, old, new), new) for _ in range(2)]
-        batch = RolloutBatch.from_groups(groups)
-        for before, after in zip(groups, batch.to_groups()):
-            np.testing.assert_array_equal(before.advantages, after.advantages)
-            for a, b in zip(before.rollouts, after.rollouts):
-                np.testing.assert_array_equal(a.token_ids, b.token_ids)
-                np.testing.assert_array_equal(a.new_logprobs, b.new_logprobs)
-                assert a.reward == b.reward
+    def test_concat_pads_shorter_groups_with_masked_positions(self):
+        short = make_group([[0.1, 0.2], [0.0, -0.3]], [1.0, 0.0])
+        long = make_group([[0.1, 0.2, 0.4], [0.0, -0.3, 0.5]], [0.0, 1.0])
+        batch = RolloutBatch.concat([short, long])
+        assert batch.group_size == 2
+        np.testing.assert_array_equal(batch.mask[:2], [[True, True, False]] * 2)
+        np.testing.assert_array_equal(batch.mask[2:], long.mask)
+        for name in ("token_ids", "old_logprobs", "new_logprobs", "log_ratios"):
+            np.testing.assert_array_equal(getattr(batch, name)[:2, :2], getattr(short, name))
+            np.testing.assert_array_equal(getattr(batch, name)[:2, 2], 0)
+            np.testing.assert_array_equal(getattr(batch, name)[2:], getattr(long, name))
+        for name in ("rewards", "advantages"):
+            np.testing.assert_array_equal(
+                getattr(batch, name), np.concatenate([getattr(short, name), getattr(long, name)])
+            )
+        for p in (-2.0, 0.0, 3.0):
+            terms = batch_terms(batch, HolderOrder(p), "none")
+            np.testing.assert_array_equal(terms.group_objectives, [
+                surrogate_unclipped(short, HolderOrder(p)),
+                surrogate_unclipped(long, HolderOrder(p)),
+            ])
 
-    def test_mixed_group_sizes_rejected(self, rng):
+    def test_concat_rejects_mixed_group_sizes_and_empty_list(self, rng):
         old, new = random_policy_pair(rng)
         groups = [random_group(rng, old, new, 2), random_group(rng, old, new, 3)]
         order = HolderOrder(1.0)
-        with pytest.raises(DomainError, match="share a group size"):
-            grad_estimator_unclipped(groups, new, order)
-        with pytest.raises(DomainError, match="share a group size"):
-            variance_bound_term(groups, order)
+        for join in (RolloutBatch.concat,
+                     lambda gs: grad_estimator_unclipped(gs, new, order),
+                     lambda gs: variance_bound_term(gs, order)):
+            with pytest.raises(DomainError, match="share a group size"):
+                join(groups)
+            with pytest.raises(DomainError, match="at least one group"):
+                join([])
+
+    def test_derived_batches_equal_checked_construction(self, rng):
+        """select_groups and refresh_logprobs skip the construction checks,
+        and give, field by field, what constructing from the same arrays
+        gives, log_ratios included."""
+        names = ("token_ids", "old_logprobs", "new_logprobs", "mask", "rewards",
+                 "advantages", "group_size")
+        for _ in range(5):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            newer = PolicyParams(new.logits + rng.normal(scale=0.3, size=new.logits.shape))
+            batch = RolloutBatch.concat(masked_minibatch(rng, old, new, groups=4))
+            picked = batch.select_groups(rng.permutation(4)[:3])
+            refreshed = refresh_logprobs(picked, newer)
+            assert not np.array_equal(refreshed.log_ratios, picked.log_ratios)
+            for derived in (picked, refreshed):
+                checked = RolloutBatch(**{name: getattr(derived, name) for name in names})
+                for name in (*names, "log_ratios"):
+                    np.testing.assert_array_equal(getattr(derived, name),
+                                                  getattr(checked, name))
+
+    def test_derived_non_finite_log_ratio_raises_in_kernel(self):
+        """A refresh is not re-checked, but a non-finite valid log-ratio still
+        raises, from batch_terms, before any guard runs."""
+
+        class InfinitePolicy:
+            def token_logprobs(self, token_ids):
+                logprobs = np.full(token_ids.shape, -0.5)
+                logprobs[1, 0] = -np.inf
+                return logprobs
+
+        derived = refresh_logprobs(RolloutBatch(**self._arrays()), InfinitePolicy())
+        with pytest.raises(DomainError, match="valid log_ratios must be finite"):
+            batch_terms(derived, HolderOrder(1.0), "none",
+                        guard=lambda batch, rho: pytest.fail("guard ran"))
 
     def test_select_groups(self):
         batch = RolloutBatch(**self._arrays())
@@ -714,10 +727,10 @@ class TestVarianceBoundTerm:
             assert variance_bound_term([batch], HolderOrder(p)) == pytest.approx(expect)
 
     def test_single_rollout_value(self):
-        batch = make_group(
-            [[math.log(5.0)] * 3, [0.0] * 3], [1.0, 0.0]
+        batch = replace(
+            make_group([[math.log(5.0)] * 3, [0.0] * 3], [1.0, 0.0]),
+            advantages=np.array([1.0, 0.0]),
         )
-        batch.advantages = np.array([1.0, 0.0])
         assert variance_bound_term([batch], HolderOrder(1.0)) == pytest.approx(12.5)
         # 12.5 = mean(1 * 25, 0 * 1)
 

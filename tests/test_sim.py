@@ -139,8 +139,7 @@ class TestSampling:
         streams = lambda: [_rollout_rng(7, 2, 1, i) for i in range(4)]
         a = sample_group(policy, task, 4, streams())
         b = sample_group(policy, task, 4, streams())
-        for ra, rb in zip(a.rollouts, b.rollouts):
-            np.testing.assert_array_equal(ra.token_ids, rb.token_ids)
+        np.testing.assert_array_equal(a.token_ids, b.token_ids)
 
     def test_one_hot_policy_is_deterministic(self):
         task = TaskSpec(kind="sparse", length=4, vocab=5, key_position=1,
@@ -150,8 +149,7 @@ class TestSampling:
         policy = PolicyParams(logits)
         streams = [_rollout_rng(0, 0, 0, i) for i in range(3)]
         batch = sample_group(policy, task, 3, streams)
-        for rollout in batch.rollouts:
-            np.testing.assert_array_equal(rollout.token_ids, [1, 2, 3, 4])
+        np.testing.assert_array_equal(batch.token_ids, [[1, 2, 3, 4]] * 3)
         np.testing.assert_array_equal(batch.advantages, np.zeros(3))
 
     def test_uniform_sparse_hit_rate(self):
@@ -159,7 +157,7 @@ class TestSampling:
         policy = PolicyParams.uniform(4, 8)
         streams = [_rollout_rng(0, 0, 0, i) for i in range(4000)]
         batch_rewards = [
-            sample_group(policy, task, 2, streams[i : i + 2]).rollouts[0].reward
+            sample_group(policy, task, 2, streams[i : i + 2]).rewards[0]
             for i in range(0, 4000, 2)
         ]
         assert np.mean(batch_rewards) == pytest.approx(1.0 / 8.0, abs=0.02)
@@ -169,14 +167,13 @@ class TestSampling:
         policy = PolicyParams(rng.normal(size=(8, 16)))
         uniforms = _round_uniforms(3, 2, num_groups=3, group_size=4, length=8)
         batch = sample_rollouts(policy, task, 4, uniforms)
-        for g, group in enumerate(batch.to_groups()):
+        for g in range(3):
+            group = batch.select_groups([g])
             streams = [_rollout_rng(3, 2, g, i) for i in range(4)]
             expect = sample_group(policy, task, 4, streams)
-            np.testing.assert_array_equal(group.advantages, expect.advantages)
-            for got, want in zip(group.rollouts, expect.rollouts):
-                np.testing.assert_array_equal(got.token_ids, want.token_ids)
-                np.testing.assert_array_equal(got.old_logprobs, want.old_logprobs)
-                assert got.reward == want.reward
+            for name in ("token_ids", "old_logprobs", "new_logprobs", "mask",
+                         "rewards", "advantages", "log_ratios"):
+                np.testing.assert_array_equal(getattr(group, name), getattr(expect, name))
 
     def test_refresh_logprobs_updates_ratios(self, rng):
         task = default_sparse_task()
@@ -185,10 +182,10 @@ class TestSampling:
         batch = sample_group(old, task, 2, streams)
         new = PolicyParams(old.logits + rng.normal(scale=0.2, size=(8, 16)))
         refreshed = refresh_logprobs(batch, new)
-        for rollout in refreshed.rollouts:
-            np.testing.assert_allclose(
-                rollout.new_logprobs, new.token_logprobs(rollout.token_ids)
-            )
+        for ids, logprobs in zip(refreshed.token_ids, refreshed.new_logprobs):
+            np.testing.assert_allclose(logprobs, new.token_logprobs(ids))
+        np.testing.assert_array_equal(refreshed.log_ratios,
+                                      refreshed.new_logprobs - batch.old_logprobs)
 
 
 class TestSuccessProbability:
@@ -220,7 +217,7 @@ class TestSuccessProbability:
 def guarded_terms(groups, order):
     """Run the batched kernel with the divergence guard, as train does."""
     return batch_terms(
-        RolloutBatch.from_groups(groups), order, "none", guard=_check_divergence
+        RolloutBatch.concat(groups), order, "none", guard=_check_divergence
     )
 
 

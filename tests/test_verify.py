@@ -14,10 +14,11 @@ from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
 
 # check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
 # reported it, before the p-grid checks ran on batched holder_rows calls; the
-# three p-derivative finite-difference errors are the five-point stencil's,
-# and geometric_limit's is the gap of the centred small-|p| series, whose rho
-# at p = +-1e-7 is within 1.7e-16 of a 60-digit reference (the log-sum-exp
-# form it replaced was off by up to 9.5e-9 there)
+# three p-derivative finite-difference errors are those of the Richardson
+# step over five-point stencils, and geometric_limit's is the gap of the
+# centred small-|p| series, whose rho at p = +-1e-7 is within 1.7e-16 of a
+# 60-digit reference (the log-sum-exp form it replaced was off by up to
+# 9.5e-9 there)
 FIXTURE = Path(__file__).parent / "data" / "verify_seed0_n20.json"
 
 

@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Mutation check: does the test suite notice a deliberately broken kernel?
+
+    python3 tools/mutants.py
+
+Copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+then applies each mutant of ``MUTANTS`` there, one at a time: a textual
+replacement in one package file.  For each mutant it runs that mutant's test
+files (pytest, stopping at the first failure) and reports the first test that
+failed, which killed the mutant.  It prints killed/total and exits 1 if any
+mutant survived, 2 if the copy does not pass unmutated or a mutant's text is
+no longer in its file.  The working tree is never modified.
+
+A surviving mutant is a gap in the tests: close it with a test, never by
+removing the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TEST_TIMEOUT_S = 300
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file under src/holderpo
+    old: str  # text that must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # test files under tests/
+
+
+MUTANTS = (
+    Mutant(
+        "refresh keeps stale log_ratios", "objectives.py",
+        'if "new_logprobs" in arrays:',
+        'if "new_logprobs" in arrays and "rewards" in arrays:',
+        ("test_objectives.py", "test_sim.py"),
+    ),
+    Mutant(
+        "concat pads mask with True", "objectives.py",
+        "np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])))",
+        'np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])),'
+        ' constant_values=name == "mask")',
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "_random_batch draws the reward before the tokens", "verify.py",
+        "        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]\n"
+        "        rewards[i] = rng.integers(0, 2)\n",
+        "        rewards[i] = rng.integers(0, 2)\n"
+        "        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]\n",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "p -> -p in holder_rows", "core.py",
+        "    p = order.p\n",
+        "    p = -order.p\n",
+        ("test_core.py",),
+    ),
+    Mutant(
+        "drop the up-front masked zeroing", "core.py",
+        "    logs = np.where(mask, logs, 0.0)\n",
+        "",
+        ("test_core.py",),
+    ),
+    Mutant(
+        "flip the sequence-gate direction", "objectives.py",
+        "gated = ((adv > 0.0) & (rho > clip.high)) | ((adv < 0.0) & (rho < clip.low))",
+        "gated = ((adv < 0.0) & (rho > clip.high)) | ((adv > 0.0) & (rho < clip.low))",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "invert the token-clip kept mask", "objectives.py",
+        "kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)",
+        "kept = mask & ~np.where(positive, ratios <= clip.high, ratios >= clip.low)",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "skip the refresh in train_many", "sim.py",
+        "minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)",
+        "minibatch = rollouts.select_groups(picks)",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "drop row_scale", "objectives.py",
+        "    per_rollout *= terms.row_scale[:, None, None]\n",
+        "",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "rho x (1 + 1e-9)", "core.py",
+        "    rho = np.exp(log_rho)\n",
+        "    rho = np.exp(log_rho) * (1.0 + 1e-9)\n",
+        ("test_core.py",),
+    ),
+    Mutant(
+        "every run draws the first run's seed", "sim.py",
+        "seeds = [configs[run].seed for run in live]",
+        "seeds = [configs[live[0]].seed for run in live]",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "V(p) over the whole stack", "objectives.py",
+        "v_of_p=(adv**2 * rho**2).reshape(runs, -1).mean(axis=1),",
+        "v_of_p=np.full(runs, (adv**2 * rho**2).mean()),",
+        ("test_sim.py",),
+    ),
+)
+
+
+def run_tests(copy: Path, tests) -> tuple[bool, str]:
+    """(passed, first failing test id) of pytest over the named test files in
+    the copy, stopping at the first failure."""
+    # no bytecode cache: a restored file may share a mutant's size and mtime
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-rfE",
+            "-p", "no:cacheprovider", *(f"tests/{name}" for name in tests)]
+    proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
+                          timeout=TEST_TIMEOUT_S)
+    first = next((line.split()[1] for line in proc.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))), "")
+    return proc.returncode == 0, first or proc.stdout.strip()[-200:]
+
+
+def main() -> int:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="holderpo-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        passed, detail = run_tests(copy, every_test)
+        if not passed:
+            print(f"the unmutated copy fails its tests: {detail}", file=sys.stderr)
+            return 2
+
+        survivors = []
+        for m in MUTANTS:
+            path = copy / "src" / "holderpo" / m.module
+            original = path.read_text()
+            if original.count(m.old) != 1:
+                print(f"mutant {m.name!r}: its text occurs {original.count(m.old)} "
+                      f"times in {m.module}, not once", file=sys.stderr)
+                return 2
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                passed, killer = run_tests(copy, m.tests)
+            finally:
+                path.write_text(original)
+            if passed:
+                survivors.append(m.name)
+                print(f"SURVIVED  {m.name}")
+            else:
+                print(f"killed    {m.name}  by {killer}")
+
+    killed = len(MUTANTS) - len(survivors)
+    print(f"{killed}/{len(MUTANTS)} mutants killed in {time.monotonic() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
