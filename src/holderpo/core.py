@@ -4,6 +4,8 @@ One kernel, :func:`holder_rows`, computes the power means rho and the
 gradient weights W of a batch of masked rows.  The scalar functions
 (``holder_mean``, ``holder_mean_masked``, ``gradient_weights`` and those built
 on them) are one-row calls of it, so they run the code training runs.
+Likewise ``shannon_entropy`` and ``hhi`` are one-row calls of
+:func:`concentration_rows`.
 
 All power computations run in log-space with a max shift, so exponents up
 to |p| = 40 on ratios spanning [1e-4, 1e4] stay finite.  Every exponent,
@@ -254,12 +256,20 @@ def mu_p_derivative(ratios: RatioSequence, order: HolderOrder) -> float:
     return float(w @ (logs - mu) ** 2)
 
 
+def concentration_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise Shannon entropy -sum W ln W, with 0 ln 0 = 0, and HHI
+    sum W^2 of (N, T) weight rows: two (N,) arrays.  The rows are not
+    checked to be probability vectors."""
+    w = np.asarray(weights, dtype=np.float64)
+    log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+    # + 0.0 turns the -0.0 of a one-hot row into 0.0
+    return -(w * log_w).sum(axis=1) + 0.0, (w * w).sum(axis=1)
+
+
 def shannon_entropy(weights: WeightDistribution) -> float:
-    """-sum W ln W with the 0 ln 0 = 0 convention."""
-    w = weights.weights
-    nz = w[w > 0.0]
-    # + 0.0 turns the -0.0 of a one-hot vector into 0.0
-    return float(-(nz * np.log(nz)).sum()) + 0.0
+    """-sum W ln W with the 0 ln 0 = 0 convention: one row of
+    concentration_rows."""
+    return float(concentration_rows(weights.weights[None])[0][0])
 
 
 def entropy_p_derivative(ratios: RatioSequence, order: HolderOrder) -> float:
@@ -268,8 +278,9 @@ def entropy_p_derivative(ratios: RatioSequence, order: HolderOrder) -> float:
 
 
 def hhi(weights: WeightDistribution) -> float:
-    """Herfindahl-Hirschman index sum W^2, in [1/n, 1]."""
-    return float(np.sum(weights.weights**2))
+    """Herfindahl-Hirschman index sum W^2, in [1/n, 1]: one row of
+    concentration_rows."""
+    return float(concentration_rows(weights.weights[None])[1][0])
 
 
 def limit_weights(

@@ -97,10 +97,12 @@ class RolloutBatch:
     """N rollouts as (N, T) arrays; rows k*G .. k*G + G - 1 form group k, and
     a group is a batch with N = G.
 
-    Arrays from outside are checked at construction: log-probabilities <= 0
-    and finite log-ratios at valid positions, and at least one valid position
-    per row.  Batches derived from a checked one (``select_groups``,
-    ``concat`` and a logprob refresh) are not checked again.
+    Arrays from outside are checked at construction: token ids >= 0,
+    log-probabilities <= 0 and finite log-ratios at valid positions, and at
+    least one valid position per row; ids below the vocabulary size are
+    checked when a policy reads them, in ``sim.refresh_logprobs``.  Batches
+    derived from a checked one (``select_groups``, ``concat`` and a logprob
+    refresh) are not checked again.
     ``log_ratios`` is new - old at valid positions and 0 elsewhere.
     """
 
@@ -133,6 +135,8 @@ class RolloutBatch:
             raise DomainError("rewards and advantages must have one entry per rollout")
         if not mask.any(axis=1).all():
             raise DomainError("rollout must have at least one valid token")
+        if ids.min() < 0:
+            raise DomainError("token_ids must be >= 0")
         if np.maximum(old, new)[mask].max() > 0.0:
             raise DomainError("log-probabilities must be <= 0")
         log_ratios = np.where(mask, new - old, 0.0)
@@ -166,19 +170,22 @@ class RolloutBatch:
     @staticmethod
     def concat(batches: Sequence["RolloutBatch"]) -> "RolloutBatch":
         """The batches of one group size G joined in order; shorter rows are
-        padded with masked-out positions."""
+        padded with masked-out positions.  A lone batch is returned as it is."""
         if len(batches) == 0:
             raise DomainError("minibatch must contain at least one group")
         size = batches[0].group_size
         if any(b.group_size != size for b in batches):
             raise DomainError("groups in one batch must share a group size")
+        if len(batches) == 1:
+            return batches[0]
         length = max(b.mask.shape[1] for b in batches)
 
+        def widened(value):
+            short = length - value.shape[1]
+            return np.pad(value, ((0, 0), (0, short))) if short else value
+
         def join(name):
-            return np.concatenate([
-                np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])))
-                for b in batches
-            ])
+            return np.concatenate([widened(getattr(b, name)) for b in batches])
 
         return batches[0]._derive(
             **{name: join(name) for name in

@@ -227,6 +227,10 @@ class _PolicyStack:
 
     log_probs: np.ndarray
 
+    @property
+    def vocab(self) -> int:
+        return self.log_probs.shape[2]
+
     def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
         """log pi_s(token_ids[i, t] | pos t) for each row i of block s."""
         runs, length, _ = self.log_probs.shape
@@ -313,7 +317,10 @@ def sample_group(
 
 def refresh_logprobs(batch: RolloutBatch, policy_new) -> RolloutBatch:
     """Recompute new_logprobs under the current policy (or the current
-    policies of a stack), deriving the batch without re-checking it."""
+    policies of a stack), deriving the batch without re-checking it; a token
+    id outside the policy's vocabulary raises DomainError."""
+    if batch.token_ids.max() >= policy_new.vocab:
+        raise DomainError(f"token_ids must be < the vocabulary size {policy_new.vocab}")
     return batch._derive(new_logprobs=policy_new.token_logprobs(batch.token_ids))
 
 

@@ -1,7 +1,16 @@
 """Executable checks for every theorem, lemma, and identity the library
 relies on.  Each check runs over randomized instances, reports its worst
 observed error, and never raises on failure: the report carries the
-verdicts.  Deterministic given (seed, instance_count)."""
+verdicts.  Deterministic given (seed, instance_count).
+
+A check draws all of its instances first, in the order a one-at-a-time loop
+would draw them.  The functions a check is about (the analytic p-derivatives,
+``grad_rho``, ``holder_mean``, ``second_moment_orthogonal``,
+``variance_bound_term`` and the gradient estimators) are then called once per
+instance, while the reference side is batched: exponent grids and
+finite-difference stencils come from one ``core.holder_rows`` call per
+``GRID_CHUNK`` instances, and a policy's bumped copies are one stack of
+log-probability tables."""
 
 from __future__ import annotations
 
@@ -9,7 +18,7 @@ import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,16 +27,13 @@ from holderpo.core import (
     HolderOrder,
     LogRatioSequence,
     RatioSequence,
-    WeightDistribution,
+    concentration_rows,
     entropy_p_derivative,
     gradient_weights,
-    hhi,
-    holder_grid,
     holder_mean,
     holder_mean_masked,
     limit_weights,
     mu_p_derivative,
-    shannon_entropy,
     weight_p_derivative,
 )
 from holderpo.objectives import (
@@ -42,7 +48,7 @@ from holderpo.objectives import (
     second_moment_orthogonal,
     variance_bound_term,
 )
-from holderpo.sim import PolicyParams
+from holderpo.sim import PolicyParams, _log_softmax, _PolicyStack, refresh_logprobs
 
 P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.0)
 LIMIT_P = 40.0
@@ -58,6 +64,11 @@ P_FD_STENCIL = P_FD_STEP * np.array([0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 FD_RTOL = 1e-6
 POLICY_FD_RTOL = 1e-4
 KINK_MARGIN = 1e-3
+# Instances per core.holder_rows call in the grid and stencil checks: ten
+# sequences of up to 64 tokens at up to 15 exponents make (150, 64) arrays
+# of 77 KB.  That is as fast as larger chunks and adds about 0.5 MB of peak
+# RSS to check_all(seed, 100); one call for all 100 instances added 4 MB.
+GRID_CHUNK = 10
 
 
 @dataclass
@@ -153,59 +164,95 @@ def _observe_rising(res: CheckResult, values, detail: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _grid_check(
-    name: str,
-    claim: str,
-    grid,
-    judge: Callable,
-    usable: Callable[[RatioSequence], bool] | None = None,
-    skip_reason: str = "",
-) -> Callable[..., CheckResult]:
+def _padded_rows(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D sequences as zero-padded rows of one array, and the mask of
+    each row's own positions."""
+    lengths = np.array([len(seq) for seq in sequences])
+    logs = np.zeros((len(sequences), lengths.max()))
+    for row, seq in zip(logs, sequences):
+        row[: len(seq)] = seq
+    return logs, np.arange(logs.shape[1]) < lengths[:, None]
+
+
+def _holder_grids(log_ratios, exponents) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rho, W) of each sequence log_ratios[i] at every exponent of the 1-D
+    array exponents[i], one row per exponent, as holder_grid gives them up to
+    rounding.  GRID_CHUNK sequences at a time are padded into masked rows,
+    one row per (sequence, exponent), for one core.holder_rows call; each W
+    is trimmed back to its sequence's length.  A generator, so one chunk's
+    arrays are alive at a time."""
+    for start in range(0, len(log_ratios), GRID_CHUNK):
+        sequences = log_ratios[start : start + GRID_CHUNK]
+        chunk_ps = exponents[start : start + GRID_CHUNK]
+        counts = [len(ps) for ps in chunk_ps]
+        logs, mask = _padded_rows(sequences)
+        rho, weights = core.holder_rows(
+            logs.repeat(counts, axis=0), mask.repeat(counts, axis=0),
+            HolderOrder(np.concatenate(chunk_ps)),
+        )
+        bounds = np.cumsum(counts)[:-1]
+        for seq, rho_i, w_i in zip(sequences, np.split(rho, bounds), np.split(weights, bounds)):
+            yield rho_i, w_i[:, : len(seq)]
+
+
+@dataclass(frozen=True, eq=False)
+class _GridCheck:
     """A check that draws one ratio sequence r per instance, passes over those
     ``usable`` rejects, and calls ``judge(res, r, grid, rho, weights)`` with rho
-    and W of r at every exponent of ``grid``, one row each, from one
-    holder_grid call."""
-    order = HolderOrder(np.asarray(grid, dtype=np.float64))
+    and W of r at every exponent of ``grid``, one row each.  All instances
+    are drawn first; their rows come from _holder_grids."""
 
-    def check(rng, instances) -> CheckResult:
-        res = CheckResult(name, claim)
-        tested = 0
-        for _ in range(instances):
-            r = _random_ratios(rng)
-            if usable is None or usable(r):
-                tested += 1
-                judge(res, r, grid, *holder_grid(r.log_ratios, order))
-        if usable is not None and tested == 0:
-            res.skip(skip_reason)
+    name: str
+    claim: str
+    grid: Sequence[float]
+    judge: Callable
+    usable: Callable[[RatioSequence], bool] | None = None
+    skip_reason: str = ""
+
+    def __call__(self, rng, instances) -> CheckResult:
+        res = CheckResult(self.name, self.claim)
+        drawn = [_random_ratios(rng) for _ in range(instances)]
+        tested = [r for r in drawn if self.usable is None or self.usable(r)]
+        grid = np.asarray(self.grid, dtype=np.float64)
+        grids = _holder_grids([r.log_ratios for r in tested], [grid] * len(tested))
+        for r, (rho, weights) in zip(tested, grids):
+            self.judge(res, r, self.grid, rho, weights)
+        if self.usable is not None and not tested:
+            res.skip(self.skip_reason)
         return res
 
-    return check
 
-
-def _stencil_check(
-    name: str, claim: str, derivative: Callable, nonnegative: bool = False
-) -> Callable[..., CheckResult]:
+@dataclass(frozen=True, eq=False)
+class _StencilCheck:
     """A check that draws a ratio sequence r and an exponent p in [-5, 5] per
-    instance.  ``derivative(rng, r, order)`` returns the analytic d/dp at p
-    and the function of one weight row it differentiates; that function is
-    differenced by _stencil from one holder_grid call.
-    ``nonnegative`` also requires the derivative >= 0."""
+    instance.  ``derivative(rng, r, order)``, called as each instance is
+    drawn, returns the analytic d/dp at p and the row-wise function of
+    weight rows that it differentiates.  Once every instance is drawn, that
+    function of r's rows at p + P_FD_STENCIL, from _holder_grids, is
+    differenced by _stencil.  ``nonnegative`` also requires the
+    derivative >= 0."""
 
-    def check(rng, instances) -> CheckResult:
-        res = CheckResult(name, claim)
+    name: str
+    claim: str
+    derivative: Callable
+    nonnegative: bool = False
+
+    def __call__(self, rng, instances) -> CheckResult:
+        res = CheckResult(self.name, self.claim)
+        drawn = []  # (r, p, analytic, of_weights) per instance
         for _ in range(instances):
             r = _random_ratios(rng)
             p = float(rng.uniform(-5.0, 5.0))
-            analytic, of_weights = derivative(rng, r, HolderOrder(p))
-            if nonnegative:
+            drawn.append((r, p, *self.derivative(rng, r, HolderOrder(p))))
+        grids = _holder_grids([r.log_ratios for r, *_ in drawn],
+                              [p + P_FD_STENCIL for _, p, *_ in drawn])
+        for (r, p, analytic, of_weights), (_, weights) in zip(drawn, grids):
+            if self.nonnegative:
                 res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
-            _, weights = holder_grid(r.log_ratios, HolderOrder(p + P_FD_STENCIL))
-            fd = _stencil([of_weights(w) for w in weights])
+            fd = _stencil(of_weights(weights))
             err = _rel_err(analytic, fd)
             res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
         return res
-
-    return check
 
 
 def _non_uniform(gap: float) -> Callable[[RatioSequence], bool]:
@@ -243,9 +290,7 @@ def _judge_derivative_sum(res, r, grid, rho, weights) -> None:
 
 
 def _judge_entropy_peak(res, r, grid, rho, weights) -> None:
-    entropies = np.array(
-        [shannon_entropy(WeightDistribution(w)) for w in weights]
-    ).reshape(2, -1)
+    entropies = concentration_rows(weights)[0].reshape(2, -1)
     err = abs(entropies[0, 0] - math.log(len(r)))
     res.observe(err, err <= 1e-12, "entropy at p=0 is not ln n")
     for sign, vals in zip((1.0, -1.0), entropies):
@@ -266,7 +311,7 @@ def _judge_limit_concentration(res, r, grid, rho, weights) -> None:
 
 
 def _judge_hhi_profile(res, r, grid, rho, weights) -> None:
-    h0, *grid_hhi = (hhi(WeightDistribution(w)) for w in weights)
+    h0, *grid_hhi = concentration_rows(weights)[1].tolist()
     err = abs(h0 - 1.0 / len(r))
     res.observe(err, err <= 1e-12, "HHI at p=0 is not 1/n")
     for p, h in zip(grid[1:], grid_hhi):
@@ -274,19 +319,19 @@ def _judge_hhi_profile(res, r, grid, rho, weights) -> None:
         res.observe(err, h >= h0 - 1e-15, f"HHI below uniform at p={p}")
 
 
-check_special_case_means = _grid_check(
+check_special_case_means = _GridCheck(
     "special_case_means",
     "p = 1, 0, -1 recover the arithmetic, geometric, harmonic means",
     (1.0, 0.0, -1.0),
     _judge_special_means,
 )
-check_geometric_limit = _grid_check(
+check_geometric_limit = _GridCheck(
     "geometric_limit",
     "the mean at p = +-1e-7 is within rel. 1e-5 of the geometric mean",
     (1e-7, -1e-7),
     _judge_geometric_limit,
 )
-check_mean_monotone = _grid_check(
+check_mean_monotone = _GridCheck(
     "mean_monotone_in_p",
     "the power mean strictly increases in p for non-uniform ratios",
     P_GRID,
@@ -294,20 +339,20 @@ check_mean_monotone = _grid_check(
     usable=_non_uniform(1e-9),
     skip_reason="all instances degenerate (uniform ratios)",
 )
-check_weights_normalized = _grid_check(
+check_weights_normalized = _GridCheck(
     "weights_normalized",
     "gradient weights sum to 1 within 1e-10",
     P_GRID + (LIMIT_P, -LIMIT_P),
     _judge_normalized,
 )
-check_weight_derivative_sum_zero = _grid_check(
+check_weight_derivative_sum_zero = _GridCheck(
     "weight_derivative_sum_zero",
     "per-token weight p-derivatives sum to zero (normalization preserved)",
     (-3.0, -1.0, 0.0, 1.0, 3.0),
     _judge_derivative_sum,
 )
 _ENTROPY_P = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
-check_entropy_peak = _grid_check(
+check_entropy_peak = _GridCheck(
     "entropy_peak_at_zero",
     "weight entropy peaks at p = 0 with value ln n and strictly "
     "decreases in |p| for non-uniform ratios",
@@ -316,7 +361,7 @@ check_entropy_peak = _grid_check(
     usable=_non_uniform(1e-6),
     skip_reason="all instances degenerate (uniform ratios)",
 )
-check_limit_concentration = _grid_check(
+check_limit_concentration = _GridCheck(
     "limit_concentration",
     "at p = +-40 with a log-gap >= 0.5, mass >= 0.999 sits on the "
     "argmax/argmin set, whose limit is limit_weights",
@@ -325,7 +370,7 @@ check_limit_concentration = _grid_check(
     usable=_extremes_separated,
     skip_reason="no instance with a 0.5 log-gap at both extremes",
 )
-check_hhi_profile = _grid_check(
+check_hhi_profile = _GridCheck(
     "hhi_profile",
     "HHI is minimized at p = 0 (value 1/n) and approaches 1 at p = +-40",
     (0.0,) + P_GRID,
@@ -333,37 +378,46 @@ check_hhi_profile = _grid_check(
 )
 
 
+def _weight_derivative_check(
+    derivative_fn: Callable[[RatioSequence, HolderOrder, int], float],
+) -> _StencilCheck:
+    def token_weight(rng, r, order):
+        t = int(rng.integers(0, len(r)))
+        return derivative_fn(r, order, t), lambda weights: weights[:, t]
+
+    return _StencilCheck(
+        "weight_derivative_vs_fd",
+        "dW/dp = W (log r - mu) matches central finite differences",
+        token_weight,
+    )
+
+
+check_weight_derivative = _weight_derivative_check(weight_p_derivative)
+
+
 def check_weight_derivative_fd(
     rng,
     instances,
     derivative_fn: Callable[[RatioSequence, HolderOrder, int], float] = weight_p_derivative,
 ) -> CheckResult:
-    """The derivative_fn hook lets the test suite verify this check rejects
-    a corrupted formula."""
-
-    def token_weight(rng, r, order):
-        t = int(rng.integers(0, len(r)))
-        return derivative_fn(r, order, t), lambda w: w[t]
-
-    return _stencil_check(
-        "weight_derivative_vs_fd",
-        "dW/dp = W (log r - mu) matches central finite differences",
-        token_weight,
-    )(rng, instances)
+    """check_weight_derivative with ``derivative_fn`` as the analytic side:
+    the hook lets the test suite verify this check rejects a corrupted
+    formula."""
+    return _weight_derivative_check(derivative_fn)(rng, instances)
 
 
-check_mu_derivative = _stencil_check(
+check_mu_derivative = _StencilCheck(
     "mu_derivative_vs_fd",
     "dmu/dp equals the weighted log-ratio variance, and is >= 0",
-    lambda rng, r, order: (mu_p_derivative(r, order), lambda w: float(w @ r.log_ratios)),
+    lambda rng, r, order: (mu_p_derivative(r, order), lambda weights: weights @ r.log_ratios),
     nonnegative=True,
 )
-check_entropy_derivative_fd = _stencil_check(
+check_entropy_derivative_fd = _StencilCheck(
     "entropy_derivative_vs_fd",
     "dH/dp = -p Var_W(log r) matches central finite differences",
     lambda rng, r, order: (
         entropy_p_derivative(r, order),
-        lambda w: shannon_entropy(WeightDistribution(w)),
+        lambda weights: concentration_rows(weights)[0],
     ),
 )
 
@@ -390,12 +444,7 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
         return res
 
     # Bisect every instance's crossing at once: one row and one p per instance.
-    width = max(len(r) for r, _, _ in drawn)
-    logs = np.zeros((len(drawn), width))
-    mask = np.zeros(logs.shape, dtype=bool)
-    for row, (r, _, _) in enumerate(drawn):
-        logs[row, : len(r)] = r.log_ratios
-        mask[row, : len(r)] = True
+    logs, mask = _padded_rows([r.log_ratios for r, _, _ in drawn])
     crossing = np.array([log_t for _, _, log_t in drawn])
 
     def gap(p: np.ndarray) -> np.ndarray:
@@ -413,13 +462,15 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
     p_t = 0.5 * (lo + hi)
     before = np.linspace(-10.0, p_t - 0.2, 25, axis=1)
     after = np.linspace(p_t + 0.2, p_t + 12.0, 25, axis=1)
+    rows = np.flatnonzero(bracketed)
+    grids = _holder_grids([drawn[row][0].log_ratios for row in rows],
+                          [np.concatenate([before[row], after[row]]) for row in rows])
 
     for row, (r, t, _) in enumerate(drawn):
         if not bracketed[row]:
             res.observe(1.0, False, "crossing not bracketed on [-60, 60]")
             continue
-        order = HolderOrder(np.concatenate([before[row], after[row]]))
-        _, weights = holder_grid(r.log_ratios, order)
+        _, weights = next(grids)
         _observe_rising(res, weights[:25, t], "weight not rising before the crossing")
         _observe_rising(res, -weights[25:, t],
                         "weight not strictly falling after the crossing")
@@ -488,16 +539,17 @@ def _away_from_kinks(batch: RolloutBatch, order, clip: ClipConfig) -> bool:
     return True
 
 
-def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> list[PolicyParams]:
-    """The policy with logit j moved by +h, then by -h, for every j in turn."""
+def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> _PolicyStack:
+    """The policy with logit j moved by +h, then by -h, for every j in turn,
+    as one (2D, T, V) stack of log-probability tables from one log-softmax;
+    it reduces row by row, so each table is the bumped policy's own, bit for
+    bit."""
     flat = policy.logits.ravel()
-    bumped = []
-    for j in range(flat.size):
-        for step in (h, -h):
-            logits = flat.copy()
-            logits[j] = flat[j] + step
-            bumped.append(PolicyParams(logits.reshape(policy.logits.shape)))
-    return bumped
+    j = np.arange(flat.size)
+    logits = np.tile(flat, (2 * flat.size, 1))
+    logits[2 * j, j] = flat + h
+    logits[2 * j + 1, j] = flat - h
+    return _PolicyStack(_log_softmax(logits.reshape(-1, *policy.logits.shape)))
 
 
 def _central_diffs(values, h=FD_STEP) -> np.ndarray:
@@ -506,13 +558,11 @@ def _central_diffs(values, h=FD_STEP) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
-def _refreshed_copies(rollouts: RolloutBatch, policies) -> RolloutBatch:
-    """One copy of a one-group batch per policy, each refreshed under its
-    policy, stacked in policy order."""
-    stack = rollouts.select_groups(np.zeros(len(policies), dtype=np.int64))
-    return stack._derive(new_logprobs=np.concatenate(
-        [c.token_logprobs(rollouts.token_ids) for c in policies]
-    ))
+def _refreshed_copies(rollouts: RolloutBatch, policies: _PolicyStack) -> RolloutBatch:
+    """One copy of a one-group batch per policy of the stack, each refreshed
+    under its policy, stacked in policy order."""
+    copies = rollouts.select_groups(np.zeros(len(policies.log_probs), dtype=np.int64))
+    return refresh_logprobs(copies, policies)
 
 
 def check_grad_rho_forms(rng, instances) -> CheckResult:
@@ -562,8 +612,9 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         # rho under every bumped policy from one kernel call; the log-ratios
         # go through exp and log, as a RatioSequence's do, so each rho is
         # what holder_mean gives for that policy
-        bumped = np.array([np.log(np.exp(c.token_logprobs(tokens) - old_logprobs))
-                           for c in _bumped_policies(policy)])
+        stack = _bumped_policies(policy)
+        copies = np.tile(tokens, (len(stack.log_probs), 1))
+        bumped = np.log(np.exp(stack.token_logprobs(copies) - old_logprobs))
         rho, _ = core.holder_rows(bumped, np.ones(bumped.shape, dtype=bool), order)
         fd = _central_diffs(rho)
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
@@ -771,7 +822,7 @@ CHECKS: dict[str, Callable] = {
     "mean_monotone_in_p": check_mean_monotone,
     "weights_normalized": check_weights_normalized,
     "weight_derivative_sum_zero": check_weight_derivative_sum_zero,
-    "weight_derivative_vs_fd": check_weight_derivative_fd,
+    "weight_derivative_vs_fd": check_weight_derivative,
     "mu_derivative_vs_fd": check_mu_derivative,
     "entropy_derivative_vs_fd": check_entropy_derivative_fd,
     "entropy_peak_at_zero": check_entropy_peak,
@@ -799,6 +850,13 @@ def check_run_arguments(seed: int, instance_count: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator check_all hands to the check called ``name``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(name.encode()),))
+    )
+
+
 def check_all(
     seed: int = 0,
     instance_count: int = 100,
@@ -812,10 +870,5 @@ def check_all(
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=seed, spawn_key=(zlib.crc32(name.encode()),)
-            )
-        )
-        report.results.append(CHECKS[name](rng, instance_count))
+        report.results.append(CHECKS[name](check_rng(seed, name), instance_count))
     return report

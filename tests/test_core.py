@@ -275,6 +275,27 @@ class TestShannonEntropy:
         )
 
 
+class TestConcentrationRows:
+    def test_rows_match_the_one_row_calls(self, rng):
+        rows = rng.dirichlet(np.ones(9), size=12)
+        rows[3, [0, 4]] = 0.0  # zero weights take 0 ln 0 = 0
+        rows[3] /= rows[3].sum()
+        entropy, concentration = core.concentration_rows(rows)
+        assert entropy.shape == concentration.shape == (12,)
+        for row, h, c in zip(rows, entropy, concentration):
+            w = WeightDistribution(row)
+            assert h == pytest.approx(shannon_entropy(w), rel=0.0, abs=1e-15)
+            assert c == pytest.approx(hhi(w), rel=0.0, abs=1e-15)
+            assert h == pytest.approx(-(row[row > 0] * np.log(row[row > 0])).sum(),
+                                      rel=0.0, abs=1e-15)
+            assert c == pytest.approx((row**2).sum(), rel=0.0, abs=1e-15)
+
+    def test_one_hot_rows_give_positive_zero_entropy(self):
+        entropy, concentration = core.concentration_rows(np.eye(4))
+        assert all(h == 0.0 and math.copysign(1.0, h) == 1.0 for h in entropy)
+        np.testing.assert_array_equal(concentration, np.ones(4))
+
+
 class TestTheoremEntropyDeformation:
     """Entropy of W(p) peaks at p=0 (value ln n) and falls in |p|."""
 

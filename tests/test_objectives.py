@@ -696,6 +696,8 @@ class TestRolloutBatch:
         raises, from batch_terms, before any guard runs."""
 
         class InfinitePolicy:
+            vocab = 2  # refresh_logprobs checks the ids against it
+
             def token_logprobs(self, token_ids):
                 logprobs = np.full(token_ids.shape, -0.5)
                 logprobs[1, 0] = -np.inf
@@ -705,6 +707,30 @@ class TestRolloutBatch:
         with pytest.raises(DomainError, match="valid log_ratios must be finite"):
             batch_terms(derived, HolderOrder(1.0), "none",
                         guard=lambda batch, rho: pytest.fail("guard ran"))
+
+    def test_concat_returns_a_lone_batch_unchanged(self, rng):
+        old, new = random_policy_pair(rng)
+        group = random_group(rng, old, new)
+        joined = RolloutBatch.concat([group])
+        assert joined.group_size == group.group_size
+        for name in ("token_ids", "old_logprobs", "new_logprobs", "mask",
+                     "rewards", "advantages", "log_ratios"):
+            assert getattr(joined, name) is getattr(group, name), name
+
+    def test_negative_token_id_rejected_at_construction(self):
+        ids = np.zeros((4, 3), dtype=np.int64)
+        ids[2, 1] = -1
+        with pytest.raises(DomainError, match="token_ids must be >= 0"):
+            RolloutBatch(**self._arrays(token_ids=ids))
+
+    def test_token_id_beyond_vocabulary_rejected_at_refresh(self):
+        ids = np.zeros((4, 3), dtype=np.int64)
+        ids[3, 2] = 4
+        batch = RolloutBatch(**self._arrays(token_ids=ids))
+        with pytest.raises(DomainError, match="vocabulary size 4"):
+            refresh_logprobs(batch, PolicyParams.uniform(3, 4))
+        refreshed = refresh_logprobs(batch, PolicyParams.uniform(3, 5))
+        np.testing.assert_array_equal(refreshed.new_logprobs, np.full((4, 3), -math.log(5.0)))
 
     def test_select_groups(self):
         batch = RolloutBatch(**self._arrays())

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holderpo import HolderOrder, RatioSequence, weight_p_derivative
+from holderpo import HolderOrder, PolicyParams, RatioSequence, weight_p_derivative
 from holderpo import core, verify
-from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
+from holderpo.core import holder_grid
+from holderpo.verify import CHECKS, check_all, check_rng, check_weight_derivative_fd
 
 # check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
 # reported it, before the p-grid checks ran on batched holder_rows calls; the
@@ -18,7 +19,13 @@ from holderpo.verify import CHECKS, check_all, check_weight_derivative_fd
 # step over five-point stencils, and geometric_limit's is the gap of the
 # centred small-|p| series, whose rho at p = +-1e-7 is within 1.7e-16 of a
 # 60-digit reference (the log-sum-exp form it replaced was off by up to
-# 9.5e-9 there)
+# 9.5e-9 there).  Four worst errors moved at rounding level when the grid
+# and stencil checks began padding instances into chunked holder_rows calls,
+# which changes the blocking of the row sums: weights_normalized
+# 4.440892098500626e-16 -> 3.3306690738754696e-16, weight_derivative_sum_zero
+# 8.916478666520788e-16 -> 7.294512216482474e-16, mu_derivative_vs_fd
+# 9.240153243315392e-12 -> 4.581771555238475e-12 and entropy_derivative_vs_fd
+# 2.4180978579605147e-12 -> 1.52185923304949e-12; no status changed
 FIXTURE = Path(__file__).parent / "data" / "verify_seed0_n20.json"
 
 
@@ -102,6 +109,98 @@ def _reversed_rows(log_ratios, mask, order, holder_rows=core.holder_rows):
     """holder_rows with each call's rows in reverse order."""
     rho, weights = holder_rows(log_ratios, mask, order)
     return rho[::-1], weights[::-1]
+
+
+GRID_CHECKS = [name for name, check in CHECKS.items()
+               if isinstance(check, verify._GridCheck)]
+STENCIL_CHECKS = [name for name, check in CHECKS.items()
+                  if isinstance(check, verify._StencilCheck)]
+
+
+def _assert_rows_match(rho, weights, r: RatioSequence, exponents):
+    """rho (unless None) and W equal r's own holder_grid rows at the
+    exponents: rho to 1e-13 relative and W to 1e-15 absolute, the rounding
+    that padding into a wider row can move."""
+    want_rho, want_weights = holder_grid(r.log_ratios, HolderOrder(np.asarray(exponents)))
+    assert weights.shape == want_weights.shape
+    if rho is not None:
+        np.testing.assert_allclose(rho, want_rho, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-15)
+
+
+class TestBatchedReference:
+    """The grid and stencil checks take every instance's rows from chunked
+    holder_rows calls; each judge must see its own instance's rows."""
+
+    def test_every_grid_and_stencil_check_is_covered(self):
+        assert len(GRID_CHECKS) == 8 and len(STENCIL_CHECKS) == 3
+
+    # limit_concentration draws its first usable instance after 20
+    @pytest.mark.parametrize("name", GRID_CHECKS)
+    def test_grid_judges_see_their_instances_rows(self, name):
+        check = CHECKS[name]
+        instances = 40 if name == "limit_concentration" else 20
+        seen = []
+
+        def judge(res, r, grid, rho, weights):
+            seen.append((r, rho, weights))
+            check.judge(res, r, grid, rho, weights)
+
+        result = dataclasses.replace(check, judge=judge)(check_rng(0, name), instances)
+        assert result.to_dict() == check_all(0, instances, only=[name]).results[0].to_dict()
+        rng = check_rng(0, name)
+        drawn = [verify._random_ratios(rng) for _ in range(instances)]
+        usable = [r for r in drawn if check.usable is None or check.usable(r)]
+        assert usable and len(seen) == len(usable)
+        for r, (judged, rho, weights) in zip(usable, seen):
+            np.testing.assert_array_equal(judged.ratios, r.ratios)
+            _assert_rows_match(rho, weights, r, check.grid)
+
+    @pytest.mark.parametrize("name", STENCIL_CHECKS)
+    def test_stencil_differences_see_their_instances_rows(self, name):
+        check = CHECKS[name]
+        drawn, seen = [], []
+
+        def derivative(rng, r, order):
+            analytic, of_weights = check.derivative(rng, r, order)
+            drawn.append((r, order.p))
+
+            def spy(weights):
+                seen.append(weights)
+                return of_weights(weights)
+
+            return analytic, spy
+
+        result = dataclasses.replace(check, derivative=derivative)(check_rng(0, name), 20)
+        assert result.to_dict() == check_all(0, 20, only=[name]).results[0].to_dict()
+        assert len(drawn) == len(seen) == 20
+        for (r, p), weights in zip(drawn, seen):
+            _assert_rows_match(None, weights, r, p + verify.P_FD_STENCIL)
+
+    def test_holder_grids_match_per_sequence_grids_across_chunks(self, rng):
+        count = 3 * verify.GRID_CHUNK + 4
+        sequences = [RatioSequence(np.exp(rng.uniform(-2.0, 2.0, rng.integers(1, 40))))
+                     for _ in range(count)]
+        exponents = [rng.uniform(-8.0, 8.0, rng.integers(1, 30)) for _ in range(count)]
+        grids = list(verify._holder_grids([r.log_ratios for r in sequences], exponents))
+        assert len(grids) == count
+        for r, ps, (rho, weights) in zip(sequences, exponents, grids):
+            _assert_rows_match(rho, weights, r, ps)
+
+    def test_bumped_stack_is_each_bumped_policys_table(self, rng):
+        policy = verify._random_policy(rng)
+        stack = verify._bumped_policies(policy)
+        flat = policy.logits.ravel()
+        tokens = rng.integers(0, policy.vocab, size=(3, policy.length))
+        assert stack.log_probs.shape == (2 * flat.size, policy.length, policy.vocab)
+        for k, table in enumerate(stack.log_probs):
+            logits = flat.copy()
+            logits[k // 2] = flat[k // 2] + (verify.FD_STEP if k % 2 == 0 else -verify.FD_STEP)
+            bumped = PolicyParams(logits.reshape(policy.logits.shape))
+            np.testing.assert_array_equal(table, bumped.log_probs())
+            np.testing.assert_array_equal(
+                table[np.arange(policy.length), tokens], bumped.token_logprobs(tokens)
+            )
 
 
 class TestHarnessSensitivity:

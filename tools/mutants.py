@@ -48,9 +48,14 @@ MUTANTS = (
     ),
     Mutant(
         "concat pads mask with True", "objectives.py",
-        "np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])))",
-        'np.pad(getattr(b, name), ((0, 0), (0, length - b.mask.shape[1])),'
-        ' constant_values=name == "mask")',
+        "np.pad(value, ((0, 0), (0, short)))",
+        "np.pad(value, ((0, 0), (0, short)), constant_values=value.dtype == bool)",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "concat returns the first batch even when given several", "objectives.py",
+        "        if len(batches) == 1:\n",
+        "        if len(batches) >= 1:\n",
         ("test_objectives.py",),
     ),
     Mutant(
@@ -59,6 +64,18 @@ MUTANTS = (
         "        rewards[i] = rng.integers(0, 2)\n",
         "        rewards[i] = rng.integers(0, 2)\n"
         "        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]\n",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "each grid judge gets the next instance's rows", "verify.py",
+        "        for r, (rho, weights) in zip(tested, grids):\n",
+        "        for r, (rho, weights) in zip(tested, [*grids][1:]):\n",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "grid rows trimmed to the chunk width, not to n", "verify.py",
+        "            yield rho_i, w_i[:, : len(seq)]\n",
+        "            yield rho_i, w_i\n",
         ("test_verify.py",),
     ),
     Mutant(
@@ -98,6 +115,14 @@ MUTANTS = (
         ("test_objectives.py",),
     ),
     Mutant(
+        "one weight x (1 + 1e-6), renormalised", "core.py",
+        "    weights = shifted / total[:, None]\n",
+        "    weights = shifted / total[:, None]\n"
+        "    weights[:, 0] *= 1.0 + 1e-6\n"
+        "    weights /= weights.sum(axis=1)[:, None]\n",
+        ("test_core.py",),
+    ),
+    Mutant(
         "rho x (1 + 1e-9)", "core.py",
         "    rho = np.exp(log_rho)\n",
         "    rho = np.exp(log_rho) * (1.0 + 1e-9)\n",
@@ -107,6 +132,24 @@ MUTANTS = (
         "every run draws the first run's seed", "sim.py",
         "seeds = [configs[run].seed for run in live]",
         "seeds = [configs[live[0]].seed for run in live]",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "reversed uniform rows", "sim.py",
+        "uniforms = np.stack([draws[seed] for seed in seeds])",
+        "uniforms = np.stack([draws[seed][::-1] for seed in seeds])",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "dropped 128-bit carry in streams", "streams.py",
+        "    state_hi = hi[0] + hi[1] + (state_lo < lo[0])\n",
+        "    state_hi = hi[0] + hi[1]\n",
+        ("test_streams.py",),
+    ),
+    Mutant(
+        "one gradient fold across the stack", "objectives.py",
+        "    return minibatch_mean(per_rollout, batch.group_size, terms.runs)\n",
+        "    return minibatch_mean(per_rollout, batch.group_size)\n",
         ("test_sim.py",),
     ),
     Mutant(
