@@ -14,10 +14,8 @@ from holderpo.core import (
     DomainError,
     HolderOrder,
     RatioSequence,
-    WeightDistribution,
-    hhi,
+    concentration_rows,
     holder_grid,
-    shannon_entropy,
 )
 from holderpo.objectives import RolloutBatch, variance_bound_term
 
@@ -60,10 +58,8 @@ def weight_profile(
         raise DomainError("p_grid must be non-empty")
     exponents = np.array(p_grid, dtype=np.float64)
     _, weights = holder_grid(ratios.log_ratios, HolderOrder(exponents))
-    return [
-        (float(p), shannon_entropy(w), hhi(w))
-        for p, w in zip(exponents, map(WeightDistribution, weights))
-    ]
+    entropy, concentration = concentration_rows(weights)
+    return list(zip(exponents.tolist(), entropy.tolist(), concentration.tolist()))
 
 
 def v_curve(

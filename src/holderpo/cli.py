@@ -33,10 +33,8 @@ from holderpo.core import (
     DomainError,
     HolderOrder,
     RatioSequence,
-    WeightDistribution,
-    hhi,
+    concentration_rows,
     holder_grid,
-    shannon_entropy,
 )
 from holderpo.schedule import ScheduleSpec
 from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train, train_many
@@ -227,17 +225,12 @@ def cmd_mean(args) -> int:
     except (ValueError, DomainError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = []
-    for p, row_rho, w in zip(exponents, rho.tolist(), map(WeightDistribution, weights)):
-        out.append(
-            {
-                "p": p,
-                "rho": row_rho,
-                "weights": w.weights.tolist(),
-                "entropy": shannon_entropy(w),
-                "hhi": hhi(w),
-            }
-        )
+    entropy, concentration = concentration_rows(weights)
+    out = [
+        {"p": p, "rho": row_rho, "weights": w, "entropy": h, "hhi": c}
+        for p, row_rho, w, h, c in zip(exponents, rho.tolist(), weights.tolist(),
+                                       entropy.tolist(), concentration.tolist())
+    ]
     print(json.dumps(out[0] if len(out) == 1 else out, indent=2))
     return EXIT_OK
 

@@ -22,6 +22,8 @@ import numpy as np
 
 # Below this |p|, rho comes from the series about the mean log-ratio.
 SERIES_CUTOFF = 1e-3
+# Ratios within this relative tolerance of the extremum tie in limit_weights.
+LIMIT_TIE_RTOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -283,15 +285,14 @@ def hhi(weights: WeightDistribution) -> float:
     return float(concentration_rows(weights.weights[None])[1][0])
 
 
-def limit_weights(
-    ratios: RatioSequence, direction: int, tie_rtol: float = 1e-12
-) -> WeightDistribution:
+def limit_weights(ratios: RatioSequence, direction: int) -> WeightDistribution:
     """The p -> +inf (direction > 0) or p -> -inf (direction < 0) weight limit:
-    uniform over the argmax (resp. argmin) set, ties resolved at tie_rtol."""
+    uniform over the argmax (resp. argmin) set, ties resolved at
+    LIMIT_TIE_RTOL."""
     if direction == 0:
         raise DomainError("direction must be nonzero")
     r = ratios.ratios
     extremum = r.max() if direction > 0 else r.min()
-    on_set = np.isclose(r, extremum, rtol=tie_rtol, atol=0.0)
+    on_set = np.isclose(r, extremum, rtol=LIMIT_TIE_RTOL, atol=0.0)
     w = np.where(on_set, 1.0 / on_set.sum(), 0.0)
     return WeightDistribution(w)

@@ -9,16 +9,17 @@ container: a group is a batch with N = G.  The per-group functions
 ``RolloutBatch.concat``) call the kernel on them.
 
 The KL term is deliberately absent.  Gradient estimators take a
-position-conditioned policy: the score vector of token t is zero outside
-parameter block t, and ``score_blocks(token_ids) -> (..., T, V)`` returns
-block t of it.  The tabular policy in :mod:`holderpo.sim` is one; the
-gradient is its flattened (T, V) logit table.
+``sim.PolicyParams``, one tabular policy or a stack of them: the score
+vector of token t is zero outside logit row t, and
+``score_blocks(token_ids) -> (..., T, V)`` returns that row of it, each
+batch row read under its own policy of the stack.  The gradient is the
+flattened (T, V) logit table, one per policy of a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from holderpo.core import (
     holder_mean_masked,
     holder_rows,
 )
+
+if TYPE_CHECKING:
+    from holderpo.sim import PolicyParams
 
 DEGENERATE_STD = 1e-8
 
@@ -390,7 +394,9 @@ def grad_rho(
     return rho * (weights @ grads)
 
 
-def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarray:
+def policy_gradient(
+    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms
+) -> np.ndarray:
     """Each run's minibatch gradient as a (T, V) table, stacked to
     (S, T, V), built per position block: token t of rollout i adds
     coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block.
@@ -403,7 +409,7 @@ def policy_gradient(policy, batch: RolloutBatch, terms: BatchTerms) -> np.ndarra
     return minibatch_mean(per_rollout, batch.group_size, terms.runs)
 
 
-def _estimate(minibatch: Sequence[RolloutBatch], policy, order: HolderOrder,
+def _estimate(minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,
               regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
     batch = RolloutBatch.concat(minibatch)
     terms = batch_terms(batch, order, regime, clip)
@@ -413,7 +419,7 @@ def _estimate(minibatch: Sequence[RolloutBatch], policy, order: HolderOrder,
 
 
 def grad_estimator_unclipped(
-    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder
+    minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder
 ) -> GradientEstimate:
     """Minibatch average of per-group averages of A_i * grad rho_i.  All
     groups must share one size G."""
@@ -421,7 +427,8 @@ def grad_estimator_unclipped(
 
 
 def grad_estimator_seq_clip(
-    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder, clip: ClipConfig
+    minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,
+    clip: ClipConfig,
 ) -> GradientEstimate:
     """Unclipped per-sequence terms gated by the sequence indicator: zero when
     the aggregated ratio has already left the clip band in the favored
@@ -430,7 +437,8 @@ def grad_estimator_seq_clip(
 
 
 def grad_estimator_token_clip(
-    minibatch: Sequence[RolloutBatch], policy, order: HolderOrder, clip: ClipConfig
+    minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,
+    clip: ClipConfig,
 ) -> GradientEstimate:
     """Per-token indicators zero out tokens clipped against the advantage
     direction; the outer factor uses the clipped power mean, not rho.  All

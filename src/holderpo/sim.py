@@ -4,8 +4,10 @@ configured clipping regime.
 
 The policy has an independent logit row per position, so score gradients
 are exact and cheap, and gradients at distinct positions live in disjoint
-parameter blocks.  Sampling uses one counter-derived RNG substream per
-rollout, so runs are bit-reproducible regardless of evaluation order;
+parameter blocks.  ``PolicyParams`` is the one policy type: one (T, V) logit
+table or an (S, T, V) stack of them, read by every sampler, refresh,
+gradient and entropy call.  Sampling uses one counter-derived RNG substream
+per rollout, so runs are bit-reproducible regardless of evaluation order;
 ``holderpo.streams`` derives all of a round's substreams in one pass.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
@@ -14,11 +16,13 @@ minibatch is a selection of its groups and ``refresh_logprobs`` re-reads it
 under the current policy, both derived without re-checking; and one
 ``batch_terms`` call yields rho, the weights, the gates, the objective and
 the telemetry.  The per-group API (``sample_group``, ``refresh_logprobs``)
-works on the same container, a group being a batch with N = G.
+works on the same container, a group being a batch with N = G, and
+``sample_group`` calls the one sampler, ``sample_rollouts``.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
 as the dense (T, T*V) score matrix; the ``grad_estimator_*`` functions call
 the same code.  ``train_many`` stacks runs that differ only in seed and
-schedule along the rollout axis, and ``train`` is its one-run case.
+schedule along the rollout axis, their policies as one stacked
+``PolicyParams``, and ``train`` is its one-run case.
 """
 
 from __future__ import annotations
@@ -54,73 +58,96 @@ class DivergenceError(RuntimeError):
         self.rollout = rollout
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities along the last (vocabulary) axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-@dataclass
+@dataclass(frozen=True)
 class PolicyParams:
-    """Position-conditioned logit table; row `pos` parameterizes a softmax
-    over the vocabulary at that position."""
+    """Position-conditioned tabular softmax policy: `logits` of shape (T, V),
+    row t parameterizing the softmax over the vocabulary at position t, or an
+    (S, T, V) stack of S such policies.  A batch read against a stack has S
+    equal consecutive blocks of rows, block s belonging to policy s.
+
+    ``log_probs`` is computed once, by one log-softmax at construction, which
+    also checks that the logits are finite; a stack reduces row by row, so
+    each of its tables is its policy's own, bit for bit."""
 
     logits: np.ndarray
+    log_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.logits, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DomainError("logits must be a positions x vocab matrix")
-        if not np.all(np.isfinite(arr)):
+        if arr.ndim not in (2, 3):
+            raise DomainError("logits must be a (T, V) table or an (S, T, V) stack")
+        if not np.isfinite(arr).all():
             raise DomainError("logits must be finite")
-        self.logits = arr
+        shifted = arr - arr.max(axis=-1, keepdims=True)
+        object.__setattr__(self, "logits", arr)
+        object.__setattr__(self, "log_probs",
+                           shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
     @staticmethod
     def uniform(length: int, vocab: int) -> "PolicyParams":
         return PolicyParams(np.zeros((length, vocab)))
 
     @property
+    def runs(self) -> int:
+        """Policies in the stack; 1 for a single (T, V) policy."""
+        return self.logits.shape[0] if self.logits.ndim == 3 else 1
+
+    @property
     def length(self) -> int:
-        return self.logits.shape[0]
+        return self.logits.shape[-2]
 
     @property
     def vocab(self) -> int:
-        return self.logits.shape[1]
+        return self.logits.shape[-1]
 
     @property
     def param_dim(self) -> int:
-        return self.logits.size
+        """Parameters of one policy, T * V."""
+        return self.length * self.vocab
 
-    def log_probs(self) -> np.ndarray:
-        return _log_softmax(self.logits)
+    def _tables(self) -> np.ndarray:
+        """log_probs as an (S, T, V) view."""
+        return self.log_probs.reshape(-1, *self.log_probs.shape[-2:])
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs())
+        return np.exp(self.log_probs)
 
     def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
-        """log pi(token_ids[..., t] | pos t) for token ids of shape (..., T)."""
-        lp = self.log_probs()
-        return lp[np.arange(self.length), token_ids]
+        """log pi(token_ids[..., t] | pos t) for token ids of shape (..., T);
+        against a stack, log pi_s(token_ids[i, t] | pos t) for each row i of
+        block s of (N, T) ids."""
+        if self.logits.ndim == 2:
+            return self.log_probs[np.arange(self.length), token_ids]
+        run = np.arange(self.runs).repeat(len(token_ids) // self.runs)[:, None]
+        return self.log_probs[run, np.arange(self.length), token_ids]
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
-        """Block t of the score vector of token t, onehot(token) - pi_t, for
-        token ids of shape (..., T); returns (..., T, V).  The score vector
-        of token t is zero outside logit row t."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        rows = _PolicyStack(self.log_probs()[None]).score_blocks(ids.reshape(-1, self.length))
-        return rows.reshape(*ids.shape, self.vocab)
+        """Block t of the score vector of token t, onehot(token) - pi_t, from
+        the row's own policy: token ids of shape (..., T) -> (..., T, V).  The
+        score vector of token t is zero outside logit row t."""
+        ids = np.asarray(token_ids)
+        tables = self._tables()
+        runs, length, vocab = tables.shape
+        blocks = np.repeat(-np.exp(tables), ids.size // (runs * length), axis=0)
+        rows = blocks.reshape(-1, vocab)
+        rows[np.arange(rows.shape[0]), ids.ravel()] += 1.0
+        return blocks.reshape(*ids.shape, vocab)
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
-        """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened: the
-        dense form of score_blocks, kept as the reference tests and verify
-        compare against."""
+        """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened, for
+        one policy: the dense form of score_blocks, kept as the reference
+        tests and verify compare against."""
         grads = np.zeros((self.length, self.length, self.vocab))
         diagonal = np.arange(self.length)
         grads[diagonal, diagonal] = self.score_blocks(token_ids)
         return grads.reshape(self.length, self.param_dim)
 
-    def mean_entropy(self) -> float:
-        return _PolicyStack(self.log_probs()[None]).mean_entropy().item()
+    def mean_entropy(self) -> float | np.ndarray:
+        """Mean over positions of the policy's entropy: a float, or an (S,)
+        array with one entry per policy of a stack."""
+        lp = self._tables()
+        entropy = -(np.exp(lp) * lp).sum(axis=2).mean(axis=1)
+        return entropy if self.logits.ndim == 3 else entropy.item()
 
 
 @dataclass(frozen=True)
@@ -219,39 +246,6 @@ class TrainConfig:
 _SHARED_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("seed", "schedule"))
 
 
-@dataclass(frozen=True)
-class _PolicyStack:
-    """The log-probability tables of S policies as one (S, T, V) array.  A
-    batch read against the stack has S equal consecutive blocks of rows,
-    block s belonging to policy s."""
-
-    log_probs: np.ndarray
-
-    @property
-    def vocab(self) -> int:
-        return self.log_probs.shape[2]
-
-    def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
-        """log pi_s(token_ids[i, t] | pos t) for each row i of block s."""
-        runs, length, _ = self.log_probs.shape
-        run = np.arange(runs).repeat(len(token_ids) // runs)[:, None]
-        return self.log_probs[run, np.arange(length), token_ids]
-
-    def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
-        """Block t of each row's score vectors, onehot(token) - pi_t, from
-        the row's own policy: (N, T) ids -> (N, T, V)."""
-        runs, _, vocab = self.log_probs.shape
-        blocks = np.repeat(-np.exp(self.log_probs), len(token_ids) // runs, axis=0)
-        rows = blocks.reshape(-1, vocab)
-        rows[np.arange(rows.shape[0]), token_ids.ravel()] += 1.0
-        return blocks
-
-    def mean_entropy(self) -> np.ndarray:
-        """(S,) mean over positions of each policy's entropy."""
-        lp = self.log_probs
-        return -(np.exp(lp) * lp).sum(axis=2).mean(axis=1)
-
-
 @dataclass
 class RunLog:
     metrics: list[UpdateMetrics]
@@ -274,22 +268,20 @@ def sample_rollouts(
     policy_old: PolicyParams, task: TaskSpec, group_size: int, uniforms: np.ndarray
 ) -> RolloutBatch:
     """Sample one rollout per row of the (N, T) `uniforms` position-wise from
-    the old policy by inverse CDF; rewards and group-normalized advantages
-    (G consecutive rows per group) are filled in."""
-    return _sample_stack(
-        _PolicyStack(policy_old.log_probs()[None]), task, group_size, uniforms[None]
-    )
-
-
-def _sample_stack(
-    policies: _PolicyStack, task: TaskSpec, group_size: int, uniforms: np.ndarray
-) -> RolloutBatch:
-    """`sample_rollouts` for S policies at once: (S, N, T) uniforms, block s
-    of the S*N rows drawn from policy s."""
-    cum = np.cumsum(np.exp(policies.log_probs), axis=2)
-    token_ids = np.minimum((cum[:, None] < uniforms[..., None]).sum(axis=3), task.vocab - 1)
+    the old policy by inverse CDF, block s of the rows from policy s of a
+    stack; rewards and group-normalized advantages (G consecutive rows per
+    group) are filled in.  A policy of another (length, vocab) than the
+    task's raises DomainError."""
+    shape = (policy_old.length, policy_old.vocab)
+    if shape != (task.length, task.vocab):
+        raise DomainError(
+            f"policy shape {shape} does not match the task's {(task.length, task.vocab)}"
+        )
+    cum = np.cumsum(np.exp(policy_old._tables()), axis=2)
+    draws = uniforms.reshape(len(cum), -1, task.length)
+    token_ids = np.minimum((cum[:, None] < draws[..., None]).sum(axis=3), task.vocab - 1)
     token_ids = token_ids.reshape(-1, task.length)
-    old_lp = policies.token_logprobs(token_ids)
+    old_lp = policy_old.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
     return RolloutBatch(
         token_ids=token_ids,
@@ -315,7 +307,7 @@ def sample_group(
     return sample_rollouts(policy_old, task, group_size, uniforms)
 
 
-def refresh_logprobs(batch: RolloutBatch, policy_new) -> RolloutBatch:
+def refresh_logprobs(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
     """Recompute new_logprobs under the current policy (or the current
     policies of a stack), deriving the batch without re-checking it; a token
     id outside the policy's vocabulary raises DomainError."""
@@ -401,8 +393,8 @@ def train_many(
     """Run S configs that differ only in `seed` and `schedule` as one stack;
     return their RunLogs in order, each equal to its solo run bit for bit.
 
-    Per round the S policies are one (S, T, V) table and the rollouts one
-    RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
+    Per round the S policies are one stacked PolicyParams and the rollouts
+    one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
     share the round's uniforms.  Per update one ``batch_terms`` call covers
     every run, with one exponent per row (a scalar order when every run has
     the same p), and one score-block product gives the S gradients; each run
@@ -417,11 +409,10 @@ def train_many(
     base = _shared_config(configs)
     if initial_policy is None:
         initial_policy = PolicyParams.uniform(task.length, task.vocab)
-    logits = np.repeat(initial_policy.logits[None], len(configs), axis=0)
-    policies = _PolicyStack(_log_softmax(logits))
+    policies = PolicyParams(np.repeat(initial_policy.logits[None], len(configs), axis=0))
     clip = ClipConfig(base.clip_epsilon)
     group_count, rows_per_run = base.num_groups, base.minibatch_size * base.group_size
-    live = list(range(len(configs)))  # runs still updating; row k of logits
+    live = list(range(len(configs)))  # runs still updating; policy k of the stack
     diverged: dict[int, DivergenceError] = {}
     metrics: list[list[UpdateMetrics]] = [[] for _ in configs]
     step = 0
@@ -432,8 +423,8 @@ def train_many(
             seed: _round_uniforms(seed, round_idx, group_count, base.group_size, task.length)
             for seed in set(seeds)
         }
-        uniforms = np.stack([draws[seed] for seed in seeds])
-        rollouts = _sample_stack(policies, task, base.group_size, uniforms)
+        uniforms = np.concatenate([draws[seed] for seed in seeds])
+        rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
         blocks = list(range(len(live)))  # block of live run k in `rollouts`
 
@@ -459,15 +450,11 @@ def train_many(
                     k = exc.rollout // rows_per_run
                     diverged[live.pop(k)] = exc
                     del blocks[k], ps[k]
-                    logits = np.delete(logits, k, axis=0)
-                    policies = _PolicyStack(np.delete(policies.log_probs, k, axis=0))
+                    policies = PolicyParams(np.delete(policies.logits, k, axis=0))
             if terms is None:
                 break
             gradient = policy_gradient(policies, minibatch, terms)
-            logits = logits + base.learning_rate * gradient
-            if not np.isfinite(logits).all():
-                raise DomainError("logits must be finite")
-            policies = _PolicyStack(_log_softmax(logits))
+            policies = PolicyParams(policies.logits + base.learning_rate * gradient)
             entropy, objective, clip_fraction, v_of_p, log_max, log_min = (
                 values.tolist() for values in (
                     policies.mean_entropy(), terms.objective, terms.clip_fraction,
@@ -495,7 +482,7 @@ def train_many(
 
     if diverged:
         raise diverged[min(diverged)]
-    finals = [PolicyParams(table) for table in logits]
+    finals = [PolicyParams(table) for table in policies.logits]
     successes = [success_probability(policy, task) for policy in finals]
     elapsed = time.monotonic() - start
     return [

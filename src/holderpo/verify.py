@@ -48,7 +48,7 @@ from holderpo.objectives import (
     second_moment_orthogonal,
     variance_bound_term,
 )
-from holderpo.sim import PolicyParams, _log_softmax, _PolicyStack, refresh_logprobs
+from holderpo.sim import PolicyParams, refresh_logprobs
 
 P_GRID = (-5.0, -3.0, -2.0, -1.0, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 2.0, 3.0, 5.0)
 LIMIT_P = 40.0
@@ -539,17 +539,16 @@ def _away_from_kinks(batch: RolloutBatch, order, clip: ClipConfig) -> bool:
     return True
 
 
-def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> _PolicyStack:
+def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> PolicyParams:
     """The policy with logit j moved by +h, then by -h, for every j in turn,
-    as one (2D, T, V) stack of log-probability tables from one log-softmax;
-    it reduces row by row, so each table is the bumped policy's own, bit for
-    bit."""
+    as one stack of 2D policies; each of its tables is the bumped policy's
+    own, bit for bit."""
     flat = policy.logits.ravel()
     j = np.arange(flat.size)
     logits = np.tile(flat, (2 * flat.size, 1))
     logits[2 * j, j] = flat + h
     logits[2 * j + 1, j] = flat - h
-    return _PolicyStack(_log_softmax(logits.reshape(-1, *policy.logits.shape)))
+    return PolicyParams(logits.reshape(-1, *policy.logits.shape))
 
 
 def _central_diffs(values, h=FD_STEP) -> np.ndarray:
@@ -558,10 +557,10 @@ def _central_diffs(values, h=FD_STEP) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
-def _refreshed_copies(rollouts: RolloutBatch, policies: _PolicyStack) -> RolloutBatch:
+def _refreshed_copies(rollouts: RolloutBatch, policies: PolicyParams) -> RolloutBatch:
     """One copy of a one-group batch per policy of the stack, each refreshed
     under its policy, stacked in policy order."""
-    copies = rollouts.select_groups(np.zeros(len(policies.log_probs), dtype=np.int64))
+    copies = rollouts.select_groups(np.zeros(policies.runs, dtype=np.int64))
     return refresh_logprobs(copies, policies)
 
 
@@ -613,7 +612,7 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         # go through exp and log, as a RatioSequence's do, so each rho is
         # what holder_mean gives for that policy
         stack = _bumped_policies(policy)
-        copies = np.tile(tokens, (len(stack.log_probs), 1))
+        copies = np.tile(tokens, (stack.runs, 1))
         bumped = np.log(np.exp(stack.token_logprobs(copies) - old_logprobs))
         rho, _ = core.holder_rows(bumped, np.ones(bumped.shape, dtype=bool), order)
         fd = _central_diffs(rho)

@@ -6,7 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holderpo import DomainError, HolderOrder, RatioSequence, UpdateMetrics
+from holderpo import (
+    DomainError,
+    HolderOrder,
+    RatioSequence,
+    UpdateMetrics,
+    WeightDistribution,
+    hhi,
+    shannon_entropy,
+)
+from holderpo.core import holder_grid
 from holderpo.analysis import ratio_envelopes, table_to_csv, v_curve, weight_profile
 
 from conftest import make_group
@@ -74,6 +83,15 @@ class TestWeightProfile:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             weight_profile(RatioSequence(np.array([2.0])), [])
+
+    def test_rows_equal_the_one_row_calls_bit_for_bit(self, rng):
+        for _ in range(200):
+            r = RatioSequence(np.exp(rng.uniform(-3.0, 3.0, rng.integers(1, 30))))
+            grid = rng.uniform(-20.0, 20.0, rng.integers(1, 12))
+            _, weights = holder_grid(r.log_ratios, HolderOrder(grid))
+            rows = map(WeightDistribution, weights)
+            expected = [(p, shannon_entropy(w), hhi(w)) for p, w in zip(grid.tolist(), rows)]
+            assert weight_profile(r, grid) == expected
 
 
 class TestVCurve:

@@ -1,6 +1,6 @@
 """Tabular policy, synthetic tasks, and the training loop."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,35 @@ class TestPolicyParams:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PolicyParams(np.array([[0.0, np.inf]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3, 4)])
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(DomainError, match=r"\(T, V\) table"):
+            PolicyParams(np.zeros(shape))
+
+    def test_frozen(self):
+        policy = PolicyParams.uniform(2, 3)
+        with pytest.raises(FrozenInstanceError):
+            policy.logits = np.ones((2, 3))
+
+    def test_stack_rows_equal_solo_policies(self, rng):
+        """Block s of the rows read against a stack reads policy s, bit for
+        bit as the solo policy s reads them."""
+        logits = rng.normal(size=(3, 4, 6))
+        stack = PolicyParams(logits)
+        assert (stack.runs, stack.length, stack.vocab) == (3, 4, 6)
+        assert PolicyParams(logits[0]).runs == 1
+        ids = rng.integers(0, 6, size=(3, 5, 4))
+        token_logprobs = stack.token_logprobs(ids.reshape(15, 4)).reshape(3, 5, 4)
+        score_blocks = stack.score_blocks(ids.reshape(15, 4)).reshape(3, 5, 4, 6)
+        entropy = stack.mean_entropy()
+        assert entropy.shape == (3,)
+        for s, table in enumerate(logits):
+            solo = PolicyParams(table)
+            np.testing.assert_array_equal(stack.log_probs[s], solo.log_probs)
+            np.testing.assert_array_equal(token_logprobs[s], solo.token_logprobs(ids[s]))
+            np.testing.assert_array_equal(score_blocks[s], solo.score_blocks(ids[s]))
+            assert entropy[s] == solo.mean_entropy()
 
     def test_score_gradients_shape_and_zero_sum(self, rng):
         policy = PolicyParams(rng.normal(size=(4, 6)))
@@ -174,6 +203,30 @@ class TestSampling:
             for name in ("token_ids", "old_logprobs", "new_logprobs", "mask",
                          "rewards", "advantages", "log_ratios"):
                 np.testing.assert_array_equal(getattr(group, name), getattr(expect, name))
+
+    def test_stack_samples_each_block_from_its_policy(self, rng):
+        task = default_sparse_task()
+        logits = rng.normal(size=(2, 8, 16))
+        uniforms = _round_uniforms(3, 2, num_groups=3, group_size=4, length=8)
+        stacked = sample_rollouts(PolicyParams(logits), task, 4,
+                                  np.concatenate([uniforms, uniforms]))
+        for s, table in enumerate(logits):
+            solo = sample_rollouts(PolicyParams(table), task, 4, uniforms)
+            block = stacked.select_groups([3 * s, 3 * s + 1, 3 * s + 2])
+            for name in ("token_ids", "old_logprobs", "rewards", "advantages"):
+                np.testing.assert_array_equal(getattr(block, name), getattr(solo, name))
+
+    @pytest.mark.parametrize("shape", [(8, 32), (8, 4), (4, 16)])
+    def test_policy_of_another_shape_rejected(self, shape):
+        """A policy whose (length, vocab) is not the task's is refused before
+        anything is sampled, by sample_group and by train."""
+        task = default_sparse_task()
+        policy = PolicyParams(np.zeros(shape))
+        streams = [_rollout_rng(0, 0, 0, i) for i in range(4)]
+        with pytest.raises(DomainError, match="does not match the task's"):
+            sample_group(policy, task, 4, streams)
+        with pytest.raises(DomainError, match="does not match the task's"):
+            train(TrainConfig(total_rounds=2), task, policy)
 
     def test_refresh_logprobs_updates_ratios(self, rng):
         task = default_sparse_task()

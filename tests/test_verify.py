@@ -197,7 +197,7 @@ class TestBatchedReference:
             logits = flat.copy()
             logits[k // 2] = flat[k // 2] + (verify.FD_STEP if k % 2 == 0 else -verify.FD_STEP)
             bumped = PolicyParams(logits.reshape(policy.logits.shape))
-            np.testing.assert_array_equal(table, bumped.log_probs())
+            np.testing.assert_array_equal(table, bumped.log_probs)
             np.testing.assert_array_equal(
                 table[np.arange(policy.length), tokens], bumped.token_logprobs(tokens)
             )

@@ -136,8 +136,20 @@ MUTANTS = (
     ),
     Mutant(
         "reversed uniform rows", "sim.py",
-        "uniforms = np.stack([draws[seed] for seed in seeds])",
-        "uniforms = np.stack([draws[seed][::-1] for seed in seeds])",
+        "uniforms = np.concatenate([draws[seed] for seed in seeds])",
+        "uniforms = np.concatenate([draws[seed][::-1] for seed in seeds])",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "every stacked row reads policy 0 in token_logprobs", "sim.py",
+        "return self.log_probs[run, np.arange(self.length), token_ids]",
+        "return self.log_probs[0 * run, np.arange(self.length), token_ids]",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "score blocks tiled across the stack, not repeated", "sim.py",
+        "blocks = np.repeat(-np.exp(tables), ids.size // (runs * length), axis=0)",
+        "blocks = np.tile(-np.exp(tables), (ids.size // (runs * length), 1, 1))",
         ("test_sim.py",),
     ),
     Mutant(
