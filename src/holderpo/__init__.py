@@ -28,7 +28,6 @@ from holderpo.objectives import (
     grad_estimator_token_clip,
     grad_estimator_unclipped,
     grad_rho,
-    loss_holder_po,
     second_moment_orthogonal,
     surrogate_seq_clip,
     surrogate_token_clip,

@@ -26,11 +26,9 @@ import numpy as np
 from holderpo.core import (
     DomainError,
     HolderOrder,
-    LogRatioSequence,
     RatioSequence,
     _column,
     holder_grid,
-    holder_mean_masked,
     holder_rows,
 )
 
@@ -370,15 +368,6 @@ def surrogate_token_clip(
 ) -> float:
     """Token-level clipped objective: power means of per-token clipped ratios."""
     return batch_terms(batch, order, "token", clip).objective.item()
-
-
-def loss_holder_po(
-    logs: LogRatioSequence, advantage: float, order: HolderOrder, clip: ClipConfig
-) -> float:
-    """Per-sequence loss to minimize: max(-A rho, -A clip(rho))."""
-    rho = holder_mean_masked(logs, order)
-    clipped = min(max(rho, clip.low), clip.high)
-    return max(-advantage * rho, -advantage * clipped)
 
 
 def grad_rho(

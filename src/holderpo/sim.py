@@ -105,6 +105,12 @@ class PolicyParams:
         """Parameters of one policy, T * V."""
         return self.length * self.vocab
 
+    def _rows_per_run(self, rows: int) -> int:
+        """Rows of a batch that each policy reads; DomainError unless S divides them."""
+        if rows % self.runs:
+            raise DomainError(f"{rows} batch rows do not split into {self.runs} equal blocks")
+        return rows // self.runs
+
     def _tables(self) -> np.ndarray:
         """log_probs as an (S, T, V) view."""
         return self.log_probs.reshape(-1, *self.log_probs.shape[-2:])
@@ -118,7 +124,7 @@ class PolicyParams:
         block s of (N, T) ids."""
         if self.logits.ndim == 2:
             return self.log_probs[np.arange(self.length), token_ids]
-        run = np.arange(self.runs).repeat(len(token_ids) // self.runs)[:, None]
+        run = np.arange(self.runs).repeat(self._rows_per_run(len(token_ids)))[:, None]
         return self.log_probs[run, np.arange(self.length), token_ids]
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
@@ -127,8 +133,8 @@ class PolicyParams:
         score vector of token t is zero outside logit row t."""
         ids = np.asarray(token_ids)
         tables = self._tables()
-        runs, length, vocab = tables.shape
-        blocks = np.repeat(-np.exp(tables), ids.size // (runs * length), axis=0)
+        length, vocab = tables.shape[1:]
+        blocks = np.repeat(-np.exp(tables), self._rows_per_run(ids.size // length), axis=0)
         rows = blocks.reshape(-1, vocab)
         rows[np.arange(rows.shape[0]), ids.ravel()] += 1.0
         return blocks.reshape(*ids.shape, vocab)
@@ -136,7 +142,8 @@ class PolicyParams:
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
         """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened, for
         one policy: the dense form of score_blocks, kept as the reference
-        tests and verify compare against."""
+        tests and verify compare against.  On a stack of S > 1 policies the
+        one row of ids does not split into S blocks: DomainError."""
         grads = np.zeros((self.length, self.length, self.vocab))
         diagonal = np.arange(self.length)
         grads[diagonal, diagonal] = self.score_blocks(token_ids)
@@ -271,14 +278,15 @@ def sample_rollouts(
     the old policy by inverse CDF, block s of the rows from policy s of a
     stack; rewards and group-normalized advantages (G consecutive rows per
     group) are filled in.  A policy of another (length, vocab) than the
-    task's raises DomainError."""
+    task's, or a row count that is not a multiple of the stack's S, raises
+    DomainError."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
         raise DomainError(
             f"policy shape {shape} does not match the task's {(task.length, task.vocab)}"
         )
     cum = np.cumsum(np.exp(policy_old._tables()), axis=2)
-    draws = uniforms.reshape(len(cum), -1, task.length)
+    draws = uniforms.reshape(len(cum), policy_old._rows_per_run(len(uniforms)), task.length)
     token_ids = np.minimum((cum[:, None] < draws[..., None]).sum(axis=3), task.vocab - 1)
     token_ids = token_ids.reshape(-1, task.length)
     old_lp = policy_old.token_logprobs(token_ids)

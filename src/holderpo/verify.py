@@ -10,7 +10,9 @@ would draw them.  The functions a check is about (the analytic p-derivatives,
 instance, while the reference side is batched: exponent grids and
 finite-difference stencils come from one ``core.holder_rows`` call per
 ``GRID_CHUNK`` instances, and a policy's bumped copies are one stack of
-log-probability tables."""
+log-probability tables.  Rows of the wrong shape fail their check.  No check
+re-derives the sequence clip: ``seq_clip_norm_contraction`` judges
+``batch_terms`` and the kink filter reads rho from ``core.holder_rows``."""
 
 from __future__ import annotations
 
@@ -25,13 +27,11 @@ import numpy as np
 from holderpo import core
 from holderpo.core import (
     HolderOrder,
-    LogRatioSequence,
     RatioSequence,
     concentration_rows,
     entropy_p_derivative,
     gradient_weights,
     holder_mean,
-    holder_mean_masked,
     limit_weights,
     mu_p_derivative,
     weight_p_derivative,
@@ -195,6 +195,14 @@ def _holder_grids(log_ratios, exponents) -> Iterator[tuple[np.ndarray, np.ndarra
             yield rho_i, w_i[:, : len(seq)]
 
 
+def _rows_fit(res: CheckResult, rho, weights, exponents: int, n: int) -> bool:
+    """Whether rho and W have a row per exponent, of n weights; else a failure in res."""
+    fit = rho.shape == (exponents,) and weights.shape == (exponents, n)
+    if not fit:
+        res.observe(1.0, False, f"W of shape {weights.shape}, want {(exponents, n)}")
+    return fit
+
+
 @dataclass(frozen=True, eq=False)
 class _GridCheck:
     """A check that draws one ratio sequence r per instance, passes over those
@@ -216,7 +224,8 @@ class _GridCheck:
         grid = np.asarray(self.grid, dtype=np.float64)
         grids = _holder_grids([r.log_ratios for r in tested], [grid] * len(tested))
         for r, (rho, weights) in zip(tested, grids):
-            self.judge(res, r, self.grid, rho, weights)
+            if _rows_fit(res, rho, weights, len(self.grid), len(r)):
+                self.judge(res, r, self.grid, rho, weights)
         if self.usable is not None and not tested:
             res.skip(self.skip_reason)
         return res
@@ -246,7 +255,9 @@ class _StencilCheck:
             drawn.append((r, p, *self.derivative(rng, r, HolderOrder(p))))
         grids = _holder_grids([r.log_ratios for r, *_ in drawn],
                               [p + P_FD_STENCIL for _, p, *_ in drawn])
-        for (r, p, analytic, of_weights), (_, weights) in zip(drawn, grids):
+        for (r, p, analytic, of_weights), (rho, weights) in zip(drawn, grids):
+            if not _rows_fit(res, rho, weights, len(P_FD_STENCIL), len(r)):
+                continue
             if self.nonnegative:
                 res.observe(max(0.0, -analytic), analytic >= 0.0, "negative variance")
             fd = _stencil(of_weights(weights))
@@ -378,34 +389,16 @@ check_hhi_profile = _GridCheck(
 )
 
 
-def _weight_derivative_check(
-    derivative_fn: Callable[[RatioSequence, HolderOrder, int], float],
-) -> _StencilCheck:
-    def token_weight(rng, r, order):
-        t = int(rng.integers(0, len(r)))
-        return derivative_fn(r, order, t), lambda weights: weights[:, t]
-
-    return _StencilCheck(
-        "weight_derivative_vs_fd",
-        "dW/dp = W (log r - mu) matches central finite differences",
-        token_weight,
-    )
+def _token_weight_derivative(rng, r, order):
+    t = int(rng.integers(0, len(r)))
+    return weight_p_derivative(r, order, t), lambda weights: weights[:, t]
 
 
-check_weight_derivative = _weight_derivative_check(weight_p_derivative)
-
-
-def check_weight_derivative_fd(
-    rng,
-    instances,
-    derivative_fn: Callable[[RatioSequence, HolderOrder, int], float] = weight_p_derivative,
-) -> CheckResult:
-    """check_weight_derivative with ``derivative_fn`` as the analytic side:
-    the hook lets the test suite verify this check rejects a corrupted
-    formula."""
-    return _weight_derivative_check(derivative_fn)(rng, instances)
-
-
+check_weight_derivative = _StencilCheck(
+    "weight_derivative_vs_fd",
+    "dW/dp = W (log r - mu) matches central finite differences",
+    _token_weight_derivative,
+)
 check_mu_derivative = _StencilCheck(
     "mu_derivative_vs_fd",
     "dmu/dp equals the weighted log-ratio variance, and is >= 0",
@@ -486,6 +479,12 @@ def _random_policy(rng, length=4, vocab=5) -> PolicyParams:
     return PolicyParams(rng.normal(scale=0.5, size=(length, vocab)))
 
 
+def _perturbed_policies(rng, scale: float) -> tuple[PolicyParams, PolicyParams]:
+    """A random old policy and a copy moved by N(0, scale^2) logit noise."""
+    old = _random_policy(rng)
+    return old, PolicyParams(old.logits + rng.normal(scale=scale, size=old.logits.shape))
+
+
 def _random_batch(
     rng, policy_old: PolicyParams, policy_new: PolicyParams, group_size=4
 ) -> RolloutBatch:
@@ -512,31 +511,31 @@ def _random_batch(
 def _perturbed_batch(rng, scale: float) -> tuple[PolicyParams, RolloutBatch]:
     """A random old policy moved by N(0, scale^2) logit noise, and a group
     sampled from the old policy with logprobs under both."""
-    policy_old = _random_policy(rng)
-    policy = PolicyParams(
-        policy_old.logits + rng.normal(scale=scale, size=policy_old.logits.shape)
-    )
+    policy_old, policy = _perturbed_policies(rng, scale)
     return policy, _random_batch(rng, policy_old, policy)
 
 
-def _informative(batch: RolloutBatch) -> bool:
-    """Some advantage is nonzero and some rollout's log-ratios are not all equal."""
-    return bool(np.any(batch.advantages != 0.0)) and any(
-        np.ptp(logs[mask]) >= 1e-9 for logs, mask in zip(batch.log_ratios, batch.mask)
-    )
+def _informative_batches(res: CheckResult, rng, instances) -> Iterator[RolloutBatch]:
+    """Of instances // 5 perturbed batches, drawn as they are consumed, those
+    with a nonzero advantage and a rollout whose log-ratios are not all
+    equal; res is skipped if there is none."""
+    tested = 0
+    for _ in range(max(1, instances // 5)):
+        _, batch = _perturbed_batch(rng, 0.2)
+        if np.any(batch.advantages != 0.0) and any(
+            np.ptp(logs[mask]) >= 1e-9 for logs, mask in zip(batch.log_ratios, batch.mask)
+        ):
+            tested += 1
+            yield batch
+    if tested == 0:
+        res.skip("all sampled batches degenerate")
 
 
 def _away_from_kinks(batch: RolloutBatch, order, clip: ClipConfig) -> bool:
-    for logs, mask in zip(batch.log_ratios, batch.mask):
-        rho = holder_mean_masked(LogRatioSequence(logs, mask), order)
-        if min(abs(rho - clip.low), abs(rho - clip.high)) < KINK_MARGIN:
-            return False
-        ratios = np.exp(logs[mask])
-        if np.min(np.abs(ratios - clip.low)) < KINK_MARGIN:
-            return False
-        if np.min(np.abs(ratios - clip.high)) < KINK_MARGIN:
-            return False
-    return True
+    """No rollout's rho and no valid token ratio is within KINK_MARGIN of a clip edge."""
+    rho, _ = core.holder_rows(batch.log_ratios, batch.mask, order)
+    values = np.concatenate([rho, np.exp(batch.log_ratios[batch.mask])])
+    return bool(np.abs(values[:, None] - [clip.low, clip.high]).min() >= KINK_MARGIN)
 
 
 def _bumped_policies(policy: PolicyParams, h=FD_STEP) -> PolicyParams:
@@ -592,14 +591,8 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         "finite differences within rel. 1e-4",
     )
     for _ in range(max(1, instances // 4)):
-        policy_old = _random_policy(rng)
-        policy = PolicyParams(policy_old.logits + rng.normal(scale=0.1,
-                                                             size=policy_old.logits.shape))
-        probs = policy_old.probs()
-        tokens = np.array(
-            [rng.choice(policy_old.vocab, p=probs[pos])
-             for pos in range(policy_old.length)]
-        )
+        policy_old, policy = _perturbed_policies(rng, 0.1)
+        tokens = np.array([rng.choice(policy_old.vocab, p=row) for row in policy_old.probs()])
         p = float(rng.uniform(-4.0, 4.0))
         order = HolderOrder(p)
         old_logprobs = policy_old.token_logprobs(tokens)
@@ -637,9 +630,7 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
         policy, batch = _perturbed_batch(rng, 0.15)
         p = float(rng.uniform(-3.0, 3.0))
         order = HolderOrder(p)
-        if not _away_from_kinks(batch, order, clip):
-            continue
-        if np.all(batch.advantages == 0.0):
+        if np.all(batch.advantages == 0.0) or not _away_from_kinks(batch, order, clip):
             continue
         done += 1
 
@@ -685,27 +676,23 @@ def check_reinforce_invariance(rng, instances) -> CheckResult:
 def check_seq_clip_contraction(rng, instances) -> CheckResult:
     res = CheckResult(
         "seq_clip_norm_contraction",
-        "per-sequence clipped gradient norm^2 never exceeds the unclipped one",
+        "the sequence clip zeroes A exactly where rho left the band on the "
+        "side A favors and keeps rho and W, so no rollout's gradient grows",
     )
     clip = ClipConfig(0.2)
     for _ in range(max(1, instances // 5)):
-        policy, batch = _perturbed_batch(rng, 0.3)
-        p = float(rng.uniform(-3.0, 3.0))
-        order = HolderOrder(p)
-        for ids, logs, mask, adv in zip(
-            batch.token_ids, batch.log_ratios, batch.mask, batch.advantages
-        ):
-            if adv == 0.0:
-                continue
-            ratios = RatioSequence(np.exp(logs[mask]))
-            g = adv * grad_rho(ratios, policy.score_gradients(ids), order)
-            rho = holder_mean(ratios, order)
-            indicator = 0.0 if (
-                (adv > 0.0 and rho > clip.high) or (adv < 0.0 and rho < clip.low)
-            ) else 1.0
-            clipped_sq = indicator * float(g @ g)
-            err = max(0.0, clipped_sq - float(g @ g))
-            res.observe(err, clipped_sq <= float(g @ g) + 1e-15, "norm grew")
+        _, batch = _perturbed_batch(rng, 0.3)
+        order = HolderOrder(float(rng.uniform(-3.0, 3.0)))
+        full = batch_terms(batch, order, "none")
+        seq = batch_terms(batch, order, "sequence", clip)
+        adv, rho = batch.advantages, full.row_scale
+        # the gate closes where rho has left the band on the side A favors
+        closed = np.where(adv > 0.0, rho > clip.high, rho < clip.low)
+        err = float(np.abs(seq.row_coef - np.where(closed, 0.0, adv)).max())
+        res.observe(err, err == 0.0, "row_coef is not A with the gate open, 0 closed")
+        same = (np.array_equal(seq.row_scale, full.row_scale)
+                and np.array_equal(seq.token_weights, full.token_weights))
+        res.observe(0.0 if same else 1.0, same, "the sequence clip moved rho or W")
     return res
 
 
@@ -714,17 +701,10 @@ def check_variance_term_monotone(rng, instances) -> CheckResult:
         "variance_term_monotone",
         "V(p) = E[A^2 rho^2] strictly increases in p on non-degenerate samples",
     )
-    tested = 0
-    for _ in range(max(1, instances // 5)):
-        _, batch = _perturbed_batch(rng, 0.2)
-        if not _informative(batch):
-            continue
-        tested += 1
+    for batch in _informative_batches(res, rng, instances):
         grid = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
         vals = [variance_bound_term([batch], HolderOrder(p)) for p in grid]
         _observe_rising(res, vals, "V(p) not increasing")
-    if tested == 0:
-        res.skip("all sampled batches degenerate")
     return res
 
 
@@ -798,20 +778,13 @@ def check_schedule_contraction(rng, instances) -> CheckResult:
         "schedule_variance_contraction",
         "V(p_low) < V(p_stat) whenever p_low < p_stat on non-degenerate samples",
     )
-    tested = 0
-    for _ in range(max(1, instances // 5)):
-        _, batch = _perturbed_batch(rng, 0.2)
-        if not _informative(batch):
-            continue
-        tested += 1
+    for batch in _informative_batches(res, rng, instances):
         p_stat = float(rng.uniform(-1.0, 2.0))
         p_low = p_stat - float(rng.uniform(0.5, 3.0))
         v_low = variance_bound_term([batch], HolderOrder(p_low))
         v_stat = variance_bound_term([batch], HolderOrder(p_stat))
         err = max(0.0, v_low - v_stat)
         res.observe(err, v_low < v_stat, f"V({p_low:.2f}) >= V({p_stat:.2f})")
-    if tested == 0:
-        res.skip("all sampled batches degenerate")
     return res
 
 

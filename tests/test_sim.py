@@ -81,6 +81,21 @@ class TestPolicyParams:
             np.testing.assert_array_equal(score_blocks[s], solo.score_blocks(ids[s]))
             assert entropy[s] == solo.mean_entropy()
 
+    def test_stack_token_logprobs_rejects_uneven_rows(self):
+        stack = PolicyParams(np.zeros((2, 8, 16)))
+        with pytest.raises(DomainError, match="3 batch rows do not split into 2"):
+            stack.token_logprobs(np.zeros((3, 8), dtype=np.int64))
+
+    def test_stack_score_blocks_rejects_uneven_rows(self):
+        stack = PolicyParams(np.zeros((2, 8, 16)))
+        with pytest.raises(DomainError, match="3 batch rows do not split into 2"):
+            stack.score_blocks(np.zeros((3, 8), dtype=np.int64))
+
+    def test_score_gradients_rejects_a_stack(self):
+        stack = PolicyParams(np.zeros((2, 8, 16)))
+        with pytest.raises(DomainError, match="1 batch rows do not split into 2"):
+            stack.score_gradients(np.zeros(8, dtype=np.int64))
+
     def test_score_gradients_shape_and_zero_sum(self, rng):
         policy = PolicyParams(rng.normal(size=(4, 6)))
         tokens = np.array([1, 0, 5, 3])
@@ -215,6 +230,11 @@ class TestSampling:
             block = stacked.select_groups([3 * s, 3 * s + 1, 3 * s + 2])
             for name in ("token_ids", "old_logprobs", "rewards", "advantages"):
                 np.testing.assert_array_equal(getattr(block, name), getattr(solo, name))
+
+    def test_stack_rejects_uneven_rows(self):
+        stack = PolicyParams(np.zeros((2, 8, 16)))
+        with pytest.raises(DomainError, match="3 batch rows do not split into 2"):
+            sample_rollouts(stack, default_sparse_task(), 3, np.full((3, 8), 0.5))
 
     @pytest.mark.parametrize("shape", [(8, 32), (8, 4), (4, 16)])
     def test_policy_of_another_shape_rejected(self, shape):

@@ -2,6 +2,7 @@
 and sensitivity to a deliberately corrupted formula."""
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from holderpo import HolderOrder, PolicyParams, RatioSequence, weight_p_derivative
 from holderpo import core, verify
 from holderpo.core import holder_grid
-from holderpo.verify import CHECKS, check_all, check_rng, check_weight_derivative_fd
+from holderpo.verify import CHECKS, check_all, check_rng
 
 # check_all(seed=0, instance_count=20) as the one-exponent-at-a-time checks
 # reported it, before the p-grid checks ran on batched holder_rows calls; the
@@ -232,16 +233,41 @@ class TestHarnessSensitivity:
         result = check_all(seed=0, instance_count=20, only=["estimators_vs_fd"])
         assert result.results[0].status == "fail"
 
-    def test_corrupted_weight_derivative_fails_fd_check(self):
+    def test_corrupted_weight_derivative_fails_fd_check(self, monkeypatch):
         def corrupted(ratios: RatioSequence, order: HolderOrder, t: int) -> float:
             return 1.1 * weight_p_derivative(ratios, order, t)
 
-        rng = np.random.default_rng(0)
-        result = check_weight_derivative_fd(rng, 50, derivative_fn=corrupted)
+        monkeypatch.setattr(verify, "weight_p_derivative", corrupted)
+        result = check_all(0, 50, only=["weight_derivative_vs_fd"]).results[0]
         assert result.status == "fail"
         assert result.worst_error > 1e-6
 
     def test_intact_formula_passes_same_instances(self):
-        rng = np.random.default_rng(0)
-        result = check_weight_derivative_fd(rng, 50)
+        result = check_all(0, 50, only=["weight_derivative_vs_fd"]).results[0]
         assert result.status == "pass"
+
+    def test_contraction_check_catches_flipped_gate(self, monkeypatch):
+        def flipped(batch, order, regime, clip=None, batch_terms=verify.batch_terms):
+            terms = batch_terms(batch, order, regime, clip)
+            if regime != "sequence":
+                return terms
+            rho, adv = terms.row_scale, batch.advantages
+            gated = ((adv < 0.0) & (rho > clip.high)) | ((adv > 0.0) & (rho < clip.low))
+            return dataclasses.replace(terms, row_coef=np.where(gated, 0.0, adv))
+
+        name = "seq_clip_norm_contraction"
+        assert check_all(0, 100, only=[name]).results[0].status == "pass"
+        monkeypatch.setattr(verify, "batch_terms", flipped)
+        assert check_all(0, 100, only=[name]).results[0].status == "fail"
+
+    @pytest.mark.parametrize("name", GRID_CHECKS + STENCIL_CHECKS)
+    def test_misshapen_rows_fail_the_check_without_raising(self, name, monkeypatch):
+        def shifted(log_ratios, exponents, holder_grids=verify._holder_grids):
+            """Each instance gets the next instance's rows."""
+            return itertools.islice(holder_grids(log_ratios, exponents), 1, None)
+
+        # limit_concentration draws one usable instance in 100, four in 200
+        instances = 200 if name == "limit_concentration" else 100
+        monkeypatch.setattr(verify, "_holder_grids", shifted)
+        result = check_all(0, instances, only=[name]).results[0]
+        assert result.status == "fail"

@@ -148,9 +148,21 @@ MUTANTS = (
     ),
     Mutant(
         "score blocks tiled across the stack, not repeated", "sim.py",
-        "blocks = np.repeat(-np.exp(tables), ids.size // (runs * length), axis=0)",
-        "blocks = np.tile(-np.exp(tables), (ids.size // (runs * length), 1, 1))",
+        "blocks = np.repeat(-np.exp(tables), self._rows_per_run(ids.size // length), axis=0)",
+        "blocks = np.tile(-np.exp(tables), (self._rows_per_run(ids.size // length), 1, 1))",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "stack row-count check dropped", "sim.py",
+        "        if rows % self.runs:\n",
+        "        if False:\n",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "contraction check compares row_coef with itself", "verify.py",
+        "err = float(np.abs(seq.row_coef - np.where(closed, 0.0, adv)).max())",
+        "err = float(np.abs(seq.row_coef - seq.row_coef).max())",
+        ("test_verify.py",),
     ),
     Mutant(
         "dropped 128-bit carry in streams", "streams.py",
