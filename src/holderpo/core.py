@@ -1,10 +1,10 @@
 """Power-mean aggregation of token importance ratios and its derivatives.
 
 One kernel, :func:`holder_rows`, computes the power means rho and the
-gradient weights W of a batch of masked rows.  The scalar functions
-(``holder_mean``, ``holder_mean_masked``, ``gradient_weights`` and those built
-on them) are one-row calls of it, so they run the code training runs.
-Likewise ``shannon_entropy`` and ``hhi`` are one-row calls of
+gradient weights W of a batch of masked rows at one exponent per row.  The
+scalar functions (``holder_mean``, ``holder_mean_masked``, ``gradient_weights``
+and those built on them) are one-row calls of it, so they run the code
+training runs.  Likewise ``shannon_entropy`` and ``hhi`` are one-row calls of
 :func:`concentration_rows`.
 
 All power computations run in log-space with a max shift, so exponents up
@@ -111,6 +111,12 @@ class HolderOrder:
         if not finite:
             raise DomainError("p must be finite")
 
+    def per_row(self, rows: int) -> np.ndarray:
+        """One exponent for each of `rows` rows; an array p must have `rows`."""
+        if isinstance(self.p, np.ndarray) and self.p.shape != (rows,):
+            raise DomainError(f"an array p must have shape {(rows,)}, got {self.p.shape}")
+        return np.full(rows, self.p)
+
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -150,15 +156,9 @@ def _centred_log_rho(logs, mask, n, p) -> np.ndarray:
     the masked mean m of the log-ratios, whose masked-out entries are zero;
     no rounding is divided by p, and at p = 0 this is m."""
     centre = logs.sum(axis=1) / n
-    terms = np.expm1(_column(p) * (logs - centre[:, None]))
+    terms = np.expm1(p[:, None] * (logs - centre[:, None]))
     spread = np.where(mask, terms, 0.0).sum(axis=1) / n
     return centre + np.log1p(spread) / np.where(p == 0.0, 1.0, p)
-
-
-def _column(value):
-    """A per-row value, one scalar for every row or an (N,) array, shaped to
-    broadcast over (N, T) arrays."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
 
 
 def holder_rows(
@@ -168,11 +168,11 @@ def holder_rows(
 
     Each row of the (N, T) arrays is one sequence; only its masked-in
     positions count, and masked-out positions get zero weight whatever they
-    hold.  ``order.p`` is one exponent for every row or an (N,) array of one
-    exponent per row; each row picks log-sum-exp or series on its own
-    exponent.  Returns rho with shape (N,) and W with shape (N, T); W is
-    checked to be finite, nonnegative and to sum to 1 within 1e-10 per row
-    (DomainError).
+    hold.  ``order.p``, one exponent for every row or an (N,) array of one
+    per row, becomes one exponent per row (:meth:`HolderOrder.per_row`), and
+    each row picks log-sum-exp or series on its own exponent.  Returns rho
+    with shape (N,) and W with shape (N, T); W is checked to be finite,
+    nonnegative and to sum to 1 within 1e-10 per row (DomainError).
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -185,23 +185,19 @@ def holder_rows(
     logs = np.where(mask, logs, 0.0)
     if not np.isfinite(logs).all():
         raise DomainError("valid log_ratios must be finite")
-    p = order.p
-    if isinstance(p, np.ndarray) and p.shape != n.shape:
-        raise DomainError(f"an array p must have shape {n.shape}, got {p.shape}")
-    scaled = np.where(mask, _column(p) * logs, -np.inf)
+    p = order.per_row(n.size)
+    scaled = np.where(mask, p[:, None] * logs, -np.inf)
     shift = scaled.max(axis=1)
     shifted = np.exp(scaled - shift[:, None])
     total = shifted.sum(axis=1)
     weights = shifted / total[:, None]
     log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
-    if not isinstance(p, np.ndarray):
-        series = abs(p) < SERIES_CUTOFF
-        log_rho = _centred_log_rho(logs, mask, n, p) if series else log_mean / p
-    else:
-        series = np.abs(p) < SERIES_CUTOFF
-        log_rho = np.divide(log_mean, p, out=np.empty(n.shape), where=~series)
-        if series.any():
-            log_rho[series] = _centred_log_rho(logs[series], mask[series], n[series], p[series])
+    series = np.abs(p) < SERIES_CUTOFF
+    log_rho = log_mean / np.where(series, 1.0, p)  # series rows are replaced below
+    count = np.count_nonzero(series)
+    if count:  # all rows, as at a constant p = 0, are taken without a copy
+        rows = slice(None) if count == n.size else np.flatnonzero(series)
+        log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
     rho = np.exp(log_rho)
     # written so that NaN weights, from p * log r overflowing, fail it too
     if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):
@@ -215,8 +211,7 @@ def holder_grid(
     """rho and W of one all-valid sequence of log-ratios at every exponent of
     ``order``, one row per exponent (one row for a scalar p), from one
     :func:`holder_rows` call."""
-    rows = order.p.size if isinstance(order.p, np.ndarray) else 1
-    logs = np.asarray(log_ratios, dtype=np.float64)[None].repeat(rows, axis=0)
+    logs = np.asarray(log_ratios, dtype=np.float64)[None].repeat(np.size(order.p), axis=0)
     return holder_rows(logs, np.ones(logs.shape, dtype=bool), order)
 
 

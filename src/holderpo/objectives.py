@@ -19,7 +19,7 @@ flattened (T, V) logit table, one per policy of a stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from holderpo.core import (
     DomainError,
     HolderOrder,
     RatioSequence,
-    _column,
     holder_grid,
     holder_rows,
 )
@@ -286,8 +285,9 @@ def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
     clipped = mask & ~kept & (adv != 0.0)[:, None]
     n = mask.sum(axis=1)
+    p = order.per_row(n.size)
     # h^{1-p}/n * r^p in log-space to survive large |p|
-    log_terms = ((1.0 - order.p) * np.log(h) - np.log(n))[:, None] + _column(order.p) * logs
+    log_terms = ((1.0 - p) * np.log(h) - np.log(n))[:, None] + p[:, None] * logs
     return np.where(kept, np.exp(log_terms), 0.0), h, clipped
 
 
@@ -296,7 +296,6 @@ def batch_terms(
     order: HolderOrder,
     regime: str,
     clip: ClipConfig | None = None,
-    guard: Callable[[RolloutBatch, np.ndarray], None] | None = None,
     runs: int = 1,
 ) -> BatchTerms:
     """rho, W or the token-clip factors, the gated advantages, the objective,
@@ -309,8 +308,8 @@ def batch_terms(
     The sequence gate zeroes a rollout whose aggregated ratio has already
     left the clip band in the direction its advantage favors; token
     clipping zeroes tokens clipped against the advantage direction and uses
-    the clipped power mean, not rho, as the outer factor.  ``guard(batch,
-    rho)``, if given, runs as soon as rho is known and may raise.
+    the clipped power mean, not rho, as the outer factor.  A non-finite
+    valid log-ratio raises DomainError, from ``holder_rows``.
     """
     if regime not in CLIPPING_REGIMES:
         raise DomainError(f"clipping regime must be one of {CLIPPING_REGIMES}")
@@ -320,8 +319,6 @@ def batch_terms(
     if runs < 1 or adv.size % (runs * batch.group_size):
         raise DomainError(f"rows must form {runs} equal blocks of whole groups")
     rho, weights = holder_rows(logs, mask, order)
-    if guard is not None:
-        guard(batch, rho)
     if regime == "token":
         token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
         row_scale, row_coef = np.ones_like(rho), adv

@@ -13,11 +13,12 @@ per rollout, so runs are bit-reproducible regardless of evaluation order;
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, checked once when sampled; a
 minibatch is a selection of its groups and ``refresh_logprobs`` re-reads it
-under the current policy, both derived without re-checking; and one
-``batch_terms`` call yields rho, the weights, the gates, the objective and
-the telemetry.  The per-group API (``sample_group``, ``refresh_logprobs``)
-works on the same container, a group being a batch with N = G, and
-``sample_group`` calls the one sampler, ``sample_rollouts``.
+under the current policy, both derived without re-checking; its token
+ratios are checked against the divergence band; and one ``batch_terms``
+call yields rho, the weights, the gates, the objective and the telemetry.
+The per-group API (``sample_group``, ``refresh_logprobs``) works on the same
+container, a group being a batch with N = G, and ``sample_group`` calls the
+one sampler, ``sample_rollouts``.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
 as the dense (T, T*V) score matrix; the ``grad_estimator_*`` functions call
 the same code.  ``train_many`` stacks runs that differ only in seed and
@@ -50,8 +51,8 @@ RHO_DIVERGENCE_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """An aggregated ratio exceeded the divergence guard; ``rollout`` is the
-    batch row that tripped it."""
+    """A token ratio left the divergence band; ``rollout`` is the row of the
+    run's own minibatch that left it first."""
 
     def __init__(self, message: str, rollout: int):
         super().__init__(message)
@@ -345,26 +346,24 @@ def success_probability(policy: PolicyParams, task: TaskSpec) -> float:
     return float(dist[: task.dense_threshold + 1].sum())
 
 
-def _check_divergence(batch: RolloutBatch, rho: np.ndarray) -> None:
-    """Raise DivergenceError for the first rollout with a token ratio outside
-    [1/limit, limit] or an aggregated ratio above the limit, checked in that
-    order."""
-    log_limit = np.log(RHO_DIVERGENCE_LIMIT)
-    extreme = np.abs(batch.log_ratios).max(axis=1)
-    bad = (extreme > log_limit) | (rho > RHO_DIVERGENCE_LIMIT)
-    if not bad.any():
-        return
-    first = int(np.argmax(bad))
-    if extreme[first] > log_limit:
-        raise DivergenceError(
-            f"token ratio exp({extreme[first]:.3g}) left the divergence band "
-            f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]",
-            first,
-        )
-    raise DivergenceError(
-        f"aggregated ratio {rho[first]:.3e} exceeded {RHO_DIVERGENCE_LIMIT:.0e}",
-        first,
-    )
+def _divergences(log_ratios: np.ndarray, runs: int) -> dict[int, DivergenceError]:
+    """The DivergenceError of each of `runs` equal consecutive blocks of rows
+    with a finite token ratio outside [1/limit, limit], keyed by block and
+    naming the block's first such row; masked-out log-ratios are 0, and a
+    non-finite one is left to ``holder_rows`` (DomainError).  rho needs no
+    check of its own: a power mean lies between its row's smallest and
+    largest token ratio, min r <= rho(p) <= max r for every p."""
+    block, width, errors = len(log_ratios) // runs, log_ratios.shape[1], {}
+    outside = np.flatnonzero(np.abs(log_ratios) > np.log(RHO_DIVERGENCE_LIMIT))
+    for row in (outside // width).tolist():  # a max over each short row is slower
+        extreme = np.abs(log_ratios[row]).max()
+        if extreme < np.inf and row // block not in errors:
+            errors[row // block] = DivergenceError(
+                f"token ratio exp({extreme:.3g}) left the divergence band "
+                f"[1/{RHO_DIVERGENCE_LIMIT:.0e}, {RHO_DIVERGENCE_LIMIT:.0e}]",
+                row % block,
+            )
+    return errors
 
 
 def _shared_config(configs: list[TrainConfig]) -> TrainConfig:
@@ -404,14 +403,14 @@ def train_many(
     Per round the S policies are one stacked PolicyParams and the rollouts
     one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
     share the round's uniforms.  Per update one ``batch_terms`` call covers
-    every run, with one exponent per row (a scalar order when every run has
-    the same p), and one score-block product gives the S gradients; each run
-    keeps its own group and minibatch folds.
+    every run, with one exponent per row, and one score-block product gives
+    the S gradients; each run keeps its own group and minibatch folds.
 
-    A run whose divergence guard trips stops updating and the others go on;
-    then the DivergenceError of the lowest-index diverged run is raised, the
-    one a loop of solo runs would raise first.  Every RunLog's wall_time is
-    the stack's elapsed time.
+    Each update first checks every run's refreshed minibatch for token
+    ratios outside the divergence band; the runs that trip leave the stack
+    before ``batch_terms``.  At the end the DivergenceError of the
+    lowest-index diverged run is raised, as its solo run raises it, the one a
+    loop of solo runs would raise first.  RunLog.wall_time is the stack's.
     """
     start = time.monotonic()
     base = _shared_config(configs)
@@ -439,28 +438,22 @@ def train_many(
         for update_idx in range(base.updates_per_round):
             lo = (update_idx * base.minibatch_size) % group_count
             groups = (lo + np.arange(base.minibatch_size)) % group_count
+            picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
+            minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)
+            tripped = _divergences(minibatch.log_ratios, len(live))
+            if tripped:  # the runs that diverged leave the stack at once
+                diverged.update((live[k], exc) for k, exc in tripped.items())
+                keep = [k for k in range(len(live)) if k not in tripped]
+                live, blocks = [live[k] for k in keep], [blocks[k] for k in keep]
+                if not live:
+                    break
+                policies = PolicyParams(policies.logits[keep])
+                minibatch = minibatch.select_groups((np.array(keep)[:, None] * base.minibatch_size
+                                                     + np.arange(base.minibatch_size)).ravel())
             ps = [p_at(configs[run].schedule, min(step, configs[run].schedule.total_steps))
                   for run in live]
-            # A run whose guard trips leaves the stack; the update is redone
-            # without it.
-            terms = None
-            while terms is None and live:
-                if ps.count(ps[0]) == len(ps):
-                    order = HolderOrder(ps[0])
-                else:
-                    order = HolderOrder(np.repeat(ps, rows_per_run))
-                picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
-                minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)
-                try:
-                    terms = batch_terms(minibatch, order, base.clipping_regime, clip,
-                                        guard=_check_divergence, runs=len(live))
-                except DivergenceError as exc:
-                    k = exc.rollout // rows_per_run
-                    diverged[live.pop(k)] = exc
-                    del blocks[k], ps[k]
-                    policies = PolicyParams(np.delete(policies.logits, k, axis=0))
-            if terms is None:
-                break
+            terms = batch_terms(minibatch, HolderOrder(np.array(ps).repeat(rows_per_run)),
+                                base.clipping_regime, clip, runs=len(live))
             gradient = policy_gradient(policies, minibatch, terms)
             policies = PolicyParams(policies.logits + base.learning_rate * gradient)
             entropy, objective, clip_fraction, v_of_p, log_max, log_min = (

@@ -10,9 +10,10 @@ would draw them.  The functions a check is about (the analytic p-derivatives,
 instance, while the reference side is batched: exponent grids and
 finite-difference stencils come from one ``core.holder_rows`` call per
 ``GRID_CHUNK`` instances, and a policy's bumped copies are one stack of
-log-probability tables.  Rows of the wrong shape fail their check.  No check
-re-derives the sequence clip: ``seq_clip_norm_contraction`` judges
-``batch_terms`` and the kink filter reads rho from ``core.holder_rows``."""
+log-probability tables.  Rows of the wrong shape, and fewer row sets than
+instances, fail their check.  No check re-derives the sequence clip:
+``seq_clip_norm_contraction`` judges ``batch_terms`` and the kink filter reads
+rho from ``core.holder_rows``."""
 
 from __future__ import annotations
 
@@ -195,6 +196,16 @@ def _holder_grids(log_ratios, exponents) -> Iterator[tuple[np.ndarray, np.ndarra
             yield rho_i, w_i[:, : len(seq)]
 
 
+def _paired(res: CheckResult, instances: Sequence, grids) -> Iterator[tuple]:
+    """Each instance with its (rho, W) from grids, in order; a failure in res
+    if grids runs out first, so no instance goes unjudged."""
+    judged = 0
+    for judged, pair in enumerate(zip(instances, grids), 1):
+        yield pair
+    if judged < len(instances):
+        res.observe(1.0, False, f"rows for {judged} of {len(instances)} instances")
+
+
 def _rows_fit(res: CheckResult, rho, weights, exponents: int, n: int) -> bool:
     """Whether rho and W have a row per exponent, of n weights; else a failure in res."""
     fit = rho.shape == (exponents,) and weights.shape == (exponents, n)
@@ -223,7 +234,7 @@ class _GridCheck:
         tested = [r for r in drawn if self.usable is None or self.usable(r)]
         grid = np.asarray(self.grid, dtype=np.float64)
         grids = _holder_grids([r.log_ratios for r in tested], [grid] * len(tested))
-        for r, (rho, weights) in zip(tested, grids):
+        for r, (rho, weights) in _paired(res, tested, grids):
             if _rows_fit(res, rho, weights, len(self.grid), len(r)):
                 self.judge(res, r, self.grid, rho, weights)
         if self.usable is not None and not tested:
@@ -255,7 +266,7 @@ class _StencilCheck:
             drawn.append((r, p, *self.derivative(rng, r, HolderOrder(p))))
         grids = _holder_grids([r.log_ratios for r, *_ in drawn],
                               [p + P_FD_STENCIL for _, p, *_ in drawn])
-        for (r, p, analytic, of_weights), (rho, weights) in zip(drawn, grids):
+        for (r, p, analytic, of_weights), (rho, weights) in _paired(res, drawn, grids):
             if not _rows_fit(res, rho, weights, len(P_FD_STENCIL), len(r)):
                 continue
             if self.nonnegative:
@@ -455,18 +466,16 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
     p_t = 0.5 * (lo + hi)
     before = np.linspace(-10.0, p_t - 0.2, 25, axis=1)
     after = np.linspace(p_t + 0.2, p_t + 12.0, 25, axis=1)
+    if not bracketed.all():
+        res.observe(1.0, False, "crossing not bracketed on [-60, 60]")
     rows = np.flatnonzero(bracketed)
     grids = _holder_grids([drawn[row][0].log_ratios for row in rows],
                           [np.concatenate([before[row], after[row]]) for row in rows])
-
-    for row, (r, t, _) in enumerate(drawn):
-        if not bracketed[row]:
-            res.observe(1.0, False, "crossing not bracketed on [-60, 60]")
-            continue
-        _, weights = next(grids)
-        _observe_rising(res, weights[:25, t], "weight not rising before the crossing")
-        _observe_rising(res, -weights[25:, t],
-                        "weight not strictly falling after the crossing")
+    for (r, t, _), (rho, weights) in _paired(res, [drawn[row] for row in rows], grids):
+        if _rows_fit(res, rho, weights, 50, len(r)):
+            _observe_rising(res, weights[:25, t], "weight not rising before the crossing")
+            _observe_rising(res, -weights[25:, t],
+                            "weight not strictly falling after the crossing")
     return res
 
 

@@ -29,6 +29,7 @@ from holderpo import (
 )
 from holderpo import core
 from holderpo.core import SERIES_CUTOFF, holder_rows
+from holderpo.sim import RHO_DIVERGENCE_LIMIT
 
 TWO_EIGHT = RatioSequence(np.array([2.0, 8.0]))
 
@@ -409,12 +410,14 @@ LOG_R_MAX = math.log(1e4)
 
 
 @st.composite
-def masked_log_ratio_rows(draw):
+def masked_log_ratio_rows(draw, bound=LOG_R_MAX):
+    """(N, T) log-ratios in [-bound, bound] and a mask with a valid position
+    in every row."""
     rows = draw(st.integers(1, 6))
     length = draw(st.integers(1, 12))
     logs = draw(
         hnp.arrays(np.float64, (rows, length),
-                   elements=st.floats(-LOG_R_MAX, LOG_R_MAX))
+                   elements=st.floats(-bound, bound))
     )
     mask = draw(hnp.arrays(np.bool_, (rows, length)))
     mask[np.arange(rows), draw(hnp.arrays(np.int64, rows,
@@ -453,9 +456,9 @@ def mpmath_row(valid_logs: np.ndarray, p: float) -> tuple[float, np.ndarray]:
 
 
 @st.composite
-def rows_and_orders(draw):
+def rows_and_orders(draw, bound=LOG_R_MAX):
     """Masked rows with either one shared order or one exponent per row."""
-    logs, mask = draw(masked_log_ratio_rows())
+    logs, mask = draw(masked_log_ratio_rows(bound))
     exponents = draw(st.lists(row_exponents, min_size=logs.shape[0],
                               max_size=logs.shape[0]))
     if draw(st.booleans()):
@@ -489,6 +492,18 @@ class TestHolderRows:
             one_rho, one_w = holder_rows(logs[i : i + 1], mask[i : i + 1], row_order)
             assert rho[i] == one_rho[0]
             np.testing.assert_array_equal(weights[i], one_w[0])
+
+    @given(rows_and_orders(math.log(RHO_DIVERGENCE_LIMIT)))
+    @settings(max_examples=300, deadline=None)
+    def test_rho_lies_between_the_extreme_ratios(self, case):
+        """min r <= rho(p) <= max r over a row's valid tokens, within 1e-12,
+        for |p| <= 40 on the divergence band: train_many's divergence check
+        rests on it to read token ratios only."""
+        logs, mask, order, _ = case
+        rho, _ = holder_rows(logs, mask, order)
+        ratios = np.exp(np.where(mask, logs, 0.0))
+        assert (rho >= np.where(mask, ratios, np.inf).min(axis=1) * (1.0 - 1e-12)).all()
+        assert (rho <= np.where(mask, ratios, 0.0).max(axis=1) * (1.0 + 1e-12)).all()
 
     def test_continuous_across_series_cutoff(self):
         ratios = np.array([0.5, 2.0, 4.0, 0.25])

@@ -654,7 +654,7 @@ class TestRolloutBatch:
 
     def test_derived_non_finite_log_ratio_raises_in_kernel(self):
         """A refresh is not re-checked, but a non-finite valid log-ratio still
-        raises, from batch_terms, before any guard runs."""
+        raises, from the kernel that batch_terms calls."""
 
         class InfinitePolicy:
             vocab = 2  # refresh_logprobs checks the ids against it
@@ -666,8 +666,7 @@ class TestRolloutBatch:
 
         derived = refresh_logprobs(RolloutBatch(**self._arrays()), InfinitePolicy())
         with pytest.raises(DomainError, match="valid log_ratios must be finite"):
-            batch_terms(derived, HolderOrder(1.0), "none",
-                        guard=lambda batch, rho: pytest.fail("guard ran"))
+            batch_terms(derived, HolderOrder(1.0), "none")
 
     def test_concat_returns_a_lone_batch_unchanged(self, rng):
         old, new = random_policy_pair(rng)

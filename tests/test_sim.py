@@ -26,10 +26,10 @@ from holderpo import (
     train_many,
     trend_config,
 )
-from holderpo.objectives import RolloutBatch, batch_terms
+from holderpo import sim
 from holderpo.sim import (
     RHO_DIVERGENCE_LIMIT,
-    _check_divergence,
+    _divergences,
     _rollout_rng,
     _round_uniforms,
     sample_rollouts,
@@ -287,52 +287,68 @@ class TestSuccessProbability:
         )
 
 
-def guarded_terms(groups, order):
-    """Run the batched kernel with the divergence guard, as train does."""
-    return batch_terms(
-        RolloutBatch.concat(groups), order, "none", guard=_check_divergence
-    )
+def check_divergence(batch):
+    """Raise what train_many's divergence check finds in a one-run minibatch."""
+    for error in _divergences(batch.log_ratios, 1).values():
+        raise error
+
+
+BIG = np.log(RHO_DIVERGENCE_LIMIT) + 1.0  # a log-ratio just outside the band
 
 
 class TestDivergenceGuard:
     def test_triggers_above_limit(self):
-        big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
-        batch = make_group([[big, big], [0.0, 0.0]], [1.0, 0.0])
+        batch = make_group([[BIG, BIG], [0.0, 0.0]], [1.0, 0.0])
         with pytest.raises(DivergenceError):
-            guarded_terms([batch], HolderOrder(1.0))
+            check_divergence(batch)
 
     def test_quiet_below_limit(self):
         batch = make_group([[1.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
-        guarded_terms([batch], HolderOrder(1.0))
+        check_divergence(batch)
+
+    def test_triggers_below_the_inverse_limit(self):
+        # the only ratio outside the band is below 1/limit
+        batch = make_group([[0.0, 0.0], [-BIG, 0.0]], [1.0, 0.0])
+        with pytest.raises(DivergenceError, match=r"^token ratio exp\(14\.8\)") as error:
+            check_divergence(batch)
+        assert error.value.rollout == 1
 
     def test_token_band_reported_before_rho(self):
-        big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
-        batch = make_group([[0.0, 0.0], [big, big]], [1.0, 0.0])
+        # rho of rollout 1 is above the limit too; the token band names it
+        batch = make_group([[0.0, 0.0], [BIG, BIG]], [1.0, 0.0])
         with pytest.raises(DivergenceError, match=r"^token ratio exp\(14\.8\)"):
-            guarded_terms([batch], HolderOrder(1.0))
+            check_divergence(batch)
 
     def test_token_band_trips_with_rho_inside(self):
         # geometric mean of r and 1/r is 1: only the token band can catch it
-        big = np.log(RHO_DIVERGENCE_LIMIT) + 1.0
-        batch = make_group([[big, -big], [0.0, 0.0]], [1.0, 0.0])
+        batch = make_group([[BIG, -BIG], [0.0, 0.0]], [1.0, 0.0])
         with pytest.raises(DivergenceError, match="^token ratio"):
-            guarded_terms([batch], HolderOrder(0.0))
+            check_divergence(batch)
 
     def test_first_offending_rollout_wins(self):
-        logs = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [16.0, 0.0]])
-        rollouts = RolloutBatch(
-            token_ids=np.zeros((4, 2), dtype=np.int64),
-            old_logprobs=np.full((4, 2), -20.0),
-            new_logprobs=logs - 20.0,
-            mask=np.ones((4, 2), dtype=bool),
-            rewards=np.zeros(4),
-            advantages=np.zeros(4),
-            group_size=2,
-        )
-        # rho of rollout 2 trips the guard first; rollout 3 also leaves the band
-        rho = np.array([1.0, 1.0, 2e6, 1.0])
-        with pytest.raises(DivergenceError, match=r"^aggregated ratio 2\.000e\+06"):
-            _check_divergence(rollouts, rho)
+        # rollouts 2 and 3 both leave the band; rollout 2 is reported
+        batch = make_group([[0.0, 0.0], [0.0, 0.0], [0.0, -15.5], [16.0, 0.0]],
+                           [1.0, 0.0, 1.0, 0.0])
+        with pytest.raises(DivergenceError, match=r"^token ratio exp\(15\.5\)") as error:
+            check_divergence(batch)
+        assert error.value.rollout == 2
+
+    def test_non_finite_rows_are_left_to_the_kernel(self):
+        # holder_rows raises DomainError for them, in batch_terms
+        logs = np.array([[0.0, np.inf], [np.nan, 0.0], [-np.inf, BIG], [0.0, BIG]])
+        errors = _divergences(logs, 1)
+        assert list(errors) == [0] and errors[0].rollout == 3
+
+    def test_each_run_reports_its_own_first_row(self):
+        """The rows form one equal block per run; each block that trips gets
+        its own error, its rollout counted within the block."""
+        logs = np.zeros((6, 2))
+        logs[3, 1], logs[4, 0], logs[5, 0] = 15.5, -16.0, 17.0
+        errors = _divergences(logs, 3)
+        assert list(errors) == [1, 2]
+        assert [errors[k].rollout for k in (1, 2)] == [1, 0]
+        assert str(errors[1]).startswith("token ratio exp(15.5)")
+        assert str(errors[2]).startswith("token ratio exp(16)")
 
 
 class TestTrain:
@@ -508,6 +524,50 @@ class TestTrainMany:
         with pytest.raises(DivergenceError) as stacked:
             train_many(configs, task)
         assert str(stacked.value) == str(solo.value)
+
+    def test_runs_diverging_together_leave_together(self, monkeypatch):
+        """Two identical runs of four diverge at the same update: both leave
+        the stack at once, the other two go on exactly as they do alone, and
+        the error raised is the solo run's, rollout index included."""
+        steps = []  # (policies, gradient) of every update, in order
+
+        def recording(policies, minibatch, terms, policy_gradient=sim.policy_gradient):
+            gradient = policy_gradient(policies, minibatch, terms)
+            steps.append((policies.logits.copy(), gradient))
+            return gradient
+
+        monkeypatch.setattr(sim, "policy_gradient", recording)
+        task = TaskSpec(kind="sparse", length=6, vocab=8, key_position=2, key_token=3)
+        base = TrainConfig(
+            rollouts_per_round=16, group_size=4, minibatch_size=2,
+            updates_per_round=8, total_rounds=10, learning_rate=100.0,
+            clipping_regime="none", schedule=ScheduleSpec.constant(2.0, 79),
+        )
+        diverging = replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79))
+        configs = [base, diverging, diverging,
+                   replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79))]
+        solo_steps = []
+        for config in configs[::3]:
+            steps.clear()
+            train(config, task)
+            solo_steps.append(list(steps))
+        steps.clear()
+        with pytest.raises(DivergenceError) as solo:
+            train(diverging, task)
+        diverged_at = len(steps)
+        steps.clear()
+        with pytest.raises(DivergenceError) as stacked:
+            train_many(configs, task)
+        assert str(stacked.value) == str(solo.value)
+        assert stacked.value.rollout == solo.value.rollout
+        assert [len(policies) for policies, _ in steps] == (
+            [4] * diverged_at + [2] * (len(steps) - diverged_at))
+        for k, run in enumerate((0, 3)):
+            assert len(solo_steps[k]) == len(steps)
+            for (policies, gradient), (solo, solo_gradient) in zip(steps, solo_steps[k]):
+                row = run if len(policies) == 4 else k
+                np.testing.assert_array_equal(policies[row], solo[0])
+                np.testing.assert_array_equal(gradient[row], solo_gradient[0])
 
 
 class TestDefaultTasks:

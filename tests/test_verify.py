@@ -112,6 +112,12 @@ def _reversed_rows(log_ratios, mask, order, holder_rows=core.holder_rows):
     return rho[::-1], weights[::-1]
 
 
+def _skip_first_rows(log_ratios, exponents, holder_grids=verify._holder_grids):
+    """_holder_grids without its first row set: each instance gets the next
+    instance's rows, and the last gets none."""
+    return itertools.islice(holder_grids(log_ratios, exponents), 1, None)
+
+
 GRID_CHECKS = [name for name, check in CHECKS.items()
                if isinstance(check, verify._GridCheck)]
 STENCIL_CHECKS = [name for name, check in CHECKS.items()
@@ -262,12 +268,21 @@ class TestHarnessSensitivity:
 
     @pytest.mark.parametrize("name", GRID_CHECKS + STENCIL_CHECKS)
     def test_misshapen_rows_fail_the_check_without_raising(self, name, monkeypatch):
-        def shifted(log_ratios, exponents, holder_grids=verify._holder_grids):
-            """Each instance gets the next instance's rows."""
-            return itertools.islice(holder_grids(log_ratios, exponents), 1, None)
-
         # limit_concentration draws one usable instance in 100, four in 200
         instances = 200 if name == "limit_concentration" else 100
-        monkeypatch.setattr(verify, "_holder_grids", shifted)
+        monkeypatch.setattr(verify, "_holder_grids", _skip_first_rows)
         result = check_all(0, instances, only=[name]).results[0]
         assert result.status == "fail"
+
+    @pytest.mark.parametrize("name, detail", [
+        # its one usable instance in 100 gets no rows at all
+        ("limit_concentration", "rows for 0 of 1 instances"),
+        # each instance gets the next one's rows, of another length
+        ("weight_rise_then_fall", "W of shape"),
+    ])
+    def test_short_row_stream_fails_the_check(self, name, detail, monkeypatch):
+        assert check_all(0, 100, only=[name]).results[0].status == "pass"
+        monkeypatch.setattr(verify, "_holder_grids", _skip_first_rows)
+        result = check_all(0, 100, only=[name]).results[0]
+        assert result.status == "fail"
+        assert result.detail.startswith(detail)

@@ -68,8 +68,8 @@ MUTANTS = (
     ),
     Mutant(
         "each grid judge gets the next instance's rows", "verify.py",
-        "        for r, (rho, weights) in zip(tested, grids):\n",
-        "        for r, (rho, weights) in zip(tested, [*grids][1:]):\n",
+        "        for r, (rho, weights) in _paired(res, tested, grids):\n",
+        "        for r, (rho, weights) in _paired(res, tested, [*grids][1:]):\n",
         ("test_verify.py",),
     ),
     Mutant(
@@ -80,8 +80,8 @@ MUTANTS = (
     ),
     Mutant(
         "p -> -p in holder_rows", "core.py",
-        "    p = order.p\n",
-        "    p = -order.p\n",
+        "    p = order.per_row(n.size)",
+        "    p = -order.per_row(n.size)",
         ("test_core.py",),
     ),
     Mutant(
@@ -156,6 +156,24 @@ MUTANTS = (
         "stack row-count check dropped", "sim.py",
         "        if rows % self.runs:\n",
         "        if False:\n",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "short-row count check dropped", "verify.py",
+        "    if judged < len(instances):\n",
+        "    if False:\n",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "divergence check drops np.abs", "sim.py",
+        "np.flatnonzero(np.abs(log_ratios) > ",
+        "np.flatnonzero(log_ratios > ",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "divergence check flags non-finite rows", "sim.py",
+        "if extreme < np.inf and row",
+        "if row",
         ("test_sim.py",),
     ),
     Mutant(
