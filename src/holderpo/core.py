@@ -112,10 +112,15 @@ class HolderOrder:
             raise DomainError("p must be finite")
 
     def per_row(self, rows: int) -> np.ndarray:
-        """One exponent for each of `rows` rows; an array p must have `rows`."""
-        if isinstance(self.p, np.ndarray) and self.p.shape != (rows,):
-            raise DomainError(f"an array p must have shape {(rows,)}, got {self.p.shape}")
-        return np.full(rows, self.p)
+        """One exponent for each of `rows` rows, as a read-only array without
+        a copy: an array p itself, which must have `rows` entries, or a float
+        p read `rows` times through a zero stride."""
+        if isinstance(self.p, np.ndarray):
+            if self.p.shape != (rows,):
+                raise DomainError(f"an array p must have shape {(rows,)}, got {self.p.shape}")
+            return self.p
+        # p's eight bytes seen `rows` times; read-only, as bytes are immutable
+        return np.ndarray((rows,), np.float64, np.float64(self.p).tobytes(), strides=(0,))
 
 
 @dataclass(frozen=True)
@@ -191,13 +196,16 @@ def holder_rows(
     shifted = np.exp(scaled - shift[:, None])
     total = shifted.sum(axis=1)
     weights = shifted / total[:, None]
-    log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
     series = np.abs(p) < SERIES_CUTOFF
-    log_rho = log_mean / np.where(series, 1.0, p)  # series rows are replaced below
     count = np.count_nonzero(series)
-    if count:  # all rows, as at a constant p = 0, are taken without a copy
-        rows = slice(None) if count == n.size else np.flatnonzero(series)
-        log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
+    if count == n.size:  # all rows, as at a constant p = 0, are taken without a copy
+        log_rho = _centred_log_rho(logs, mask, n, p)
+    else:
+        log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
+        log_rho = log_mean / (np.where(series, 1.0, p) if count else p)
+        if count:  # the series rows replace their log-sum-exp values
+            rows = np.flatnonzero(series)
+            log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
     rho = np.exp(log_rho)
     # written so that NaN weights, from p * log r overflowing, fail it too
     if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):

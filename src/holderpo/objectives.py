@@ -101,9 +101,9 @@ class RolloutBatch:
     Arrays from outside are checked at construction: token ids >= 0,
     log-probabilities <= 0 and finite log-ratios at valid positions, and at
     least one valid position per row; ids below the vocabulary size are
-    checked when a policy reads them, in ``sim.refresh_logprobs``.  Batches
-    derived from a checked one (``select_groups``, ``concat`` and a logprob
-    refresh) are not checked again.
+    checked when a policy reads them, in ``sim.PolicyParams.token_logprobs``.
+    Batches derived from a checked one (``select_groups``, ``concat`` and a
+    logprob refresh) are not checked again.
     ``log_ratios`` is new - old at valid positions and 0 elsewhere.
     """
 

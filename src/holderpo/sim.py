@@ -8,7 +8,9 @@ parameter blocks.  ``PolicyParams`` is the one policy type: one (T, V) logit
 table or an (S, T, V) stack of them, read by every sampler, refresh,
 gradient and entropy call.  Sampling uses one counter-derived RNG substream
 per rollout, so runs are bit-reproducible regardless of evaluation order;
-``holderpo.streams`` derives all of a round's substreams in one pass.
+``holderpo.streams`` derives all of a round's substreams in one pass.  A
+uniform u becomes the token id that counts the first V - 1 cumulative
+probabilities of its position below u: the inverse-CDF index capped at V - 1.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, checked once when sampled; a
@@ -122,11 +124,16 @@ class PolicyParams:
     def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
         """log pi(token_ids[..., t] | pos t) for token ids of shape (..., T);
         against a stack, log pi_s(token_ids[i, t] | pos t) for each row i of
-        block s of (N, T) ids."""
+        block s of (N, T) ids.  An id outside [0, V) raises DomainError, where
+        indexing would wrap a negative one round to the end of the row."""
+        ids = np.asarray(token_ids)
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab:
+            raise DomainError(f"token_ids must lie in [0, {self.vocab}), "
+                              f"the vocabulary size {self.vocab}")
         if self.logits.ndim == 2:
-            return self.log_probs[np.arange(self.length), token_ids]
-        run = np.arange(self.runs).repeat(self._rows_per_run(len(token_ids)))[:, None]
-        return self.log_probs[run, np.arange(self.length), token_ids]
+            return self.log_probs[np.arange(self.length), ids]
+        run = np.arange(self.runs).repeat(self._rows_per_run(len(ids)))[:, None]
+        return self.log_probs[run, np.arange(self.length), ids]
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
         """Block t of the score vector of token t, onehot(token) - pi_t, from
@@ -278,9 +285,11 @@ def sample_rollouts(
     """Sample one rollout per row of the (N, T) `uniforms` position-wise from
     the old policy by inverse CDF, block s of the rows from policy s of a
     stack; rewards and group-normalized advantages (G consecutive rows per
-    group) are filled in.  A policy of another (length, vocab) than the
-    task's, or a row count that is not a multiple of the stack's S, raises
-    DomainError."""
+    group) are filled in.  The token at position t for uniform u is the
+    count of the first V - 1 cumulative probabilities of row t below u,
+    which equals the inverse-CDF index searchsorted(cum, u) capped at V - 1.
+    A policy of another (length, vocab) than the task's, or a row count that
+    is not a multiple of the stack's S, raises DomainError."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
         raise DomainError(
@@ -288,8 +297,15 @@ def sample_rollouts(
         )
     cum = np.cumsum(np.exp(policy_old._tables()), axis=2)
     draws = uniforms.reshape(len(cum), policy_old._rows_per_run(len(uniforms)), task.length)
-    token_ids = np.minimum((cum[:, None] < draws[..., None]).sum(axis=3), task.vocab - 1)
-    token_ids = token_ids.reshape(-1, task.length)
+    # The comparison is (S, T, V - 1, N), rollouts innermost, so the count
+    # along V adds whole rows of N; cum never decreases, so counting its
+    # first V - 1 entries is the cap.  One expression: no temporary outlives
+    # the ids.
+    token_ids = (
+        (cum[:, :, :-1, None] < draws.transpose(0, 2, 1)[:, :, None, :])
+        .view(np.uint8).sum(axis=2, dtype=np.min_scalar_type(task.vocab - 1))
+        .transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, task.length)
+    )
     old_lp = policy_old.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
     return RolloutBatch(
@@ -319,9 +335,8 @@ def sample_group(
 def refresh_logprobs(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
     """Recompute new_logprobs under the current policy (or the current
     policies of a stack), deriving the batch without re-checking it; a token
-    id outside the policy's vocabulary raises DomainError."""
-    if batch.token_ids.max() >= policy_new.vocab:
-        raise DomainError(f"token_ids must be < the vocabulary size {policy_new.vocab}")
+    id outside the policy's vocabulary raises DomainError, from
+    ``PolicyParams.token_logprobs``."""
     return batch._derive(new_logprobs=policy_new.token_logprobs(batch.token_ids))
 
 

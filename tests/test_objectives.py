@@ -657,8 +657,6 @@ class TestRolloutBatch:
         raises, from the kernel that batch_terms calls."""
 
         class InfinitePolicy:
-            vocab = 2  # refresh_logprobs checks the ids against it
-
             def token_logprobs(self, token_ids):
                 logprobs = np.full(token_ids.shape, -0.5)
                 logprobs[1, 0] = -np.inf

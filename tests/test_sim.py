@@ -81,6 +81,23 @@ class TestPolicyParams:
             np.testing.assert_array_equal(score_blocks[s], solo.score_blocks(ids[s]))
             assert entropy[s] == solo.mean_entropy()
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_token_logprobs_rejects_ids_outside_the_vocabulary(self, bad):
+        """An id below 0 or at V or above is a DomainError on a table and on
+        a stack; indexing alone would read token V - 1 for an id of -1."""
+        table = PolicyParams(np.arange(12.0).reshape(3, 4))
+        stack = PolicyParams(np.stack([table.logits, -table.logits]))
+        ids = np.array([[0, 3, 1], [3, 0, 2]])
+        for policy, read in ((table, ids[0]), (stack, ids)):
+            outside = read.copy()
+            outside[..., 2] = bad
+            with pytest.raises(DomainError, match=r"must lie in \[0, 4\)"):
+                policy.token_logprobs(outside)
+        np.testing.assert_array_equal(table.token_logprobs(ids[1]),
+                                      table.log_probs[[0, 1, 2], [3, 0, 2]])
+        np.testing.assert_array_equal(stack.token_logprobs(ids),
+                                      stack.log_probs[[[0], [1]], [0, 1, 2], ids])
+
     def test_stack_token_logprobs_rejects_uneven_rows(self):
         stack = PolicyParams(np.zeros((2, 8, 16)))
         with pytest.raises(DomainError, match="3 batch rows do not split into 2"):
@@ -230,6 +247,38 @@ class TestSampling:
             block = stacked.select_groups([3 * s, 3 * s + 1, 3 * s + 2])
             for name in ("token_ids", "old_logprobs", "rewards", "advantages"):
                 np.testing.assert_array_equal(getattr(block, name), getattr(solo, name))
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("vocab", [2, 16, 300])
+    def test_matches_a_searchsorted_oracle(self, rng, runs, vocab):
+        """Each id is the inverse-CDF index of its uniform on its own run and
+        position, searchsorted(cum, u, side="left") capped at V - 1, checked
+        one (run, position) at a time: at u = 0, at u equal to an interior
+        cum entry, above cum[-1], and under logits of +-700, whose
+        probabilities underflow so that cum has flat runs (V = 300 counts in
+        uint16)."""
+        length, rows = 6, 24
+        logits = rng.normal(scale=3.0, size=(runs, length, vocab))
+        extreme = rng.random(logits.shape) < 0.3
+        logits[extreme] = rng.choice([-700.0, 700.0], size=extreme.sum())
+        logits[:, 0] = -700.0  # cum is 0, ..., 0, 1
+        logits[:, 0, -1] = 700.0
+        logits[:, 1, 0] = 700.0  # cum is 1, ..., 1
+        policy = PolicyParams(logits)
+        cums = [[np.cumsum(np.exp(policy.log_probs[s, t])) for t in range(length)]
+                for s in range(runs)]
+        uniforms = rng.random((runs, rows, length))
+        for s, t in np.ndindex(runs, length):
+            cum = cums[s][t]
+            uniforms[s, :8, t] = [0.0, *cum[rng.integers(0, vocab - 1, size=4)], cum[0],
+                                  np.nextafter(cum[-1], np.inf), 1.0]
+        assert (np.diff(np.array(cums), axis=2) == 0.0).any()
+        task = TaskSpec(kind="sparse", length=length, vocab=vocab)
+        batch = sample_rollouts(policy, task, 2, uniforms.reshape(-1, length))
+        ids = batch.token_ids.reshape(runs, rows, length)
+        for s, t in np.ndindex(runs, length):
+            expect = np.searchsorted(cums[s][t], uniforms[s, :, t], side="left")
+            np.testing.assert_array_equal(ids[s, :, t], np.minimum(expect, vocab - 1))
 
     def test_stack_rejects_uneven_rows(self):
         stack = PolicyParams(np.zeros((2, 8, 16)))

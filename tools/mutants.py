@@ -141,9 +141,21 @@ MUTANTS = (
         ("test_sim.py",),
     ),
     Mutant(
+        "sampler counts over all V, not the first V - 1", "sim.py",
+        "(cum[:, :, :-1, None] < draws",
+        "(cum[:, :, :, None] < draws",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "sampler counts cum <= u, not cum < u", "sim.py",
+        "None] < draws.transpose(",
+        "None] <= draws.transpose(",
+        ("test_sim.py",),
+    ),
+    Mutant(
         "every stacked row reads policy 0 in token_logprobs", "sim.py",
-        "return self.log_probs[run, np.arange(self.length), token_ids]",
-        "return self.log_probs[0 * run, np.arange(self.length), token_ids]",
+        "return self.log_probs[run, np.arange(self.length), ids]",
+        "return self.log_probs[0 * run, np.arange(self.length), ids]",
         ("test_sim.py",),
     ),
     Mutant(
