@@ -224,7 +224,9 @@ def holder_grid(
 
 
 def _one_row(logs: np.ndarray, order: HolderOrder) -> tuple[float, np.ndarray]:
-    """rho and W of one sequence at one exponent: the single row of holder_grid."""
+    """rho and W of one sequence at one float p: the single row of holder_grid."""
+    if isinstance(order.p, np.ndarray):
+        raise DomainError(f"one sequence needs a float p, not an array of shape {order.p.shape}")
     (rho,), (weights,) = holder_grid(logs, order)
     return float(rho), weights
 

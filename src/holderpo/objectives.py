@@ -27,6 +27,7 @@ from holderpo.core import (
     DomainError,
     HolderOrder,
     RatioSequence,
+    _one_row,
     holder_grid,
     holder_rows,
 )
@@ -101,7 +102,7 @@ class RolloutBatch:
     Arrays from outside are checked at construction: token ids >= 0,
     log-probabilities <= 0 and finite log-ratios at valid positions, and at
     least one valid position per row; ids below the vocabulary size are
-    checked when a policy reads them, in ``sim.PolicyParams.token_logprobs``.
+    checked when a ``sim.PolicyParams`` reads or scores them.
     Batches derived from a checked one (``select_groups``, ``concat`` and a
     logprob refresh) are not checked again.
     ``log_ratios`` is new - old at valid positions and 0 elsewhere.
@@ -158,12 +159,7 @@ class RolloutBatch:
         """This batch with the given arrays in place of its own, trusted as
         coming from checked arrays: ``__post_init__`` does not run.  Selected
         rows come from a checked batch and a log-softmax of finite logits is
-        <= 0; a non-finite valid log-ratio still raises, in ``holder_rows``.
-        ``log_ratios`` is recomputed when ``new_logprobs`` is given."""
-        if "new_logprobs" in arrays:
-            mask = arrays.get("mask", self.mask)
-            old = arrays.get("old_logprobs", self.old_logprobs)
-            arrays["log_ratios"] = np.where(mask, arrays["new_logprobs"] - old, 0.0)
+        <= 0; a non-finite valid log-ratio still raises, in ``holder_rows``."""
         derived = object.__new__(RolloutBatch)
         derived.__dict__.update(vars(self), **arrays)
         return derived
@@ -190,7 +186,7 @@ class RolloutBatch:
 
         return batches[0]._derive(
             **{name: join(name) for name in
-               ("token_ids", "old_logprobs", "new_logprobs", "mask")},
+               ("token_ids", "old_logprobs", "new_logprobs", "mask", "log_ratios")},
             rewards=np.concatenate([b.rewards for b in batches]),
             advantages=np.concatenate([b.advantages for b in batches]),
         )
@@ -199,10 +195,9 @@ class RolloutBatch:
         """The batch made of the given groups, in the given order."""
         size = self.group_size
         rows = (np.asarray(groups)[:, None] * size + np.arange(size)).ravel()
-        return self._derive(**{
-            name: getattr(self, name)[rows] for name in
-            ("token_ids", "old_logprobs", "new_logprobs", "mask", "rewards", "advantages")
-        })
+        names = ("token_ids", "old_logprobs", "new_logprobs", "mask", "log_ratios",
+                 "rewards", "advantages")
+        return self._derive(**{name: getattr(self, name)[rows] for name in names})
 
     def ratio_envelope(self, runs: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(max, min) of log r over the valid tokens of each run, the rows
@@ -376,7 +371,7 @@ def grad_rho(
     grads = np.asarray(per_token_score_grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] != len(ratios):
         raise DomainError("score gradient matrix must be n x d")
-    (rho,), (weights,) = holder_grid(ratios.log_ratios, order)
+    rho, weights = _one_row(ratios.log_ratios, order)
     return rho * (weights @ grads)
 
 

@@ -4,13 +4,13 @@ configured clipping regime.
 
 The policy has an independent logit row per position, so score gradients
 are exact and cheap, and gradients at distinct positions live in disjoint
-parameter blocks.  ``PolicyParams`` is the one policy type: one (T, V) logit
-table or an (S, T, V) stack of them, read by every sampler, refresh,
-gradient and entropy call.  Sampling uses one counter-derived RNG substream
-per rollout, so runs are bit-reproducible regardless of evaluation order;
-``holderpo.streams`` derives all of a round's substreams in one pass.  A
-uniform u becomes the token id that counts the first V - 1 cumulative
-probabilities of its position below u: the inverse-CDF index capped at V - 1.
+parameter blocks.  ``PolicyParams`` is the one policy type, one (T, V) logit
+table or an (S, T, V) stack of them, and the one owner of token ids: it
+draws them from uniforms (``sample``), reads their log-probabilities and
+forms their score blocks, checking every id against [0, V) in one index.
+Sampling uses one counter-derived RNG substream per rollout, so runs are
+bit-reproducible regardless of evaluation order; ``holderpo.streams``
+derives all of a round's substreams in one pass.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, checked once when sampled; a
@@ -19,8 +19,7 @@ under the current policy, both derived without re-checking; its token
 ratios are checked against the divergence band; and one ``batch_terms``
 call yields rho, the weights, the gates, the objective and the telemetry.
 The per-group API (``sample_group``, ``refresh_logprobs``) works on the same
-container, a group being a batch with N = G, and ``sample_group`` calls the
-one sampler, ``sample_rollouts``.
+container, a group being a batch with N = G.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
 as the dense (T, T*V) score matrix; the ``grad_estimator_*`` functions call
 the same code.  ``train_many`` stacks runs that differ only in seed and
@@ -108,50 +107,66 @@ class PolicyParams:
         """Parameters of one policy, T * V."""
         return self.length * self.vocab
 
-    def _rows_per_run(self, rows: int) -> int:
-        """Rows of a batch that each policy reads; DomainError unless S divides them."""
+    def _blocks(self, batch: np.ndarray) -> np.ndarray:
+        """A (..., T) batch as (S, n, T), block s read by policy s; DomainError
+        unless the last axis is T and S divides the rows."""
+        if batch.shape[-1:] != (self.length,):
+            raise DomainError(f"a batch of shape {batch.shape} is not (..., {self.length})")
+        rows = math.prod(batch.shape[:-1])
         if rows % self.runs:
             raise DomainError(f"{rows} batch rows do not split into {self.runs} equal blocks")
-        return rows // self.runs
+        return batch.reshape(self.runs, rows // self.runs, self.length)
 
     def _tables(self) -> np.ndarray:
         """log_probs as an (S, T, V) view."""
         return self.log_probs.reshape(-1, *self.log_probs.shape[-2:])
 
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
-        """log pi(token_ids[..., t] | pos t) for token ids of shape (..., T);
-        against a stack, log pi_s(token_ids[i, t] | pos t) for each row i of
-        block s of (N, T) ids.  An id outside [0, V) raises DomainError, where
-        indexing would wrap a negative one round to the end of the row."""
+    def _index(self, token_ids: np.ndarray) -> np.ndarray:
+        """(..., T) ids as (S, n, T) blocks; an id outside [0, V), which
+        indexing would wrap round, raises DomainError."""
         ids = np.asarray(token_ids)
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab:
             raise DomainError(f"token_ids must lie in [0, {self.vocab}), "
                               f"the vocabulary size {self.vocab}")
-        if self.logits.ndim == 2:
-            return self.log_probs[np.arange(self.length), ids]
-        run = np.arange(self.runs).repeat(self._rows_per_run(len(ids)))[:, None]
-        return self.log_probs[run, np.arange(self.length), ids]
+        return self._blocks(ids)
+
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """Ids for (..., T) uniforms, row block s from policy s: the id for u
+        at position t counts the first V - 1 cumulative probabilities of row t
+        below u, the inverse-CDF index searchsorted(cum, u) capped at V - 1."""
+        u = np.asarray(uniforms)
+        cum = np.cumsum(np.exp(self._tables()), axis=2)
+        # An (S, T, V - 1, n) comparison, rollouts innermost, so the count adds
+        # whole rows of n; one expression, so no temporary outlives the ids.
+        return (
+            (cum[:, :, :-1, None] < self._blocks(u).transpose(0, 2, 1)[:, :, None, :])
+            .view(np.uint8).sum(axis=2, dtype=np.min_scalar_type(self.vocab - 1))
+            .transpose(0, 2, 1).astype(np.int64, order="C").reshape(u.shape)
+        )
+
+    def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
+        """log pi(token_ids[..., t] | pos t), each row read under its own
+        policy of a stack."""
+        run = np.arange(self.runs)[:, None, None]
+        logprobs = self._tables()[run, np.arange(self.length), self._index(token_ids)]
+        return logprobs.reshape(np.shape(token_ids))
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
         """Block t of the score vector of token t, onehot(token) - pi_t, from
         the row's own policy: token ids of shape (..., T) -> (..., T, V).  The
         score vector of token t is zero outside logit row t."""
-        ids = np.asarray(token_ids)
-        tables = self._tables()
-        length, vocab = tables.shape[1:]
-        blocks = np.repeat(-np.exp(tables), self._rows_per_run(ids.size // length), axis=0)
-        rows = blocks.reshape(-1, vocab)
-        rows[np.arange(rows.shape[0]), ids.ravel()] += 1.0
-        return blocks.reshape(*ids.shape, vocab)
+        ids = self._index(token_ids)
+        blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)
+        blocks.reshape(-1, self.vocab)[np.arange(ids.size), ids.ravel()] += 1.0
+        return blocks.reshape(*np.shape(token_ids), self.vocab)
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
         """Row t is d log pi(token_ids[t] | pos t) / d logits, flattened, for
-        one policy: the dense form of score_blocks, kept as the reference
-        tests and verify compare against.  On a stack of S > 1 policies the
-        one row of ids does not split into S blocks: DomainError."""
+        one policy (DomainError on a stack of S > 1): the dense form of
+        score_blocks, the reference tests and verify compare against."""
         grads = np.zeros((self.length, self.length, self.vocab))
         diagonal = np.arange(self.length)
         grads[diagonal, diagonal] = self.score_blocks(token_ids)
@@ -282,30 +297,15 @@ def _rollout_rng(seed: int, round_idx: int, group_idx: int, rollout_idx: int):
 def sample_rollouts(
     policy_old: PolicyParams, task: TaskSpec, group_size: int, uniforms: np.ndarray
 ) -> RolloutBatch:
-    """Sample one rollout per row of the (N, T) `uniforms` position-wise from
-    the old policy by inverse CDF, block s of the rows from policy s of a
-    stack; rewards and group-normalized advantages (G consecutive rows per
-    group) are filled in.  The token at position t for uniform u is the
-    count of the first V - 1 cumulative probabilities of row t below u,
-    which equals the inverse-CDF index searchsorted(cum, u) capped at V - 1.
-    A policy of another (length, vocab) than the task's, or a row count that
-    is not a multiple of the stack's S, raises DomainError."""
+    """One rollout per row of the (N, T) `uniforms`, drawn by
+    ``PolicyParams.sample``, with rewards and group-normalized advantages (G
+    consecutive rows per group).  A policy of another (length, vocab) than
+    the task's raises DomainError."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
-        raise DomainError(
-            f"policy shape {shape} does not match the task's {(task.length, task.vocab)}"
-        )
-    cum = np.cumsum(np.exp(policy_old._tables()), axis=2)
-    draws = uniforms.reshape(len(cum), policy_old._rows_per_run(len(uniforms)), task.length)
-    # The comparison is (S, T, V - 1, N), rollouts innermost, so the count
-    # along V adds whole rows of N; cum never decreases, so counting its
-    # first V - 1 entries is the cap.  One expression: no temporary outlives
-    # the ids.
-    token_ids = (
-        (cum[:, :, :-1, None] < draws.transpose(0, 2, 1)[:, :, None, :])
-        .view(np.uint8).sum(axis=2, dtype=np.min_scalar_type(task.vocab - 1))
-        .transpose(0, 2, 1).astype(np.int64, order="C").reshape(-1, task.length)
-    )
+        raise DomainError(f"policy shape {shape} does not match the task's "
+                          f"{(task.length, task.vocab)}")
+    token_ids = policy_old.sample(uniforms)
     old_lp = policy_old.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
     return RolloutBatch(
@@ -320,24 +320,20 @@ def sample_rollouts(
 
 
 def sample_group(
-    policy_old: PolicyParams,
-    task: TaskSpec,
-    group_size: int,
-    rng_streams,
+    policy_old: PolicyParams, task: TaskSpec, group_size: int, rng_streams
 ) -> RolloutBatch:
-    """Sample G rollouts position-wise from the old policy, as a batch of one
-    group; rewards and group-normalized advantages are filled in.
-    `rng_streams` is one RNG per rollout."""
+    """``sample_rollouts`` of one group of G rollouts, from `rng_streams`, one
+    RNG per rollout."""
     uniforms = np.stack([rng_streams[i].random(task.length) for i in range(group_size)])
     return sample_rollouts(policy_old, task, group_size, uniforms)
 
 
 def refresh_logprobs(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
-    """Recompute new_logprobs under the current policy (or the current
-    policies of a stack), deriving the batch without re-checking it; a token
-    id outside the policy's vocabulary raises DomainError, from
-    ``PolicyParams.token_logprobs``."""
-    return batch._derive(new_logprobs=policy_new.token_logprobs(batch.token_ids))
+    """The batch with new_logprobs and log_ratios under the current policy
+    (or policies of a stack), derived without re-checking it."""
+    new = policy_new.token_logprobs(batch.token_ids)
+    return batch._derive(new_logprobs=new,
+                         log_ratios=np.where(batch.mask, new - batch.old_logprobs, 0.0))
 
 
 def success_probability(policy: PolicyParams, task: TaskSpec) -> float:

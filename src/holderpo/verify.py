@@ -11,7 +11,8 @@ instance, while the reference side is batched: exponent grids and
 finite-difference stencils come from one ``core.holder_rows`` call per
 ``GRID_CHUNK`` instances, and a policy's bumped copies are one stack of
 log-probability tables.  Rows of the wrong shape, and fewer row sets than
-instances, fail their check.  No check re-derives the sequence clip:
+instances, fail their check.  Token ids are drawn by ``PolicyParams.sample``,
+one uniform per token.  No check re-derives the sequence clip:
 ``seq_clip_norm_contraction`` judges ``batch_terms`` and the kink filter reads
 rho from ``core.holder_rows``."""
 
@@ -216,28 +217,29 @@ def _rows_fit(res: CheckResult, rho, weights, exponents: int, n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class _GridCheck:
-    """A check that draws one ratio sequence r per instance, passes over those
-    ``usable`` rejects, and calls ``judge(res, r, grid, rho, weights)`` with rho
-    and W of r at every exponent of ``grid``, one row each.  All instances
-    are drawn first; their rows come from _holder_grids."""
+    """A check that draws one ratio sequence per instance, turns it into the
+    sequence r to judge by ``prepare`` (None passes over the instance), and
+    calls ``judge(res, r, grid, rho, weights)`` with rho and W of r at every
+    exponent of ``grid``, one row each.  All instances are drawn first; their
+    rows come from _holder_grids."""
 
     name: str
     claim: str
     grid: Sequence[float]
     judge: Callable
-    usable: Callable[[RatioSequence], bool] | None = None
+    prepare: Callable[[RatioSequence], RatioSequence | None] = lambda r: r
     skip_reason: str = ""
 
     def __call__(self, rng, instances) -> CheckResult:
         res = CheckResult(self.name, self.claim)
         drawn = [_random_ratios(rng) for _ in range(instances)]
-        tested = [r for r in drawn if self.usable is None or self.usable(r)]
+        tested = [r for r in map(self.prepare, drawn) if r is not None]
         grid = np.asarray(self.grid, dtype=np.float64)
         grids = _holder_grids([r.log_ratios for r in tested], [grid] * len(tested))
         for r, (rho, weights) in _paired(res, tested, grids):
             if _rows_fit(res, rho, weights, len(self.grid), len(r)):
                 self.judge(res, r, self.grid, rho, weights)
-        if self.usable is not None and not tested:
+        if not tested:
             res.skip(self.skip_reason)
         return res
 
@@ -277,8 +279,8 @@ class _StencilCheck:
         return res
 
 
-def _non_uniform(gap: float) -> Callable[[RatioSequence], bool]:
-    return lambda r: np.ptp(r.log_ratios) >= gap
+def _non_uniform(gap: float) -> Callable[[RatioSequence], RatioSequence | None]:
+    return lambda r: r if np.ptp(r.log_ratios) >= gap else None
 
 
 def _judge_special_means(res, r, grid, rho, weights) -> None:
@@ -319,9 +321,12 @@ def _judge_entropy_peak(res, r, grid, rho, weights) -> None:
         _observe_rising(res, -vals, f"entropy not decreasing in |p| (sign {sign:+.0f})")
 
 
-def _extremes_separated(r: RatioSequence) -> bool:
-    logs = np.sort(r.log_ratios)
-    return logs[-1] - logs[-2] >= 0.5 and logs[1] - logs[0] >= 0.5
+def _separate_extremes(r: RatioSequence) -> RatioSequence:
+    """r with its largest log-ratio raised by 0.5 and its smallest lowered by 0.5."""
+    logs = r.log_ratios
+    logs[np.argmax(logs)] += 0.5
+    logs[np.argmin(logs)] -= 0.5
+    return RatioSequence(np.exp(logs))
 
 
 def _judge_limit_concentration(res, r, grid, rho, weights) -> None:
@@ -358,7 +363,7 @@ check_mean_monotone = _GridCheck(
     "the power mean strictly increases in p for non-uniform ratios",
     P_GRID,
     lambda res, r, grid, rho, weights: _observe_rising(res, rho, "non-increasing step"),
-    usable=_non_uniform(1e-9),
+    prepare=_non_uniform(1e-9),
     skip_reason="all instances degenerate (uniform ratios)",
 )
 check_weights_normalized = _GridCheck(
@@ -380,7 +385,7 @@ check_entropy_peak = _GridCheck(
     "decreases in |p| for non-uniform ratios",
     np.concatenate([_ENTROPY_P, -_ENTROPY_P]),
     _judge_entropy_peak,
-    usable=_non_uniform(1e-6),
+    prepare=_non_uniform(1e-6),
     skip_reason="all instances degenerate (uniform ratios)",
 )
 check_limit_concentration = _GridCheck(
@@ -389,8 +394,7 @@ check_limit_concentration = _GridCheck(
     "argmax/argmin set, whose limit is limit_weights",
     (LIMIT_P, -LIMIT_P),
     _judge_limit_concentration,
-    usable=_extremes_separated,
-    skip_reason="no instance with a 0.5 log-gap at both extremes",
+    prepare=_separate_extremes,
 )
 check_hhi_profile = _GridCheck(
     "hhi_profile",
@@ -498,14 +502,13 @@ def _random_batch(
     rng, policy_old: PolicyParams, policy_new: PolicyParams, group_size=4
 ) -> RolloutBatch:
     """A group sampled from the old policy with logprobs under both; per
-    rollout, its tokens are drawn position by position, then its reward."""
-    probs = policy_old.probs()
-    length, vocab = probs.shape
-    tokens = np.zeros((group_size, length), dtype=np.int64)
+    rollout, the uniforms of its tokens are drawn, then its reward."""
+    uniforms = np.zeros((group_size, policy_old.length))
     rewards = np.zeros(group_size)
     for i in range(group_size):
-        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]
+        uniforms[i] = rng.random(policy_old.length)
         rewards[i] = rng.integers(0, 2)
+    tokens = policy_old.sample(uniforms)
     return RolloutBatch(
         token_ids=tokens,
         old_logprobs=policy_old.token_logprobs(tokens),
@@ -601,7 +604,7 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
     )
     for _ in range(max(1, instances // 4)):
         policy_old, policy = _perturbed_policies(rng, 0.1)
-        tokens = np.array([rng.choice(policy_old.vocab, p=row) for row in policy_old.probs()])
+        tokens = policy_old.sample(rng.random(policy_old.length))
         p = float(rng.uniform(-4.0, 4.0))
         order = HolderOrder(p)
         old_logprobs = policy_old.token_logprobs(tokens)

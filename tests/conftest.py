@@ -1,4 +1,5 @@
-"""Shared helpers that make randomized groups and policies."""
+"""Shared helpers that make groups and policies; randomized groups come
+from `verify._random_batch`, the one group sampler."""
 
 from __future__ import annotations
 
@@ -32,32 +33,6 @@ def random_policy_pair(rng, length=4, vocab=5, drift=0.15):
     old = PolicyParams(rng.normal(scale=0.5, size=(length, vocab)))
     new = PolicyParams(old.logits + rng.normal(scale=drift, size=(length, vocab)))
     return old, new
-
-
-def sample_tokens(rng, policy: PolicyParams) -> np.ndarray:
-    probs = policy.probs()
-    return np.array(
-        [rng.choice(policy.vocab, p=probs[pos]) for pos in range(policy.length)]
-    )
-
-
-def random_group(rng, policy_old, policy_new, group_size=4) -> RolloutBatch:
-    """Group sampled from the old policy with logprobs under both policies;
-    per rollout, the tokens are drawn, then the reward."""
-    tokens = np.zeros((group_size, policy_old.length), dtype=np.int64)
-    rewards = np.zeros(group_size)
-    for i in range(group_size):
-        tokens[i] = sample_tokens(rng, policy_old)
-        rewards[i] = rng.integers(0, 2)
-    return RolloutBatch(
-        token_ids=tokens,
-        old_logprobs=policy_old.token_logprobs(tokens),
-        new_logprobs=policy_new.token_logprobs(tokens),
-        mask=np.ones(tokens.shape, dtype=bool),
-        rewards=rewards,
-        advantages=advantage_estimates(rewards),
-        group_size=group_size,
-    )
 
 
 def rollout_rows(batch: RolloutBatch):

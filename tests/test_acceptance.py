@@ -47,9 +47,9 @@ from holderpo import (
     trend_config,
     variance_bound_term,
 )
-from holderpo.verify import check_all
+from holderpo.verify import _random_batch as random_group, check_all
 
-from conftest import make_group, random_group, random_policy_pair
+from conftest import make_group, random_policy_pair
 from test_objectives import grpo_objective, gspo_objective
 
 TREND_ROUNDS = 18

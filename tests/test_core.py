@@ -17,6 +17,7 @@ from holderpo import (
     RatioSequence,
     WeightDistribution,
     entropy_p_derivative,
+    grad_rho,
     gradient_weights,
     hhi,
     holder_mean,
@@ -71,6 +72,22 @@ class TestDomainTypes:
     def test_order_rejects_nonfinite_p(self):
         with pytest.raises(DomainError):
             HolderOrder(float("nan"))
+
+    @pytest.mark.parametrize("call", [
+        lambda order: holder_mean(TWO_EIGHT, order),
+        lambda order: holder_mean_masked(
+            LogRatioSequence(TWO_EIGHT.log_ratios, np.ones(2, dtype=bool)), order),
+        lambda order: gradient_weights(TWO_EIGHT, order),
+        lambda order: weight_p_derivative(TWO_EIGHT, order, 0),
+        lambda order: mu_p_derivative(TWO_EIGHT, order),
+        lambda order: entropy_p_derivative(TWO_EIGHT, order),
+        lambda order: grad_rho(TWO_EIGHT, np.eye(2), order),
+    ])
+    def test_scalar_calls_reject_an_array_p(self, call):
+        """A one-sequence call given one exponent per row is a DomainError,
+        not a failed unpacking; second_moment_orthogonal alone takes an array."""
+        with pytest.raises(DomainError, match="needs a float p"):
+            call(HolderOrder(np.array([1.0, 2.0])))
 
     def test_weights_must_normalize(self):
         with pytest.raises(DomainError):

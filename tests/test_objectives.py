@@ -34,14 +34,9 @@ from holderpo import (
     variance_bound_term,
 )
 from holderpo.objectives import batch_terms
+from holderpo.verify import _random_batch as random_group
 
-from conftest import (
-    make_group,
-    random_group,
-    random_policy_pair,
-    rollout_rows,
-    sample_tokens,
-)
+from conftest import make_group, random_policy_pair, rollout_rows
 
 
 def closed_form_rho(ratios, p: float) -> float:
@@ -403,7 +398,7 @@ def masked_minibatch(rng, policy_old, policy_new, groups=3, group_size=4):
         mask = np.zeros(shape, dtype=bool)
         rewards = np.zeros(group_size)
         for i in range(group_size):
-            tokens[i] = sample_tokens(rng, policy_old)
+            tokens[i] = policy_old.sample(rng.random(policy_old.length))
             mask[i] = rng.random(policy_old.length) < 0.6
             mask[i, rng.integers(policy_old.length)] = True
             rewards[i] = rng.integers(0, 2)

@@ -98,6 +98,35 @@ class TestPolicyParams:
         np.testing.assert_array_equal(stack.token_logprobs(ids),
                                       stack.log_probs[[[0], [1]], [0, 1, 2], ids])
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_scores_reject_ids_outside_the_vocabulary(self, bad):
+        """score_blocks reads ids through the same check as token_logprobs,
+        so score_gradients and the gradient estimators, on a batch that
+        skipped the construction check, raise DomainError on a table and on
+        a stack; indexing alone would score token V - 1 for an id of -1."""
+        table = PolicyParams(np.arange(12.0).reshape(3, 4))
+        stack = PolicyParams(np.stack([table.logits, -table.logits]))
+        outside = np.array([[0, 3, bad], [3, 0, bad]])
+        group = make_group(np.zeros((4, 3)), [1.0, 0.0, 1.0, 0.0])
+        derived = group._derive(token_ids=np.tile(outside, (2, 1)))
+        order, clip = HolderOrder(1.0), ClipConfig(0.2)
+        for policy in (table, stack):
+            for read in (
+                lambda: policy.score_blocks(outside),
+                lambda: policy.score_gradients(outside[0]),
+                lambda: grad_estimator_unclipped([derived], policy, order),
+                lambda: grad_estimator_seq_clip([derived], policy, order, clip),
+                lambda: grad_estimator_token_clip([derived], policy, order, clip),
+            ):
+                with pytest.raises(DomainError, match=r"must lie in \[0, 4\)"):
+                    read()
+
+    def test_reads_reject_ids_of_another_length(self):
+        policy = PolicyParams(np.zeros((2, 8, 16)))
+        for read in (policy.sample, policy.token_logprobs, policy.score_blocks):
+            with pytest.raises(DomainError, match=r"is not \(\.\.\., 8\)"):
+                read(np.zeros((2, 5), dtype=np.int64))
+
     def test_stack_token_logprobs_rejects_uneven_rows(self):
         stack = PolicyParams(np.zeros((2, 8, 16)))
         with pytest.raises(DomainError, match="3 batch rows do not split into 2"):
@@ -251,7 +280,8 @@ class TestSampling:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("vocab", [2, 16, 300])
     def test_matches_a_searchsorted_oracle(self, rng, runs, vocab):
-        """Each id is the inverse-CDF index of its uniform on its own run and
+        """Each id of PolicyParams.sample, on a table (runs 1) and on a
+        stack, is the inverse-CDF index of its uniform on its own run and
         position, searchsorted(cum, u, side="left") capped at V - 1, checked
         one (run, position) at a time: at u = 0, at u equal to an interior
         cum entry, above cum[-1], and under logits of +-700, whose
@@ -264,8 +294,9 @@ class TestSampling:
         logits[:, 0] = -700.0  # cum is 0, ..., 0, 1
         logits[:, 0, -1] = 700.0
         logits[:, 1, 0] = 700.0  # cum is 1, ..., 1
-        policy = PolicyParams(logits)
-        cums = [[np.cumsum(np.exp(policy.log_probs[s, t])) for t in range(length)]
+        policy = PolicyParams(logits if runs > 1 else logits[0])
+        tables = policy.log_probs.reshape(runs, length, vocab)
+        cums = [[np.cumsum(np.exp(tables[s, t])) for t in range(length)]
                 for s in range(runs)]
         uniforms = rng.random((runs, rows, length))
         for s, t in np.ndindex(runs, length):
@@ -273,12 +304,26 @@ class TestSampling:
             uniforms[s, :8, t] = [0.0, *cum[rng.integers(0, vocab - 1, size=4)], cum[0],
                                   np.nextafter(cum[-1], np.inf), 1.0]
         assert (np.diff(np.array(cums), axis=2) == 0.0).any()
-        task = TaskSpec(kind="sparse", length=length, vocab=vocab)
-        batch = sample_rollouts(policy, task, 2, uniforms.reshape(-1, length))
-        ids = batch.token_ids.reshape(runs, rows, length)
+        ids = policy.sample(uniforms.reshape(-1, length)).reshape(runs, rows, length)
         for s, t in np.ndindex(runs, length):
             expect = np.searchsorted(cums[s][t], uniforms[s, :, t], side="left")
             np.testing.assert_array_equal(ids[s, :, t], np.minimum(expect, vocab - 1))
+        if runs == 1:  # one (T,) row of uniforms gives one (T,) row of ids
+            np.testing.assert_array_equal(policy.sample(uniforms[0, 5]), ids[0, 5])
+
+    @pytest.mark.parametrize("vocab", [2, 5, 16])
+    def test_sample_draws_what_per_token_choice_draws(self, vocab):
+        """policy.sample(rng.random(T)) takes the stream's next T doubles and
+        picks the ids that T calls rng.choice(V, p=probs[t]) pick from the
+        same stream, so moving a per-token sampler onto sample moves no id
+        and no later draw."""
+        policy = PolicyParams(np.random.default_rng(vocab).normal(size=(6, vocab)))
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            got = policy.sample(ours.random(policy.length))
+            want = [theirs.choice(vocab, p=row) for row in policy.probs()]
+            np.testing.assert_array_equal(got, want)
+        assert ours.random() == theirs.random()
 
     def test_stack_rejects_uneven_rows(self):
         stack = PolicyParams(np.zeros((2, 8, 16)))

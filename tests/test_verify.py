@@ -142,11 +142,10 @@ class TestBatchedReference:
     def test_every_grid_and_stencil_check_is_covered(self):
         assert len(GRID_CHECKS) == 8 and len(STENCIL_CHECKS) == 3
 
-    # limit_concentration draws its first usable instance after 20
     @pytest.mark.parametrize("name", GRID_CHECKS)
     def test_grid_judges_see_their_instances_rows(self, name):
         check = CHECKS[name]
-        instances = 40 if name == "limit_concentration" else 20
+        instances = 20
         seen = []
 
         def judge(res, r, grid, rho, weights):
@@ -157,11 +156,32 @@ class TestBatchedReference:
         assert result.to_dict() == check_all(0, instances, only=[name]).results[0].to_dict()
         rng = check_rng(0, name)
         drawn = [verify._random_ratios(rng) for _ in range(instances)]
-        usable = [r for r in drawn if check.usable is None or check.usable(r)]
-        assert usable and len(seen) == len(usable)
-        for r, (judged, rho, weights) in zip(usable, seen):
+        prepared = [r for r in map(check.prepare, drawn) if r is not None]
+        assert prepared and len(seen) == len(prepared)
+        for r, (judged, rho, weights) in zip(prepared, seen):
             np.testing.assert_array_equal(judged.ratios, r.ratios)
             _assert_rows_match(rho, weights, r, check.grid)
+
+    def test_limit_concentration_judges_every_instance(self):
+        """Its map moves each drawn sequence's largest log-ratio up by 0.5 and
+        its smallest down by 0.5, drawing nothing more, so every instance is
+        judged with both extremes 0.5 clear of the rest."""
+        name = "limit_concentration"
+        check, seen = CHECKS[name], []
+
+        def judge(res, r, grid, rho, weights):
+            seen.append(r)
+            check.judge(res, r, grid, rho, weights)
+
+        result = dataclasses.replace(check, judge=judge)(check_rng(0, name), 100)
+        assert result.status == "pass" and len(seen) == 100
+        rng = check_rng(0, name)
+        for r in seen:
+            drawn = np.sort(verify._random_ratios(rng).log_ratios)
+            logs = np.sort(r.log_ratios)
+            np.testing.assert_allclose(logs, [drawn[0] - 0.5, *drawn[1:-1], drawn[-1] + 0.5],
+                                       rtol=0.0, atol=1e-12)
+            assert min(logs[-1] - logs[-2], logs[1] - logs[0]) >= 0.5 - 1e-12
 
     @pytest.mark.parametrize("name", STENCIL_CHECKS)
     def test_stencil_differences_see_their_instances_rows(self, name):
@@ -268,21 +288,20 @@ class TestHarnessSensitivity:
 
     @pytest.mark.parametrize("name", GRID_CHECKS + STENCIL_CHECKS)
     def test_misshapen_rows_fail_the_check_without_raising(self, name, monkeypatch):
-        # limit_concentration draws one usable instance in 100, four in 200
-        instances = 200 if name == "limit_concentration" else 100
         monkeypatch.setattr(verify, "_holder_grids", _skip_first_rows)
-        result = check_all(0, instances, only=[name]).results[0]
+        result = check_all(0, 100, only=[name]).results[0]
         assert result.status == "fail"
 
     @pytest.mark.parametrize("name, detail", [
-        # its one usable instance in 100 gets no rows at all
+        # of one instance, that instance gets no rows at all
         ("limit_concentration", "rows for 0 of 1 instances"),
-        # each instance gets the next one's rows, of another length
+        # each of 100 instances gets the next one's rows, of another length
         ("weight_rise_then_fall", "W of shape"),
     ])
     def test_short_row_stream_fails_the_check(self, name, detail, monkeypatch):
-        assert check_all(0, 100, only=[name]).results[0].status == "pass"
+        instances = 1 if name == "limit_concentration" else 100
+        assert check_all(0, instances, only=[name]).results[0].status == "pass"
         monkeypatch.setattr(verify, "_holder_grids", _skip_first_rows)
-        result = check_all(0, 100, only=[name]).results[0]
+        result = check_all(0, instances, only=[name]).results[0]
         assert result.status == "fail"
         assert result.detail.startswith(detail)

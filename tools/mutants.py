@@ -41,9 +41,9 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "refresh keeps stale log_ratios", "objectives.py",
-        'if "new_logprobs" in arrays:',
-        'if "new_logprobs" in arrays and "rewards" in arrays:',
+        "refresh keeps stale log_ratios", "sim.py",
+        "log_ratios=np.where(batch.mask, new - batch.old_logprobs, 0.0))",
+        "log_ratios=batch.log_ratios)",
         ("test_objectives.py", "test_sim.py"),
     ),
     Mutant(
@@ -60,10 +60,10 @@ MUTANTS = (
     ),
     Mutant(
         "_random_batch draws the reward before the tokens", "verify.py",
-        "        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]\n"
+        "        uniforms[i] = rng.random(policy_old.length)\n"
         "        rewards[i] = rng.integers(0, 2)\n",
         "        rewards[i] = rng.integers(0, 2)\n"
-        "        tokens[i] = [rng.choice(vocab, p=probs[pos]) for pos in range(length)]\n",
+        "        uniforms[i] = rng.random(policy_old.length)\n",
         ("test_verify.py",),
     ),
     Mutant(
@@ -142,26 +142,38 @@ MUTANTS = (
     ),
     Mutant(
         "sampler counts over all V, not the first V - 1", "sim.py",
-        "(cum[:, :, :-1, None] < draws",
-        "(cum[:, :, :, None] < draws",
+        "(cum[:, :, :-1, None] < self._blocks(u)",
+        "(cum[:, :, :, None] < self._blocks(u)",
         ("test_sim.py",),
     ),
     Mutant(
         "sampler counts cum <= u, not cum < u", "sim.py",
-        "None] < draws.transpose(",
-        "None] <= draws.transpose(",
+        "None] < self._blocks(u).transpose(",
+        "None] <= self._blocks(u).transpose(",
         ("test_sim.py",),
     ),
     Mutant(
         "every stacked row reads policy 0 in token_logprobs", "sim.py",
-        "return self.log_probs[run, np.arange(self.length), ids]",
-        "return self.log_probs[0 * run, np.arange(self.length), ids]",
+        "run = np.arange(self.runs)[:, None, None]",
+        "run = 0 * np.arange(self.runs)[:, None, None]",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "score_blocks reads policy 0 for every row", "sim.py",
+        "blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)",
+        "blocks = np.repeat(-np.exp(self._tables()[:1]), ids.size // self.length, axis=0)",
         ("test_sim.py",),
     ),
     Mutant(
         "score blocks tiled across the stack, not repeated", "sim.py",
-        "blocks = np.repeat(-np.exp(tables), self._rows_per_run(ids.size // length), axis=0)",
-        "blocks = np.tile(-np.exp(tables), (self._rows_per_run(ids.size // length), 1, 1))",
+        "blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)",
+        "blocks = np.tile(-np.exp(self._tables()), (ids.shape[1], 1, 1))",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "the shared indexer drops the lower id bound", "sim.py",
+        "if ids.min(initial=0) < 0 or ids.max(initial=0)",
+        "if ids.max(initial=0)",
         ("test_sim.py",),
     ),
     Mutant(
@@ -169,6 +181,12 @@ MUTANTS = (
         "        if rows % self.runs:\n",
         "        if False:\n",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "limit_concentration's map is skipped", "verify.py",
+        "    prepare=_separate_extremes,\n",
+        "",
+        ("test_verify.py",),
     ),
     Mutant(
         "short-row count check dropped", "verify.py",
