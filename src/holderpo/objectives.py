@@ -12,7 +12,8 @@ The KL term is deliberately absent.  Gradient estimators take a
 ``sim.PolicyParams``, one tabular policy or a stack of them: the score
 vector of token t is zero outside logit row t, and
 ``score_blocks(token_ids) -> (..., T, V)`` returns that row of it, each
-batch row read under its own policy of the stack.  The gradient is the
+batch row read under its own policy of the stack, and ``score_rows`` the
+same for chosen rows of the batch.  The gradient is the
 flattened (T, V) logit table, one per policy of a stack.
 """
 
@@ -225,10 +226,9 @@ def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     return total / group_size
 
 
-def minibatch_mean(values: np.ndarray, group_size: int, runs: int = 1) -> np.ndarray:
-    """Mean over groups of per-group means, as a left fold over groups, for
-    each of `runs` equal consecutive blocks of rows: (N, ...) -> (runs, ...)."""
-    per_group = group_means(values, group_size)
+def minibatch_mean(per_group: np.ndarray, runs: int) -> np.ndarray:
+    """Mean of per-group means (K, ...), as a left fold over groups, for each
+    of `runs` equal consecutive blocks of groups: -> (runs, ...)."""
     per_group = per_group.reshape(runs, -1, *per_group.shape[1:])
     total = per_group[:, 0].copy()
     for k in range(1, per_group.shape[1]):
@@ -382,12 +382,23 @@ def policy_gradient(
     (S, T, V), built per position block: token t of rollout i adds
     coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block.
     The products and the group sums run in the order of a per-rollout loop
-    over dense score vectors and match it bit for bit."""
-    per_rollout = policy.score_blocks(batch.token_ids)
-    per_rollout *= terms.token_weights[:, :, None]
-    per_rollout *= terms.row_scale[:, None, None]
-    per_rollout *= terms.row_coef[:, None, None]
-    return minibatch_mean(per_rollout, batch.group_size, terms.runs)
+    over dense score vectors and match it bit for bit.
+
+    A group whose coefficients are all zero (equal rewards, or every row
+    gated) is skipped and its mean left at zero: each of its products would
+    be +-0, its factors being finite, and x + 0 = x, so every other sum
+    rounds as before and the gradient is the dense loop's, up to the sign of
+    a zero.  Only the live groups' rows are scored and multiplied."""
+    size = batch.group_size
+    live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)
+    rows = np.flatnonzero(np.repeat(live, size))
+    per_rollout = policy.score_rows(batch.token_ids, rows)
+    per_rollout *= terms.token_weights[rows, :, None]
+    per_rollout *= terms.row_scale[rows, None, None]
+    per_rollout *= terms.row_coef[rows, None, None]
+    per_group = np.zeros((live.size, *per_rollout.shape[1:]))
+    per_group[live] = group_means(per_rollout, size)
+    return minibatch_mean(per_group, terms.runs)
 
 
 def _estimate(minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,

@@ -21,10 +21,12 @@ call yields rho, the weights, the gates, the objective and the telemetry.
 The per-group API (``sample_group``, ``refresh_logprobs``) works on the same
 container, a group being a batch with N = G.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
-as the dense (T, T*V) score matrix; the ``grad_estimator_*`` functions call
-the same code.  ``train_many`` stacks runs that differ only in seed and
-schedule along the rollout axis, their policies as one stacked
-``PolicyParams``, and ``train`` is its one-run case.
+as the dense (T, T*V) score matrix, and skips the groups whose coefficients
+are all zero (equal rewards, or every row gated): their products are exactly
++-0 and adding 0 changes no sum, so no bit of the gradient moves.  The
+``grad_estimator_*`` functions call the same code.  ``train_many`` stacks
+runs that differ only in seed and schedule along the rollout axis, their
+policies as one stacked ``PolicyParams``, and ``train`` is its one-run case.
 """
 
 from __future__ import annotations
@@ -154,13 +156,23 @@ class PolicyParams:
         logprobs = self._tables()[run, np.arange(self.length), self._index(token_ids)]
         return logprobs.reshape(np.shape(token_ids))
 
+    def score_rows(self, token_ids: np.ndarray, rows) -> np.ndarray:
+        """``score_blocks`` of the chosen rows of a (..., T) batch taken as
+        (N, T), `rows` being a slice or an index array into them, each row
+        under its own policy of a stack: -> (rows, T, V).  Every id of the
+        batch is checked, chosen or not."""
+        ids = self._index(token_ids)
+        policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]
+        chosen = ids.reshape(-1, self.length)[rows]
+        blocks = np.take(-np.exp(self._tables()), policy_of, axis=0)
+        blocks.reshape(-1, self.vocab)[np.arange(chosen.size), chosen.ravel()] += 1.0
+        return blocks
+
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
         """Block t of the score vector of token t, onehot(token) - pi_t, from
         the row's own policy: token ids of shape (..., T) -> (..., T, V).  The
         score vector of token t is zero outside logit row t."""
-        ids = self._index(token_ids)
-        blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)
-        blocks.reshape(-1, self.vocab)[np.arange(ids.size), ids.ravel()] += 1.0
+        blocks = self.score_rows(token_ids, slice(None))
         return blocks.reshape(*np.shape(token_ids), self.vocab)
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
@@ -414,8 +426,10 @@ def train_many(
     Per round the S policies are one stacked PolicyParams and the rollouts
     one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
     share the round's uniforms.  Per update one ``batch_terms`` call covers
-    every run, with one exponent per row, and one score-block product gives
-    the S gradients; each run keeps its own group and minibatch folds.
+    every run, with one exponent per row, and one score-block product over
+    the rows of the groups with a nonzero coefficient gives the S gradients
+    (a group whose coefficients are all zero adds exactly 0, so it is
+    skipped); each run keeps its own group and minibatch folds.
 
     Each update first checks every run's refreshed minibatch for token
     ratios outside the divergence band; the runs that trip leave the stack

@@ -333,8 +333,7 @@ def _judge_limit_concentration(res, r, grid, rho, weights) -> None:
     for p, w in zip(grid, weights):
         lim = limit_weights(r, 1 if p > 0.0 else -1).weights
         mass = float(w[lim > 0.0].sum())
-        err = max(0.0, 0.999 - mass)
-        res.observe(err, mass >= 0.999, f"mass {mass} at p={p}")
+        res.observe(1.0 - mass, mass >= 0.999, f"mass {mass} at p={p}")
 
 
 def _judge_hhi_profile(res, r, grid, rho, weights) -> None:

@@ -1,5 +1,6 @@
 """Shared helpers that make groups and policies; randomized groups come
-from `verify._random_batch`, the one group sampler."""
+from `verify._random_batch`, the one group sampler, and (4, 5) policy pairs
+from `verify._perturbed_policies`."""
 
 from __future__ import annotations
 
@@ -28,8 +29,10 @@ def make_group(log_ratio_rows, rewards) -> RolloutBatch:
     )
 
 
-def random_policy_pair(rng, length=4, vocab=5, drift=0.15):
-    """(old, new) tabular policies with a small random parameter drift."""
+def random_policy_pair(rng, length, vocab, drift=0.15):
+    """(old, new) tabular policies with a small random parameter drift, of a
+    (T, V) other than the (4, 5) of ``verify._perturbed_policies``, which
+    draws the same way."""
     old = PolicyParams(rng.normal(scale=0.5, size=(length, vocab)))
     new = PolicyParams(old.logits + rng.normal(scale=drift, size=(length, vocab)))
     return old, new

@@ -47,6 +47,7 @@ from holderpo import (
     trend_config,
     variance_bound_term,
 )
+from holderpo.verify import _perturbed_policies as perturbed_policies
 from holderpo.verify import _random_batch as random_group, check_all
 
 from conftest import make_group, random_policy_pair
@@ -133,7 +134,7 @@ class TestCriterion1SpecialCases:
 
         clip = ClipConfig(0.2)
         for _ in range(100):
-            old, new = random_policy_pair(rng, drift=0.4)
+            old, new = perturbed_policies(rng, 0.4)
             batch = random_group(rng, old, new)
             assert surrogate_token_clip(
                 batch, HolderOrder(1.0), clip
@@ -228,7 +229,7 @@ class TestCriterion4VarianceStructure:
         grid = np.linspace(-3.0, 3.0, 13)
         tested = 0
         while tested < 100:
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = random_group(rng, old, new)
             if not np.any(batch.advantages != 0.0):
                 continue
@@ -309,7 +310,7 @@ class TestCriterion5AmplificationExample:
     def test_lower_orders_contract_variance(self, rng):
         start = time.monotonic()
         while True:
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = random_group(rng, old, new)
             if np.any(batch.advantages != 0.0):
                 break

@@ -33,7 +33,8 @@ from holderpo import (
     surrogate_unclipped,
     variance_bound_term,
 )
-from holderpo.objectives import batch_terms
+from holderpo.objectives import batch_terms, group_means, minibatch_mean, policy_gradient
+from holderpo.verify import _perturbed_policies as perturbed_policies
 from holderpo.verify import _random_batch as random_group
 
 from conftest import make_group, random_policy_pair, rollout_rows
@@ -119,7 +120,7 @@ class TestSurrogateUnclipped:
         assert surrogate_unclipped(batch, HolderOrder(1.0)) == pytest.approx(0.5)
 
     def test_matches_brute_force(self, rng):
-        old, new = random_policy_pair(rng)
+        old, new = perturbed_policies(rng, 0.15)
         batch = refresh_logprobs(random_group(rng, old, new, 3), new)
         order = HolderOrder(1.7)
         brute = sum(
@@ -147,7 +148,7 @@ class TestSurrogateSeqClip:
         assert value == pytest.approx((1.0 - 0.8) / 2.0)
 
     def test_inactive_inside_band(self, rng):
-        old, new = random_policy_pair(rng, drift=0.01)
+        old, new = perturbed_policies(rng, 0.01)
         batch = refresh_logprobs(random_group(rng, old, new), new)
         order = HolderOrder(0.5)
         clip = ClipConfig(0.2)
@@ -158,7 +159,7 @@ class TestSurrogateSeqClip:
     def test_never_exceeds_unclipped(self, rng):
         clip = ClipConfig(0.2)
         for _ in range(20):
-            old, new = random_policy_pair(rng, drift=0.4)
+            old, new = perturbed_policies(rng, 0.4)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             for p in (-2.0, 0.0, 1.0, 3.0):
                 order = HolderOrder(p)
@@ -170,7 +171,7 @@ class TestSurrogateSeqClip:
 
 class TestSurrogateTokenClip:
     def test_inactive_inside_band(self, rng):
-        old, new = random_policy_pair(rng, drift=0.01)
+        old, new = perturbed_policies(rng, 0.01)
         batch = refresh_logprobs(random_group(rng, old, new), new)
         order = HolderOrder(2.0)
         assert surrogate_token_clip(batch, order, ClipConfig(0.2)) == pytest.approx(
@@ -189,7 +190,7 @@ class TestSurrogateTokenClip:
     def test_order_one_equals_grpo_oracle(self, rng):
         clip = ClipConfig(0.2)
         for _ in range(50):
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             assert surrogate_token_clip(batch, HolderOrder(1.0), clip) == (
                 pytest.approx(grpo_objective(batch, 0.2), abs=1e-10)
@@ -200,7 +201,7 @@ class TestGspoSpecialCase:
     def test_order_zero_seq_clip_equals_gspo_oracle(self, rng):
         clip = ClipConfig(0.2)
         for _ in range(50):
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             assert surrogate_seq_clip(batch, HolderOrder(0.0), clip) == (
                 pytest.approx(gspo_objective(batch, 0.2), abs=1e-10)
@@ -266,19 +267,19 @@ class TestGradRho:
 
 class TestGradientEstimators:
     def test_zero_advantages_give_zero_vector(self, rng):
-        old, new = random_policy_pair(rng)
+        old, new = perturbed_policies(rng, 0.15)
         batch = replace(random_group(rng, old, new), advantages=np.zeros(4))
         est = grad_estimator_unclipped([batch], new, HolderOrder(1.0))
         np.testing.assert_array_equal(est.vector, np.zeros(new.param_dim))
         assert est.clip_fraction == 0.0
 
     def test_empty_minibatch_rejected(self, rng):
-        _, new = random_policy_pair(rng)
+        _, new = perturbed_policies(rng, 0.15)
         with pytest.raises(DomainError):
             grad_estimator_unclipped([], new, HolderOrder(1.0))
 
     def test_unclipped_matches_brute_force(self, rng):
-        old, new = random_policy_pair(rng)
+        old, new = perturbed_policies(rng, 0.15)
         batch = refresh_logprobs(random_group(rng, old, new, 3), new)
         order = HolderOrder(2.3)
         brute = np.zeros(new.param_dim)
@@ -293,7 +294,7 @@ class TestGradientEstimators:
         np.testing.assert_allclose(est.vector, brute, rtol=1e-10, atol=1e-12)
 
     def test_seq_clip_equals_unclipped_inside_band(self, rng):
-        old, new = random_policy_pair(rng, drift=0.01)
+        old, new = perturbed_policies(rng, 0.01)
         batch = refresh_logprobs(random_group(rng, old, new), new)
         order = HolderOrder(1.0)
         unclipped = grad_estimator_unclipped([batch], new, order)
@@ -325,7 +326,7 @@ class TestGradientEstimators:
         clip = ClipConfig(0.2)
         gated_rollouts = 0
         for _ in range(10):
-            old, new = random_policy_pair(rng, drift=0.4)
+            old, new = perturbed_policies(rng, 0.4)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             for p in (-2.0, 0.0, 2.0):
                 order = HolderOrder(p)
@@ -342,7 +343,7 @@ class TestGradientEstimators:
         assert gated_rollouts > 0
 
     def test_token_clip_equals_unclipped_inside_band(self, rng):
-        old, new = random_policy_pair(rng, drift=0.01)
+        old, new = perturbed_policies(rng, 0.01)
         batch = refresh_logprobs(random_group(rng, old, new), new)
         order = HolderOrder(1.5)
         unclipped = grad_estimator_unclipped([batch], new, order)
@@ -371,7 +372,7 @@ class TestGradientEstimators:
         r_t grad log pi / n, no power-mean machinery."""
         clip = ClipConfig(0.2)
         for _ in range(20):
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             oracle = np.zeros(new.param_dim)
             for ids, ratios, _, adv in rollout_rows(batch):
@@ -552,6 +553,109 @@ class TestMaskedMultiGroupOracles:
         )
 
 
+def dense_policy_gradient(policy, batch, terms):
+    """The gradient folded over every row, the groups whose coefficients are
+    all zero included: score blocks of every row, the three in-place
+    products, then the group and minibatch means."""
+    per_rollout = policy.score_blocks(batch.token_ids)
+    per_rollout *= terms.token_weights[:, :, None]
+    per_rollout *= terms.row_scale[:, None, None]
+    per_rollout *= terms.row_coef[:, None, None]
+    return minibatch_mean(group_means(per_rollout, batch.group_size), terms.runs)
+
+
+class TestDeadGroupsSkipped:
+    """policy_gradient scores and multiplies only the groups with a nonzero
+    coefficient, and still equals the dense fold over every row bit for bit
+    (array_equal does not tell a zero's sign)."""
+
+    @staticmethod
+    def minibatch(rng, old, new, live):
+        """Masked groups of G = 4, group k live (two rewards of each value)
+        if live[k], else dead (four equal rewards, so A = 0)."""
+        groups = masked_minibatch(rng, old, new, groups=len(live))
+        rewards = [rng.permutation([1.0, 1.0, 0.0, 0.0]) if on
+                   else np.full(4, float(rng.integers(2))) for on in live]
+        return [replace(g, rewards=r, advantages=advantage_estimates(r))
+                for g, r in zip(groups, rewards)]
+
+    @staticmethod
+    def gradient(policy, batch, terms):
+        got = policy_gradient(policy, batch, terms)
+        np.testing.assert_array_equal(got, dense_policy_gradient(policy, batch, terms))
+        return got
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_dead_groups_match_the_dense_fold(self, rng, regime):
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+        batch = RolloutBatch.concat(self.minibatch(rng, old, new, (True, False, True, False)))
+        for p in (-2.5, 0.0, 3.0):
+            terms = batch_terms(batch, HolderOrder(p), regime, ClipConfig(0.2))
+            assert terms.row_coef[4:8].tolist() == [0.0] * 4
+            assert np.abs(self.gradient(new, batch, terms)).max() > 0.0
+
+    def test_live_group_with_a_gated_row(self, rng):
+        """A gated row (coefficient 0) does not make its group dead."""
+        mixed = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            batch = RolloutBatch.concat(self.minibatch(rng, old, new, (True, True, False)))
+            for p in (-2.5, 0.0, 3.0):
+                terms = batch_terms(batch, HolderOrder(p), "sequence", ClipConfig(0.2))
+                self.gradient(new, batch, terms)
+                zero = (terms.row_coef == 0.0).reshape(-1, 4)
+                mixed += int((zero.any(axis=1) & ~zero.all(axis=1)).sum())
+        assert mixed > 0
+
+    def test_token_clip_with_clipped_tokens(self, rng):
+        clipped = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            batch = RolloutBatch.concat(self.minibatch(rng, old, new, (False, True, False)))
+            for p in (-2.5, 0.0, 3.0):
+                terms = batch_terms(batch, HolderOrder(p), "token", ClipConfig(0.2))
+                self.gradient(new, batch, terms)
+                clipped += terms.clip_fraction.item() > 0.0
+        assert clipped > 0
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_stack_runs_with_different_dead_groups(self, rng, regime):
+        """Each run of an S = 3 stack gets its own live groups' means, and a
+        run with none gets zeros; each equals its solo gradient."""
+        pairs = [random_policy_pair(rng, length=6, vocab=5, drift=0.6) for _ in range(3)]
+        lives = [(False, True, True), (True, False, False), (False, False, False)]
+        runs = [RolloutBatch.concat(self.minibatch(rng, old, new, live))
+                for (old, new), live in zip(pairs, lives)]
+        batch = RolloutBatch.concat(runs)
+        stack = PolicyParams(np.stack([new.logits for _, new in pairs]))
+        order, clip = HolderOrder(1.5), ClipConfig(0.2)
+        got = self.gradient(stack, batch, batch_terms(batch, order, regime, clip, runs=3))
+        np.testing.assert_array_equal(got[2], np.zeros((6, 5)))
+        for s, ((_, new), run) in enumerate(zip(pairs, runs)):
+            solo = self.gradient(new, run, batch_terms(run, order, regime, clip))
+            np.testing.assert_array_equal(got[s], solo[0])
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_every_group_dead_gives_a_zero_gradient(self, rng, regime):
+        pairs = [random_policy_pair(rng, length=6, vocab=5, drift=0.6) for _ in range(3)]
+        batch = RolloutBatch.concat([g for old, new in pairs
+                                     for g in self.minibatch(rng, old, new, (False, False))])
+        stack = PolicyParams(np.stack([new.logits for _, new in pairs]))
+        terms = batch_terms(batch, HolderOrder(-1.0), regime, ClipConfig(0.2), runs=3)
+        np.testing.assert_array_equal(self.gradient(stack, batch, terms),
+                                      np.zeros((3, 6, 5)))
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_id_beyond_vocabulary_in_a_dead_group_raises(self, rng, regime):
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.3)
+        live, dead = self.minibatch(rng, old, new, (True, False))
+        ids = dead.token_ids.copy()
+        ids[1, 2] = new.vocab
+        with pytest.raises(DomainError, match="token_ids"):
+            ESTIMATORS[regime]([live, replace(dead, token_ids=ids)], new,
+                               HolderOrder(1.0), ClipConfig(0.2))
+
+
 class TestRolloutBatch:
     def _arrays(self, **overrides):
         base = dict(
@@ -617,7 +721,7 @@ class TestRolloutBatch:
             ])
 
     def test_concat_rejects_mixed_group_sizes_and_empty_list(self, rng):
-        old, new = random_policy_pair(rng)
+        old, new = perturbed_policies(rng, 0.15)
         groups = [random_group(rng, old, new, 2), random_group(rng, old, new, 3)]
         order = HolderOrder(1.0)
         for join in (RolloutBatch.concat,
@@ -662,7 +766,7 @@ class TestRolloutBatch:
             batch_terms(derived, HolderOrder(1.0), "none")
 
     def test_concat_returns_a_lone_batch_unchanged(self, rng):
-        old, new = random_policy_pair(rng)
+        old, new = perturbed_policies(rng, 0.15)
         group = random_group(rng, old, new)
         joined = RolloutBatch.concat([group])
         assert joined.group_size == group.group_size
@@ -714,7 +818,7 @@ class TestVarianceBoundTerm:
         # 12.5 = mean(1 * 25, 0 * 1)
 
     def test_strictly_increasing_in_p(self, rng):
-        old, new = random_policy_pair(rng, drift=0.3)
+        old, new = perturbed_policies(rng, 0.3)
         batch = refresh_logprobs(random_group(rng, old, new), new)
         vals = [
             variance_bound_term([batch], HolderOrder(p))
@@ -783,7 +887,7 @@ class TestTheoremScheduleGuarantees:
 
     def test_variance_contracts_below_static_p(self, rng):
         while True:
-            old, new = random_policy_pair(rng, drift=0.3)
+            old, new = perturbed_policies(rng, 0.3)
             batch = refresh_logprobs(random_group(rng, old, new), new)
             if np.any(batch.advantages != 0.0):
                 break

@@ -81,6 +81,20 @@ class TestPolicyParams:
             np.testing.assert_array_equal(score_blocks[s], solo.score_blocks(ids[s]))
             assert entropy[s] == solo.mean_entropy()
 
+    def test_score_rows_are_the_chosen_rows_of_score_blocks(self, rng):
+        """Chosen rows of a stack's batch are scored under their own
+        policies, bit for bit as score_blocks scores them; an id outside
+        [0, V) in a row not chosen still raises."""
+        stack = PolicyParams(rng.normal(size=(3, 4, 6)))
+        ids = rng.integers(0, 6, size=(15, 4))
+        every = stack.score_blocks(ids)
+        rows = np.array([1, 4, 5, 9, 14])
+        np.testing.assert_array_equal(stack.score_rows(ids, rows), every[rows])
+        np.testing.assert_array_equal(stack.score_rows(ids, slice(5, 10)), every[5:10])
+        ids[0, 0] = 6
+        with pytest.raises(DomainError, match=r"must lie in \[0, 6\)"):
+            stack.score_rows(ids, rows)
+
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_token_logprobs_rejects_ids_outside_the_vocabulary(self, bad):
         """An id below 0 or at V or above is a DomainError on a table and on

@@ -26,7 +26,10 @@ from holderpo.verify import CHECKS, check_all, check_rng
 # 4.440892098500626e-16 -> 3.3306690738754696e-16, weight_derivative_sum_zero
 # 8.916478666520788e-16 -> 7.294512216482474e-16, mu_derivative_vs_fd
 # 9.240153243315392e-12 -> 4.581771555238475e-12 and entropy_derivative_vs_fd
-# 2.4180978579605147e-12 -> 1.52185923304949e-12; no status changed
+# 2.4180978579605147e-12 -> 1.52185923304949e-12; no status changed.
+# limit_concentration's worst error became its margin, 1 - mass, where it
+# was max(0, 0.999 - mass), 0 on every pass: 0.0 -> 3.054133834723416e-09,
+# status unchanged.
 FIXTURE = Path(__file__).parent / "data" / "verify_seed0_n20.json"
 
 
@@ -165,7 +168,8 @@ class TestBatchedReference:
     def test_limit_concentration_judges_every_instance(self):
         """Its map moves each drawn sequence's largest log-ratio up by 0.5 and
         its smallest down by 0.5, drawing nothing more, so every instance is
-        judged with both extremes 0.5 clear of the rest."""
+        judged with both extremes 0.5 clear of the rest; its worst error is
+        the smallest mass on the extremes' set short of 1, its margin."""
         name = "limit_concentration"
         check, seen = CHECKS[name], []
 
@@ -175,6 +179,7 @@ class TestBatchedReference:
 
         result = dataclasses.replace(check, judge=judge)(check_rng(0, name), 100)
         assert result.status == "pass" and len(seen) == 100
+        assert 0.0 < result.worst_error < 1e-3
         rng = check_rng(0, name)
         for r in seen:
             drawn = np.sort(verify._random_ratios(rng).log_ratios)

@@ -110,7 +110,7 @@ MUTANTS = (
     ),
     Mutant(
         "drop row_scale", "objectives.py",
-        "    per_rollout *= terms.row_scale[:, None, None]\n",
+        "    per_rollout *= terms.row_scale[rows, None, None]\n",
         "",
         ("test_objectives.py",),
     ),
@@ -159,15 +159,15 @@ MUTANTS = (
         ("test_sim.py",),
     ),
     Mutant(
-        "score_blocks reads policy 0 for every row", "sim.py",
-        "blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)",
-        "blocks = np.repeat(-np.exp(self._tables()[:1]), ids.size // self.length, axis=0)",
+        "score_rows reads policy 0 for every row", "sim.py",
+        "policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]",
+        "policy_of = np.arange(ids.size // self.length)[rows] * 0",
         ("test_sim.py",),
     ),
     Mutant(
-        "score blocks tiled across the stack, not repeated", "sim.py",
-        "blocks = np.repeat(-np.exp(self._tables()), ids.shape[1], axis=0)",
-        "blocks = np.tile(-np.exp(self._tables()), (ids.shape[1], 1, 1))",
+        "score rows' policies tiled across the stack, not in blocks", "sim.py",
+        "policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]",
+        "policy_of = np.arange(ids.size // self.length)[rows] % self.runs",
         ("test_sim.py",),
     ),
     Mutant(
@@ -220,9 +220,21 @@ MUTANTS = (
     ),
     Mutant(
         "one gradient fold across the stack", "objectives.py",
-        "    return minibatch_mean(per_rollout, batch.group_size, terms.runs)\n",
-        "    return minibatch_mean(per_rollout, batch.group_size)\n",
+        "    return minibatch_mean(per_group, terms.runs)\n",
+        "    return minibatch_mean(per_group, 1)\n",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "a group is live only if all its coefficients are nonzero", "objectives.py",
+        "live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)",
+        "live = (terms.row_coef != 0.0).reshape(-1, size).all(axis=1)",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "live group means written to the first slots", "objectives.py",
+        "    per_group[live] = group_means(",
+        "    per_group[:live.sum()] = group_means(",
+        ("test_objectives.py",),
     ),
     Mutant(
         "V(p) over the whole stack", "objectives.py",
