@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,8 @@ class UpdateMetrics:
             raise DomainError("log_ratio_min must not exceed log_ratio_max")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` without its deep copy of each scalar."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def ratio_envelopes(batch: RolloutBatch) -> tuple[float, float]:

@@ -80,7 +80,10 @@ def group_advantages(rewards, group_size: int) -> np.ndarray:
     Degenerate groups (std below 1e-8) yield all-zero advantages: a
     uniform-reward group carries no relative signal.
     """
-    r = np.asarray(rewards, dtype=np.float64).reshape(-1, group_size)
+    r = np.asarray(rewards, dtype=np.float64)
+    if group_size < 2 or r.size == 0 or r.size % group_size:
+        raise DomainError(f"{r.size} rewards do not form whole groups of G = {group_size} >= 2")
+    r = r.reshape(-1, group_size)
     std = r.std(axis=1, keepdims=True)
     degenerate = std < DEGENERATE_STD
     adv = (r - r.mean(axis=1, keepdims=True)) / np.where(degenerate, 1.0, std)
@@ -104,8 +107,8 @@ class RolloutBatch:
     log-probabilities <= 0 and finite log-ratios at valid positions, and at
     least one valid position per row; ids below the vocabulary size are
     checked when a ``sim.PolicyParams`` reads or scores them.
-    Batches derived from a checked one (``select_groups``, ``concat`` and a
-    logprob refresh) are not checked again.
+    The sampler's batches and those derived from a checked one
+    (``select_groups``, ``concat`` and a logprob refresh) are not checked.
     ``log_ratios`` is new - old at valid positions and 0 elsewhere.
     """
 
@@ -156,14 +159,20 @@ class RolloutBatch:
         ):
             object.__setattr__(self, name, value)
 
+    @staticmethod
+    def _trusted(**arrays) -> "RolloutBatch":
+        """A batch of every field, log_ratios included, from arrays valid by
+        construction (the sampler's, a derived batch's): no checks run."""
+        batch = object.__new__(RolloutBatch)
+        batch.__dict__.update(arrays)
+        return batch
+
     def _derive(self, **arrays) -> "RolloutBatch":
         """This batch with the given arrays in place of its own, trusted as
-        coming from checked arrays: ``__post_init__`` does not run.  Selected
-        rows come from a checked batch and a log-softmax of finite logits is
-        <= 0; a non-finite valid log-ratio still raises, in ``holder_rows``."""
-        derived = object.__new__(RolloutBatch)
-        derived.__dict__.update(vars(self), **arrays)
-        return derived
+        coming from checked arrays.  Selected rows come from a checked batch
+        and a log-softmax of finite logits is <= 0; a non-finite valid
+        log-ratio still raises, in ``holder_rows``."""
+        return RolloutBatch._trusted(**{**vars(self), **arrays})
 
     @staticmethod
     def concat(batches: Sequence["RolloutBatch"]) -> "RolloutBatch":

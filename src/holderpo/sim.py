@@ -10,10 +10,10 @@ draws them from uniforms (``sample``), reads their log-probabilities and
 forms their score blocks, checking every id against [0, V) in one index.
 Sampling uses one counter-derived RNG substream per rollout, so runs are
 bit-reproducible regardless of evaluation order; ``holderpo.streams``
-derives all of a round's substreams in one pass.
+derives a block of rounds' substreams per call, by PCG64 state steps.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
-round's rollouts are one RolloutBatch, checked once when sampled; a
+round's rollouts are one RolloutBatch, valid as sampled, so unchecked; a
 minibatch is a selection of its groups and ``refresh_logprobs`` re-reads it
 under the current policy, both derived without re-checking; its token
 ratios are checked against the divergence band; and one ``batch_terms``
@@ -48,9 +48,12 @@ from holderpo.objectives import (
     policy_gradient,
 )
 from holderpo.schedule import ScheduleSpec, p_at
-from holderpo.streams import round_uniforms as _round_uniforms
+from holderpo.streams import block_uniforms as _block_uniforms
 
 RHO_DIVERGENCE_LIMIT = 1e6
+# Uniforms per seed drawn at once, in whole rounds (at least one): 96 KiB, under
+# glibc's 128 KiB mmap threshold; 128 KiB blocks raised the sweep's peak RSS 0.3 MB.
+_UNIFORMS_PER_BLOCK = 12288
 
 
 class DivergenceError(RuntimeError):
@@ -127,7 +130,9 @@ class PolicyParams:
         """(..., T) ids as (S, n, T) blocks; an id outside [0, V), which
         indexing would wrap round, raises DomainError."""
         ids = np.asarray(token_ids)
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab:
+        # one max over an unsigned view, where an id below 0 reads as >= 2^63
+        unsigned = ids.view(f"u{ids.itemsize}") if ids.dtype.kind == "i" else ids
+        if unsigned.max(initial=0) >= self.vocab:
             raise DomainError(f"token_ids must lie in [0, {self.vocab}), "
                               f"the vocabulary size {self.vocab}")
         return self._blocks(ids)
@@ -298,8 +303,8 @@ class RunLog:
 
 def _rollout_rng(seed: int, round_idx: int, group_idx: int, rollout_idx: int):
     """The RNG substream of one rollout: the per-group sampling API draws
-    from it, and ``_round_uniforms`` reproduces it bit for bit for a whole
-    round at once."""
+    from it, and ``_block_uniforms`` reproduces it bit for bit for a block of
+    rounds at once, by PCG64 state steps."""
     ss = np.random.SeedSequence(
         entropy=seed, spawn_key=(round_idx, group_idx, rollout_idx)
     )
@@ -311,8 +316,9 @@ def sample_rollouts(
 ) -> RolloutBatch:
     """One rollout per row of the (N, T) `uniforms`, drawn by
     ``PolicyParams.sample``, with rewards and group-normalized advantages (G
-    consecutive rows per group).  A policy of another (length, vocab) than
-    the task's raises DomainError."""
+    consecutive rows per group), valid by construction, so not checked
+    again.  A policy of another (length, vocab) than the task's raises
+    DomainError, as do rows that are not whole groups of G >= 2."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
         raise DomainError(f"policy shape {shape} does not match the task's "
@@ -320,7 +326,7 @@ def sample_rollouts(
     token_ids = policy_old.sample(uniforms)
     old_lp = policy_old.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
-    return RolloutBatch(
+    return RolloutBatch._trusted(
         token_ids=token_ids,
         old_logprobs=old_lp,
         new_logprobs=old_lp,
@@ -328,6 +334,7 @@ def sample_rollouts(
         rewards=rewards,
         advantages=group_advantages(rewards, group_size),
         group_size=group_size,
+        log_ratios=np.zeros(token_ids.shape),
     )
 
 
@@ -448,14 +455,17 @@ def train_many(
     diverged: dict[int, DivergenceError] = {}
     metrics: list[list[UpdateMetrics]] = [[] for _ in configs]
     step = 0
+    block_rounds = max(1, _UNIFORMS_PER_BLOCK // (group_count * base.group_size * task.length))
 
     for round_idx in range(base.total_rounds):
         seeds = [configs[run].seed for run in live]
-        draws = {
-            seed: _round_uniforms(seed, round_idx, group_count, base.group_size, task.length)
-            for seed in set(seeds)
-        }
-        uniforms = np.concatenate([draws[seed] for seed in seeds])
+        if round_idx % block_rounds == 0:
+            count = min(block_rounds, base.total_rounds - round_idx)
+            draws = {}  # the last block is freed before the next is drawn
+            for seed in set(seeds):
+                draws[seed] = _block_uniforms(seed, round_idx, count, group_count,
+                                              base.group_size, task.length)
+        uniforms = np.concatenate([draws[seed][round_idx % block_rounds] for seed in seeds])
         rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
         blocks = list(range(len(live)))  # block of live run k in `rollouts`

@@ -1,18 +1,19 @@
-"""All of a round's rollout uniforms in one vectorised pass.
+"""A block of rounds' rollout uniforms in one vectorised pass.
 
 Rollout i of group g in round r draws its sampling uniforms from
 ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(r, g, i))))``.
-``round_uniforms`` returns exactly those bits for every rollout of a round
-without building a SeedSequence or a Generator per rollout:
+``block_uniforms`` returns exactly those bits for every rollout of a
+contiguous block of rounds without building a SeedSequence or a Generator per
+rollout:
 
 - SeedSequence: the run-entropy words depend on the seed alone and are mixed
-  once with Python ints; the spawn-key words are then mixed into a pool of
-  uint32 arrays, one row per rollout, and the pool is hashed into the four
-  64-bit words that seed PCG64.
-- PCG64: seeding leaves the 128-bit state at M*(s + inc) + inc, so draw t
-  (1-based) is the XSL-RR output of M^(t+1)*s + C_(t+2)*inc mod 2^128, with
-  C_k = 1 + M + ... + M^(k-1).  Both constants are computed per call with
-  Python ints and applied to every (rollout, draw) pair at once.
+  once with Python ints; the spawn-key words, one uint32 each for round,
+  group and rollout, are then mixed into a pool of uint32 arrays with one
+  axis per key word, and the pool is hashed into the four 64-bit words that
+  seed PCG64 for every rollout of the block.
+- PCG64: every rollout's 128-bit state advances at once by steps
+  x <- M*x + inc.  The first step is seeding's last, from x = s + inc; each
+  later step yields one draw, the XSL-RR output of the new state.
 - Generator.random: (output >> 11) * 2^-53.
 
 The constants and the order of every mixing step follow numpy's
@@ -30,7 +31,6 @@ from holderpo.core import DomainError
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # SeedSequence
 _POOL_SIZE = 4
@@ -44,6 +44,7 @@ _XSHIFT = 16
 
 # PCG64
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 
 
@@ -114,21 +115,6 @@ def _seed_pool(entropy: list[int]) -> tuple[list[int], _Hash]:
     return pool, hash_a
 
 
-def _pcg_constants(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 (hi, lo) halves of M^(t+1) (row 0) and C_(t+2) (row 1) for
-    t = 1..length, each shaped (2, 1, length)."""
-    power, total = _PCG_MULT, 1 + _PCG_MULT  # M^1 and C_2
-    consts = [[], []]
-    for _ in range(length):
-        power = (power * _PCG_MULT) & _MASK128
-        total = (total + power) & _MASK128
-        consts[0].append(power)
-        consts[1].append(total)
-    hi = np.array([[c >> 64 for c in row] for row in consts], dtype=np.uint64)
-    lo = np.array([[c & _MASK64 for c in row] for row in consts], dtype=np.uint64)
-    return hi[:, None, :], lo[:, None, :]
-
-
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """(a * b) mod 2^128 on uint64 (hi, lo) halves.  The high half of the
     64x64 product a_lo * b_lo comes from 32-bit partial products, whose sums
@@ -141,17 +127,22 @@ def _mul128(a_hi, a_lo, b_hi, b_lo):
     return mul_hi + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
 
-def round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
-                   length: int) -> np.ndarray:
-    """(N, T) sampling uniforms of one round, N = num_groups * group_size:
-    row g*G + i equals ``_rollout_rng(seed, round_idx, g, i).random(length)``
-    bit for bit."""
+def block_uniforms(seed: int, first_round: int, rounds: int, num_groups: int,
+                   group_size: int, length: int) -> np.ndarray:
+    """(rounds, N, T) sampling uniforms of rounds first_round .. first_round +
+    rounds - 1, N = num_groups * group_size: [r, g*G + i] equals
+    ``_rollout_rng(seed, first_round + r, g, i).random(length)`` bit for bit.
+    A round is one uint32 spawn-key word: from 2^32 on, DomainError."""
+    if not 0 <= first_round <= (1 << 32) - rounds:
+        raise DomainError(f"rounds {first_round} .. {first_round + rounds - 1} must be "
+                          "non-negative and below 2^32, one uint32 spawn-key word each")
     run = _words(seed, "seed")
-    run += [0] * (_POOL_SIZE - len(run))
-    pool, hash_a = _seed_pool(run + _words(round_idx, "round_idx"))
+    pool, hash_a = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))
     pool = np.array(pool, dtype=np.uint32)
-    for word in (np.arange(num_groups, dtype=np.uint32)[:, None, None],
-                 np.arange(group_size, dtype=np.uint32)[None, :, None]):
+    round_words = np.arange(first_round, first_round + rounds, dtype=np.uint32)
+    for word in (round_words[:, None, None, None],
+                 np.arange(num_groups, dtype=np.uint32)[:, None, None],
+                 np.arange(group_size, dtype=np.uint32)[:, None]):
         pool = _mix(pool, _hashmix(word, *hash_a.take(_POOL_SIZE)))
     # generate_state(4, uint64): cycle the pool into 8 hashed uint32 words,
     # read as little-endian pairs
@@ -161,15 +152,18 @@ def round_uniforms(seed: int, round_idx: int, num_groups: int, group_size: int,
     state = words.view("<u8").astype(np.uint64, copy=False)
     s_hi, s_lo, q_hi, q_lo = state.T
 
-    # PCG64 seeding: inc = (initseq << 1) | 1; draw t is the XSL-RR output of
-    # M^(t+1)*s + C_(t+2)*inc, both products taken at once on a stacked axis
+    # PCG64: inc = (initseq << 1) | 1, x = s + inc, then T + 1 steps x <- M*x + inc:
+    # the first ends the seeding, each later one gives a draw, XSL-RR of x
     inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
-    const_hi, const_lo = _pcg_constants(length)
-    hi, lo = _mul128(np.stack([s_hi, inc_hi])[:, :, None],
-                     np.stack([s_lo, inc_lo])[:, :, None], const_hi, const_lo)
-    state_lo = lo[0] + lo[1]
-    state_hi = hi[0] + hi[1] + (state_lo < lo[0])
-    rot = state_hi >> 58
-    value = state_hi ^ state_lo
-    value = (value >> rot) | (value << ((64 - rot) & 63))
-    return (value >> 11).astype(np.float64) * _DOUBLE_UNIT
+    x_lo = s_lo + inc_lo
+    x_hi = s_hi + inc_hi + (x_lo < inc_lo)
+    out = np.empty((len(state), length))
+    for step in range(length + 1):
+        x_hi, x_lo = _mul128(x_hi, x_lo, _PCG_MULT_HI, _PCG_MULT_LO)
+        x_lo += inc_lo
+        x_hi += inc_hi + (x_lo < inc_lo)
+        if step:
+            rot, value = x_hi >> 58, x_hi ^ x_lo
+            out[:, step - 1] = ((value >> rot) | (value << ((64 - rot) & 63))) >> 11
+    out *= _DOUBLE_UNIT
+    return out.reshape(rounds, -1, length)

@@ -1,7 +1,7 @@
 """Diagnostics: envelopes, weight profiles, the V(p) curve, CSV export."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,12 @@ class TestUpdateMetrics:
     def test_round_trips_to_dict(self):
         m = UpdateMetrics(**metrics_kwargs())
         assert m.to_dict()["log_ratio_max"] == 0.2
+
+    def test_to_dict_equals_asdict_in_field_order(self):
+        """metrics.ndjson writes to_dict, so its keys, their order and the
+        values are asdict's."""
+        m = UpdateMetrics(**metrics_kwargs(step=3, p_value=-0.5, objective=1e-300))
+        assert list(m.to_dict().items()) == list(asdict(m).items())
 
     def test_rejects_inverted_envelope(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,6 @@
 """Tabular policy, synthetic tasks, and the training loop."""
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from holderpo import (
     DomainError,
     HolderOrder,
     PolicyParams,
+    RolloutBatch,
     ScheduleSpec,
     TaskSpec,
     TrainConfig,
@@ -29,9 +30,9 @@ from holderpo import (
 from holderpo import sim
 from holderpo.sim import (
     RHO_DIVERGENCE_LIMIT,
+    _block_uniforms,
     _divergences,
     _rollout_rng,
-    _round_uniforms,
     sample_rollouts,
 )
 
@@ -269,7 +270,7 @@ class TestSampling:
     def test_round_matches_per_group_sampling(self, rng):
         task = default_sparse_task()
         policy = PolicyParams(rng.normal(size=(8, 16)))
-        uniforms = _round_uniforms(3, 2, num_groups=3, group_size=4, length=8)
+        uniforms = _block_uniforms(3, 2, 1, num_groups=3, group_size=4, length=8)[0]
         batch = sample_rollouts(policy, task, 4, uniforms)
         for g in range(3):
             group = batch.select_groups([g])
@@ -279,10 +280,34 @@ class TestSampling:
                          "rewards", "advantages", "log_ratios"):
                 np.testing.assert_array_equal(getattr(group, name), getattr(expect, name))
 
+    def test_sampled_batch_passes_the_public_constructor_unchanged(self, rng):
+        """sample_rollouts builds its batch without the construction check;
+        its arrays pass that check and come out of it as they went in, on a
+        stack and with log_ratios zero."""
+        task = default_sparse_task()
+        uniforms = _block_uniforms(3, 2, 1, num_groups=3, group_size=4, length=8)[0]
+        batch = sample_rollouts(PolicyParams(rng.normal(size=(2, 8, 16))), task, 4,
+                                np.concatenate([uniforms, uniforms]))
+        checked = RolloutBatch(**{f.name: getattr(batch, f.name)
+                                  for f in fields(RolloutBatch) if f.init})
+        assert batch.group_size == checked.group_size == 4
+        for f in fields(RolloutBatch):
+            if f.name != "group_size":
+                got, want = getattr(batch, f.name), getattr(checked, f.name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, strict=True)
+
+    @pytest.mark.parametrize("group_size, rows", [(1, 4), (3, 4)])
+    def test_rows_must_form_whole_groups(self, group_size, rows):
+        task = default_sparse_task()
+        with pytest.raises(DomainError, match="whole groups"):
+            sample_rollouts(PolicyParams.uniform(8, 16), task, group_size,
+                            np.full((rows, 8), 0.5))
+
     def test_stack_samples_each_block_from_its_policy(self, rng):
         task = default_sparse_task()
         logits = rng.normal(size=(2, 8, 16))
-        uniforms = _round_uniforms(3, 2, num_groups=3, group_size=4, length=8)
+        uniforms = _block_uniforms(3, 2, 1, num_groups=3, group_size=4, length=8)[0]
         stacked = sample_rollouts(PolicyParams(logits), task, 4,
                                   np.concatenate([uniforms, uniforms]))
         for s, table in enumerate(logits):
@@ -590,6 +615,18 @@ class TestTrainMany:
         assert_same_run(train_many(configs[:1], task, start)[0],
                         train(configs[0], task, start))
         np.testing.assert_array_equal(start.logits, initial)
+
+    @pytest.mark.parametrize("uniforms_per_block", [1, 256])
+    def test_uniform_blocks_move_no_bit(self, monkeypatch, uniforms_per_block):
+        """Drawn one round per block, or in blocks of two rounds whose last is
+        short, the stack runs as it does with all three rounds in one block:
+        each round reads its own rows of its block."""
+        task = default_sparse_task()
+        configs = [self.config(), self.config(seed=1)]
+        want = train_many(configs, task)
+        monkeypatch.setattr(sim, "_UNIFORMS_PER_BLOCK", uniforms_per_block)
+        for got, ref in zip(train_many(configs, task), want):
+            assert_same_run(got, ref)
 
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", 0.25), ("clipping_regime", "none"), ("total_rounds", 2),

@@ -136,8 +136,8 @@ MUTANTS = (
     ),
     Mutant(
         "reversed uniform rows", "sim.py",
-        "uniforms = np.concatenate([draws[seed] for seed in seeds])",
-        "uniforms = np.concatenate([draws[seed][::-1] for seed in seeds])",
+        "[draws[seed][round_idx % block_rounds] for seed in seeds]",
+        "[draws[seed][round_idx % block_rounds][::-1] for seed in seeds]",
         ("test_sim.py",),
     ),
     Mutant(
@@ -172,8 +172,8 @@ MUTANTS = (
     ),
     Mutant(
         "the shared indexer drops the lower id bound", "sim.py",
-        "if ids.min(initial=0) < 0 or ids.max(initial=0)",
-        "if ids.max(initial=0)",
+        "unsigned = ids.view(f\"u{ids.itemsize}\") if ids.dtype.kind == \"i\" else ids",
+        "unsigned = ids",
         ("test_sim.py",),
     ),
     Mutant(
@@ -214,9 +214,21 @@ MUTANTS = (
     ),
     Mutant(
         "dropped 128-bit carry in streams", "streams.py",
-        "    state_hi = hi[0] + hi[1] + (state_lo < lo[0])\n",
-        "    state_hi = hi[0] + hi[1]\n",
+        "        x_hi += inc_hi + (x_lo < inc_lo)\n",
+        "        x_hi += inc_hi\n",
         ("test_streams.py",),
+    ),
+    Mutant(
+        "recurrence skips the seeding step", "streams.py",
+        "    for step in range(length + 1):\n",
+        "    for step in range(1, length + 1):\n",
+        ("test_streams.py",),
+    ),
+    Mutant(
+        "every round of a block reads the block's first rows", "sim.py",
+        "draws[seed][round_idx % block_rounds]",
+        "draws[seed][0]",
+        ("test_sim.py",),
     ),
     Mutant(
         "one gradient fold across the stack", "objectives.py",
