@@ -130,8 +130,8 @@ class PolicyParams:
         """(..., T) ids as (S, n, T) blocks; an id outside [0, V), which
         indexing would wrap round, raises DomainError."""
         ids = np.asarray(token_ids)
-        # one max over an unsigned view, where an id below 0 reads as >= 2^63
-        unsigned = ids.view(f"u{ids.itemsize}") if ids.dtype.kind == "i" else ids
+        # one unsigned max in the ids' own byte order; an id below 0 reads as >= 2^63
+        unsigned = ids.view(ids.dtype.str.replace("i", "u")) if ids.dtype.kind == "i" else ids
         if unsigned.max(initial=0) >= self.vocab:
             raise DomainError(f"token_ids must lie in [0, {self.vocab}), "
                               f"the vocabulary size {self.vocab}")
@@ -316,13 +316,15 @@ def sample_rollouts(
 ) -> RolloutBatch:
     """One rollout per row of the (N, T) `uniforms`, drawn by
     ``PolicyParams.sample``, with rewards and group-normalized advantages (G
-    consecutive rows per group), valid by construction, so not checked
-    again.  A policy of another (length, vocab) than the task's raises
-    DomainError, as do rows that are not whole groups of G >= 2."""
+    consecutive rows per group), valid by construction, so not checked again.
+    Uniforms that are not 2-D, rows that are not whole groups of G >= 2 and a
+    policy of another (length, vocab) than the task's raise DomainError."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
         raise DomainError(f"policy shape {shape} does not match the task's "
                           f"{(task.length, task.vocab)}")
+    if np.ndim(uniforms) != 2:
+        raise DomainError(f"uniforms of shape {np.shape(uniforms)} are not (N, T)")
     token_ids = policy_old.sample(uniforms)
     old_lp = policy_old.token_logprobs(token_ids)
     rewards = task.rewards(token_ids)
@@ -461,10 +463,9 @@ def train_many(
         seeds = [configs[run].seed for run in live]
         if round_idx % block_rounds == 0:
             count = min(block_rounds, base.total_rounds - round_idx)
-            draws = {}  # the last block is freed before the next is drawn
-            for seed in set(seeds):
-                draws[seed] = _block_uniforms(seed, round_idx, count, group_count,
-                                              base.group_size, task.length)
+            draws = None  # the last block is freed before the next is drawn
+            draws = {seed: _block_uniforms(seed, round_idx, count, group_count,
+                                           base.group_size, task.length) for seed in set(seeds)}
         uniforms = np.concatenate([draws[seed][round_idx % block_rounds] for seed in seeds])
         rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()

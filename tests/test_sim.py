@@ -122,12 +122,15 @@ class TestPolicyParams:
         table = PolicyParams(np.arange(12.0).reshape(3, 4))
         stack = PolicyParams(np.stack([table.logits, -table.logits]))
         outside = np.array([[0, 3, bad], [3, 0, bad]])
+        swapped = outside.astype(">i8")  # ids in the other byte order
         group = make_group(np.zeros((4, 3)), [1.0, 0.0, 1.0, 0.0])
         derived = group._derive(token_ids=np.tile(outside, (2, 1)))
         order, clip = HolderOrder(1.0), ClipConfig(0.2)
         for policy in (table, stack):
             for read in (
                 lambda: policy.score_blocks(outside),
+                lambda: policy.score_blocks(swapped),
+                lambda: policy.token_logprobs(swapped[:policy.runs]),
                 lambda: policy.score_gradients(outside[0]),
                 lambda: grad_estimator_unclipped([derived], policy, order),
                 lambda: grad_estimator_seq_clip([derived], policy, order, clip),
@@ -135,6 +138,22 @@ class TestPolicyParams:
             ):
                 with pytest.raises(DomainError, match=r"must lie in \[0, 4\)"):
                     read()
+
+    @pytest.mark.parametrize("dtype", ["<i8", ">i8", ">i4", "i1", ">u8"])
+    def test_ids_are_checked_by_value_in_any_byte_order(self, dtype):
+        """The id check reads ids by value whatever their width and byte
+        order: ids in [0, V) read what native int64 ids read, and V and 2^56
+        (whose low byte is 0) raise DomainError."""
+        table = PolicyParams(np.arange(12.0).reshape(3, 4))
+        ids = np.array([0, 3, 1])
+        np.testing.assert_array_equal(table.token_logprobs(ids.astype(dtype)),
+                                      table.token_logprobs(ids))
+        np.testing.assert_array_equal(table.score_blocks(ids.astype(dtype)),
+                                      table.score_blocks(ids))
+        for bad in (4, 2**56):
+            if np.can_cast(np.min_scalar_type(bad), dtype):
+                with pytest.raises(DomainError, match=r"must lie in \[0, 4\)"):
+                    table.token_logprobs(np.array([0, 3, bad], dtype=dtype))
 
     def test_reads_reject_ids_of_another_length(self):
         policy = PolicyParams(np.zeros((2, 8, 16)))
@@ -303,6 +322,14 @@ class TestSampling:
         with pytest.raises(DomainError, match="whole groups"):
             sample_rollouts(PolicyParams.uniform(8, 16), task, group_size,
                             np.full((rows, 8), 0.5))
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4, 8)], ids=["one-row", "stacked"])
+    def test_uniforms_must_be_two_dimensional(self, shape):
+        """One row per rollout: T uniforms alone, or one (n, T) block per
+        policy of a stack, are not an (N, T) round."""
+        with pytest.raises(DomainError, match=r"are not \(N, T\)"):
+            sample_rollouts(PolicyParams(np.zeros((2, 8, 16))), default_sparse_task(),
+                            2, np.full(shape, 0.5))
 
     def test_stack_samples_each_block_from_its_policy(self, rng):
         task = default_sparse_task()

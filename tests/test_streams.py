@@ -39,9 +39,9 @@ def blocks(draw):
 @given(
     seed=seeds,
     block=blocks(),
-    num_groups=st.integers(1, 6),
-    group_size=st.integers(1, 6),
-    length=st.integers(1, 40),
+    num_groups=st.integers(1, 8),
+    group_size=st.integers(1, 8),
+    length=st.integers(1, 64),
 )
 @settings(max_examples=100, deadline=None)
 def test_rows_equal_per_rollout_streams(seed, block, num_groups, group_size, length):

@@ -172,8 +172,20 @@ MUTANTS = (
     ),
     Mutant(
         "the shared indexer drops the lower id bound", "sim.py",
-        "unsigned = ids.view(f\"u{ids.itemsize}\") if ids.dtype.kind == \"i\" else ids",
-        "unsigned = ids",
+        "unsigned = ids.view(ids.dtype.str.replace(\"i\", \"u\")) if",
+        "unsigned = ids if",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "the id check reads ids in native byte order", "sim.py",
+        "ids.view(ids.dtype.str.replace(\"i\", \"u\"))",
+        "ids.view(f\"u{ids.itemsize}\")",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "the sampler drops its 2-D uniforms check", "sim.py",
+        "    if np.ndim(uniforms) != 2:\n",
+        "    if False:\n",
         ("test_sim.py",),
     ),
     Mutant(
