@@ -1,6 +1,7 @@
 """Command-line entry point: `mean`, `train`, `sweep`, and `verify`.
 
-Exit codes: 0 success, 1 usage/config error, 2 verification failure,
+Exit codes: 0 success, 1 usage/config error (an empty `verify --only`, or a
+path that cannot be read or written, included), 2 verification failure,
 3 divergence abort.
 
 A run config is a JSON object with a `task` and a `train` section.  The
@@ -38,7 +39,7 @@ from holderpo.core import (
 )
 from holderpo.schedule import ScheduleSpec
 from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train, train_many
-from holderpo.verify import CHECKS, check_all, check_run_arguments
+from holderpo.verify import check_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,23 +207,24 @@ def write_run(out_dir: Path, task: TaskSpec, config: TrainConfig, log) -> dict:
     return summary
 
 
+def _numbers(text: str) -> list[float]:
+    """The numbers of a comma- or space-separated list (ValueError on a bad one)."""
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
 def cmd_mean(args) -> int:
     try:
-        if args.ratios_file:
-            text = Path(args.ratios_file).read_text()
-        else:
-            text = args.ratios
+        text = Path(args.ratios_file).read_text() if args.ratios_file else args.ratios
         if text is None:
             raise ConfigError("provide --ratios or --ratios-file")
-        values = [float(tok) for tok in text.replace(",", " ").split()]
-        ratios = RatioSequence(np.array(values))
-        exponents = [float(tok) for tok in args.p.replace(",", " ").split()]
+        ratios = RatioSequence(np.array(_numbers(text)))
+        exponents = _numbers(args.p)
         if not exponents:
             raise ConfigError("--p must name at least one exponent")
         # an overflowing p * log r is reported as the kernel's DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             rho, weights = holder_grid(ratios.log_ratios, HolderOrder(np.array(exponents)))
-    except (ValueError, DomainError, OSError, ConfigError) as exc:
+    except (ValueError, DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     entropy, concentration = concentration_rows(weights)
@@ -243,13 +245,12 @@ def cmd_train(args) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out_dir)
     try:
         log = train(config, task)
     except DivergenceError as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    summary = write_run(out_dir, task, config, log)
+    summary = write_run(Path(args.out_dir), task, config, log)
     print(json.dumps({k: summary[k] for k in
                       ("final_success", "final_p", "updates", "wall_time_s")}))
     return EXIT_OK
@@ -258,7 +259,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         task, config = load_config(args.config)
-        p_list = [float(tok) for tok in args.p_list.replace(",", " ").split()]
+        p_list = _numbers(args.p_list)
         if not p_list:
             raise ConfigError("--p-list must name at least one exponent")
         if args.seeds < 1:
@@ -309,19 +310,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = [tok for chunk in args.only for tok in chunk.split(",") if tok]
-        unknown = set(only) - set(CHECKS)
-        if unknown:
-            print(f"error: unknown check(s) {sorted(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
+    only = [tok for chunk in args.only for tok in chunk.split(",") if tok] if args.only else None
     try:
-        check_run_arguments(seed=args.seed, instance_count=args.instances)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = check_all(seed=args.seed, instance_count=args.instances, only=only)
+    except (KeyError, ValueError) as exc:  # check_all's argument errors
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    report = check_all(seed=args.seed, instance_count=args.instances, only=only)
     print(report.to_text())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json() + "\n")
@@ -371,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -184,8 +184,8 @@ def holder_rows(
     if logs.ndim != 2 or mask.shape != logs.shape:
         raise DomainError("log_ratios and mask must share one (N, T) shape")
     n = mask.sum(axis=1)
-    if not n.all():
-        raise DomainError("mask must have at least one valid entry per row")
+    if not (n.size and n.all()):
+        raise DomainError("log_ratios need at least one row, and mask a valid entry in each")
     # zeroed once, so no masked-out inf or NaN reaches a product below
     logs = np.where(mask, logs, 0.0)
     if not np.isfinite(logs).all():
@@ -198,14 +198,11 @@ def holder_rows(
     weights = shifted / total[:, None]
     series = np.abs(p) < SERIES_CUTOFF
     count = np.count_nonzero(series)
-    if count == n.size:  # all rows, as at a constant p = 0, are taken without a copy
-        log_rho = _centred_log_rho(logs, mask, n, p)
-    else:
-        log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
-        log_rho = log_mean / (np.where(series, 1.0, p) if count else p)
-        if count:  # the series rows replace their log-sum-exp values
-            rows = np.flatnonzero(series)
-            log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
+    log_mean = shift + np.log(total) - np.log(n)  # log of the mean of r^p
+    log_rho = log_mean / (np.where(series, 1.0, p) if count else p)
+    if count:  # the series rows replace their log-sum-exp values
+        rows = np.flatnonzero(series)
+        log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
     rho = np.exp(log_rho)
     # written so that NaN weights, from p * log r overflowing, fail it too
     if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):

@@ -220,6 +220,14 @@ class RolloutBatch:
         )
 
 
+def _fold_mean(blocks: np.ndarray) -> np.ndarray:
+    """Means over axis 1 of (K, M, ...) blocks: a left fold, then one divide by M."""
+    total = blocks[:, 0].copy()
+    for i in range(1, blocks.shape[1]):
+        total += blocks[:, i]
+    return total / blocks.shape[1]
+
+
 def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     """Per-group means of per-rollout values (N, ...) -> (N / G, ...).
 
@@ -228,21 +236,13 @@ def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     (sum_i A_i = 0 per group), and the benchmark's recorded trajectories
     depend on this order.
     """
-    grouped = values.reshape(-1, group_size, *values.shape[1:])
-    total = grouped[:, 0].copy()
-    for i in range(1, group_size):
-        total += grouped[:, i]
-    return total / group_size
+    return _fold_mean(values.reshape(-1, group_size, *values.shape[1:]))
 
 
 def minibatch_mean(per_group: np.ndarray, runs: int) -> np.ndarray:
     """Mean of per-group means (K, ...), as a left fold over groups, for each
     of `runs` equal consecutive blocks of groups: -> (runs, ...)."""
-    per_group = per_group.reshape(runs, -1, *per_group.shape[1:])
-    total = per_group[:, 0].copy()
-    for k in range(1, per_group.shape[1]):
-        total += per_group[:, k]
-    return total / per_group.shape[1]
+    return _fold_mean(per_group.reshape(runs, -1, *per_group.shape[1:]))
 
 
 @dataclass(frozen=True)

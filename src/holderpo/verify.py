@@ -3,6 +3,12 @@ relies on.  Each check runs over randomized instances, reports its worst
 observed error, and never raises on failure: the report carries the
 verdicts.  Deterministic given (seed, instance_count).
 
+Each check is one ``_Check`` that carries its name and claim: a
+``_GridCheck``, a ``_StencilCheck`` or a function declared with ``@_check``.
+``CHECKS`` maps each name to its check, in report order.  ``check_all`` alone
+checks its arguments, all before any check runs: a bad seed or instance
+count, or an empty selection, raises ValueError, an unknown name KeyError.
+
 A check draws all of its instances first, in the order a one-at-a-time loop
 would draw them.  The functions a check is about (the analytic p-derivatives,
 ``grad_rho``, ``holder_mean``, ``second_moment_orthogonal``,
@@ -216,22 +222,32 @@ def _rows_fit(res: CheckResult, rho, weights, exponents: int, n: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class _GridCheck:
-    """A check that draws one ratio sequence per instance, turns it into the
-    sequence r to judge by ``prepare`` (None passes over the instance), and
-    calls ``judge(res, r, grid, rho, weights)`` with rho and W of r at every
-    exponent of ``grid``, one row each.  All instances are drawn first; their
-    rows come from _holder_grids."""
+class _Check:
+    """A check of one claim, under one name: a call with (rng, instances)
+    returns a fresh CheckResult res after ``observe(res, rng, instances)``."""
 
     name: str
     claim: str
-    grid: Sequence[float]
-    judge: Callable
-    prepare: Callable[[RatioSequence], RatioSequence | None] = lambda r: r
-    skip_reason: str = ""
 
     def __call__(self, rng, instances) -> CheckResult:
         res = CheckResult(self.name, self.claim)
+        self.observe(res, rng, instances)
+        return res
+
+
+@dataclass(frozen=True, eq=False)
+class _GridCheck(_Check):
+    """A check that draws one ratio sequence per instance, turns it into the
+    sequence r to judge by ``prepare`` (None passes over a degenerate one),
+    and calls ``judge(res, r, grid, rho, weights)`` with rho and W of r at
+    every exponent of ``grid``, one row each.  All instances are drawn first;
+    their rows come from _holder_grids.  With none left to judge it skips."""
+
+    grid: Sequence[float]
+    judge: Callable
+    prepare: Callable[[RatioSequence], RatioSequence | None] = lambda r: r
+
+    def observe(self, res, rng, instances) -> None:
         drawn = [_random_ratios(rng) for _ in range(instances)]
         tested = [r for r in map(self.prepare, drawn) if r is not None]
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -240,12 +256,11 @@ class _GridCheck:
             if _rows_fit(res, rho, weights, len(self.grid), len(r)):
                 self.judge(res, r, self.grid, rho, weights)
         if not tested:
-            res.skip(self.skip_reason)
-        return res
+            res.skip("all instances degenerate (uniform ratios)")
 
 
 @dataclass(frozen=True, eq=False)
-class _StencilCheck:
+class _StencilCheck(_Check):
     """A check that draws a ratio sequence r and an exponent p in [-5, 5] per
     instance.  ``derivative(rng, r, order)``, called as each instance is
     drawn, returns the analytic d/dp at p and the row-wise function of
@@ -254,13 +269,10 @@ class _StencilCheck:
     differenced by _stencil.  ``nonnegative`` also requires the
     derivative >= 0."""
 
-    name: str
-    claim: str
     derivative: Callable
     nonnegative: bool = False
 
-    def __call__(self, rng, instances) -> CheckResult:
-        res = CheckResult(self.name, self.claim)
+    def observe(self, res, rng, instances) -> None:
         drawn = []  # (r, p, analytic, of_weights) per instance
         for _ in range(instances):
             r = _random_ratios(rng)
@@ -276,7 +288,18 @@ class _StencilCheck:
             fd = _stencil(of_weights(weights))
             err = _rel_err(analytic, fd)
             res.observe(err, err <= FD_RTOL, f"analytic {analytic}, fd {fd}")
-        return res
+
+
+@dataclass(frozen=True, eq=False)
+class _FunctionCheck(_Check):
+    """A check written as one function, declared with ``@_check``."""
+
+    observe: Callable[[CheckResult, np.random.Generator, int], None]
+
+
+def _check(name: str, claim: str) -> Callable[[Callable], _FunctionCheck]:
+    """Declare the decorated ``observe(res, rng, instances)`` as a check."""
+    return lambda observe: _FunctionCheck(name, claim, observe)
 
 
 def _non_uniform(gap: float) -> Callable[[RatioSequence], RatioSequence | None]:
@@ -363,7 +386,6 @@ check_mean_monotone = _GridCheck(
     P_GRID,
     lambda res, r, grid, rho, weights: _observe_rising(res, rho, "non-increasing step"),
     prepare=_non_uniform(1e-9),
-    skip_reason="all instances degenerate (uniform ratios)",
 )
 check_weights_normalized = _GridCheck(
     "weights_normalized",
@@ -385,7 +407,6 @@ check_entropy_peak = _GridCheck(
     np.concatenate([_ENTROPY_P, -_ENTROPY_P]),
     _judge_entropy_peak,
     prepare=_non_uniform(1e-6),
-    skip_reason="all instances degenerate (uniform ratios)",
 )
 check_limit_concentration = _GridCheck(
     "limit_concentration",
@@ -429,13 +450,11 @@ check_entropy_derivative_fd = _StencilCheck(
 )
 
 
-def check_weight_rise_fall(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "weight_rise_then_fall",
+@_check("weight_rise_then_fall",
         "a non-maximal token's weight rises then strictly falls once the "
         "weighted log mean crosses its log-ratio; crossing bracketed by "
-        "bisection",
-    )
+        "bisection")
+def check_weight_rise_fall(res: CheckResult, rng, instances) -> None:
     drawn = []  # (ratios, interior token t, log r_t) per tested instance, in order
     for _ in range(instances):
         n = int(rng.integers(3, 16))
@@ -448,7 +467,7 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
         drawn.append((RatioSequence(np.exp(logs)), t, logs[t]))
     if not drawn:
         res.skip("no usable interior-token instance drawn")
-        return res
+        return
 
     # Bisect every instance's crossing at once: one row and one p per instance.
     logs, mask = _padded_rows([r.log_ratios for r, _, _ in drawn])
@@ -479,7 +498,6 @@ def check_weight_rise_fall(rng, instances) -> CheckResult:
             _observe_rising(res, weights[:25, t], "weight not rising before the crossing")
             _observe_rising(res, -weights[25:, t],
                             "weight not strictly falling after the crossing")
-    return res
 
 
 # ----------------------------------------------------------------------
@@ -574,11 +592,9 @@ def _refreshed_copies(rollouts: RolloutBatch, policies: PolicyParams) -> Rollout
     return refresh_logprobs(copies, policies)
 
 
-def check_grad_rho_forms(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "grad_rho_two_forms",
-        "rho * sum W g equals rho^{1-p}/n sum r^p g to 1e-10 relative",
-    )
+@_check("grad_rho_two_forms",
+        "rho * sum W g equals rho^{1-p}/n sum r^p g to 1e-10 relative")
+def check_grad_rho_forms(res: CheckResult, rng, instances) -> None:
     for _ in range(instances):
         n = int(rng.integers(2, 12))
         d = int(rng.integers(2, 8))
@@ -592,15 +608,12 @@ def check_grad_rho_forms(rng, instances) -> CheckResult:
         scale = max(np.abs(got).max(), np.abs(alt).max(), 1e-12)
         err = float(np.abs(got - alt).max() / scale)
         res.observe(err, err <= 1e-10, f"forms differ by rel {err:.2e}")
-    return res
 
 
-def check_grad_rho_fd(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "grad_rho_vs_fd",
+@_check("grad_rho_vs_fd",
         "grad of the aggregated ratio over policy logits matches central "
-        "finite differences within rel. 1e-4",
-    )
+        "finite differences within rel. 1e-4")
+def check_grad_rho_fd(res: CheckResult, rng, instances) -> None:
     for _ in range(max(1, instances // 4)):
         policy_old, policy = _perturbed_policies(rng, 0.1)
         tokens = policy_old.sample(rng.random(policy_old.length))
@@ -623,15 +636,12 @@ def check_grad_rho_fd(rng, instances) -> CheckResult:
         scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
         err = float(np.abs(analytic - fd).max() / scale)
         res.observe(err, err <= POLICY_FD_RTOL, f"rel err {err:.2e} at p={p}")
-    return res
 
 
-def check_estimators_vs_fd(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "estimators_vs_fd",
+@_check("estimators_vs_fd",
         "all three gradient estimators match central finite differences of "
-        "their objectives away from clip kinks",
-    )
+        "their objectives away from clip kinks")
+def check_estimators_vs_fd(res: CheckResult, rng, instances) -> None:
     clip = ClipConfig(0.2)
     done = 0
     attempts = 0
@@ -661,15 +671,12 @@ def check_estimators_vs_fd(rng, instances) -> CheckResult:
             res.observe(err, err <= POLICY_FD_RTOL, f"rel err {err:.2e} at p={p}")
     if done == 0:
         res.skip("no kink-free instance drawn")
-    return res
 
 
-def check_reinforce_invariance(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "reinforce_invariance_at_center",
+@_check("reinforce_invariance_at_center",
         "with all ratios 1 the unclipped estimator is p-invariant and equals "
-        "the advantage-weighted mean score gradient",
-    )
+        "the advantage-weighted mean score gradient")
+def check_reinforce_invariance(res: CheckResult, rng, instances) -> None:
     for _ in range(max(1, instances // 10)):
         policy = _random_policy(rng)
         batch = _random_batch(rng, policy, policy)
@@ -681,15 +688,12 @@ def check_reinforce_invariance(rng, instances) -> CheckResult:
             got = grad_estimator_unclipped([batch], policy, HolderOrder(p)).vector
             err = float(np.abs(got - reference).max())
             res.observe(err, err <= 1e-10, f"p-dependence at center, p={p}")
-    return res
 
 
-def check_seq_clip_contraction(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "seq_clip_norm_contraction",
+@_check("seq_clip_norm_contraction",
         "the sequence clip zeroes A exactly where rho left the band on the "
-        "side A favors and keeps rho and W, so no rollout's gradient grows",
-    )
+        "side A favors and keeps rho and W, so no rollout's gradient grows")
+def check_seq_clip_contraction(res: CheckResult, rng, instances) -> None:
     clip = ClipConfig(0.2)
     for _ in range(max(1, instances // 5)):
         _, batch = _perturbed_batch(rng, 0.3)
@@ -704,27 +708,21 @@ def check_seq_clip_contraction(rng, instances) -> CheckResult:
         same = (np.array_equal(seq.row_scale, full.row_scale)
                 and np.array_equal(seq.token_weights, full.token_weights))
         res.observe(0.0 if same else 1.0, same, "the sequence clip moved rho or W")
-    return res
 
 
-def check_variance_term_monotone(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "variance_term_monotone",
-        "V(p) = E[A^2 rho^2] strictly increases in p on non-degenerate samples",
-    )
+@_check("variance_term_monotone",
+        "V(p) = E[A^2 rho^2] strictly increases in p on non-degenerate samples")
+def check_variance_term_monotone(res: CheckResult, rng, instances) -> None:
     for batch in _informative_batches(res, rng, instances):
         grid = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
         vals = [variance_bound_term([batch], HolderOrder(p)) for p in grid]
         _observe_rising(res, vals, "V(p) not increasing")
-    return res
 
 
-def check_second_moment_factorization(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "second_moment_factorization",
+@_check("second_moment_factorization",
         "with explicit orthonormal score vectors the exact gradient norm^2 "
-        "equals A^2 M^2 rho^2 HHI to 1e-10",
-    )
+        "equals A^2 M^2 rho^2 HHI to 1e-10")
+def check_second_moment_factorization(res: CheckResult, rng, instances) -> None:
     for _ in range(instances):
         n = int(rng.integers(2, 10))
         r = RatioSequence(np.exp(rng.uniform(-1.5, 1.5, n)))
@@ -738,15 +736,12 @@ def check_second_moment_factorization(rng, instances) -> CheckResult:
         formula = second_moment_orthogonal(adv, m, r, order)
         err = _rel_err(exact, formula)
         res.observe(err, err <= 1e-10, f"exact {exact}, formula {formula}")
-    return res
 
 
-def check_second_moment_pstar(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "second_moment_pstar_nonpositive",
+@_check("second_moment_pstar_nonpositive",
         "the grid minimizer of A^2 M^2 rho^2 HHI over [-10, 10] is <= 0, and "
-        "the curve strictly increases on (0, 10]",
-    )
+        "the curve strictly increases on (0, 10]")
+def check_second_moment_pstar(res: CheckResult, rng, instances) -> None:
     tested = 0
     grid = np.linspace(-10.0, 10.0, 201)
     orders = HolderOrder(grid)
@@ -761,15 +756,12 @@ def check_second_moment_pstar(rng, instances) -> CheckResult:
         _observe_rising(res, vals[grid > 0.0], "not increasing on (0, 10]")
     if tested == 0:
         res.skip("all instances degenerate (uniform ratios)")
-    return res
 
 
-def check_schedule_amplification(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "schedule_amplification_bound",
+@_check("schedule_amplification_bound",
         "for n=101 with one ratio R=4 among ones, W(2)/W(0) >= C R^2 with "
-        "C = S(0) / (R^2 + S(2))",
-    )
+        "C = S(0) / (R^2 + S(2))")
+def check_schedule_amplification(res: CheckResult, rng, instances) -> None:
     n, big = 101, 4.0
     ratios = RatioSequence(np.concatenate(([big], np.ones(n - 1))))
     w_high = gradient_weights(ratios, HolderOrder(2.0)).weights[0]
@@ -781,14 +773,11 @@ def check_schedule_amplification(rng, instances) -> CheckResult:
     err = max(0.0, rhs - lhs)
     res.observe(err, lhs >= rhs, f"ratio {lhs:.4f} < bound {rhs:.4f}")
     res.detail = res.detail or f"ratio {lhs:.4f} >= bound {rhs:.4f}"
-    return res
 
 
-def check_schedule_contraction(rng, instances) -> CheckResult:
-    res = CheckResult(
-        "schedule_variance_contraction",
-        "V(p_low) < V(p_stat) whenever p_low < p_stat on non-degenerate samples",
-    )
+@_check("schedule_variance_contraction",
+        "V(p_low) < V(p_stat) whenever p_low < p_stat on non-degenerate samples")
+def check_schedule_contraction(res: CheckResult, rng, instances) -> None:
     for batch in _informative_batches(res, rng, instances):
         p_stat = float(rng.uniform(-1.0, 2.0))
         p_low = p_stat - float(rng.uniform(0.5, 3.0))
@@ -796,41 +785,23 @@ def check_schedule_contraction(rng, instances) -> CheckResult:
         v_stat = variance_bound_term([batch], HolderOrder(p_stat))
         err = max(0.0, v_low - v_stat)
         res.observe(err, v_low < v_stat, f"V({p_low:.2f}) >= V({p_stat:.2f})")
-    return res
 
 
-CHECKS: dict[str, Callable] = {
-    "special_case_means": check_special_case_means,
-    "geometric_limit": check_geometric_limit,
-    "mean_monotone_in_p": check_mean_monotone,
-    "weights_normalized": check_weights_normalized,
-    "weight_derivative_sum_zero": check_weight_derivative_sum_zero,
-    "weight_derivative_vs_fd": check_weight_derivative,
-    "mu_derivative_vs_fd": check_mu_derivative,
-    "entropy_derivative_vs_fd": check_entropy_derivative_fd,
-    "entropy_peak_at_zero": check_entropy_peak,
-    "limit_concentration": check_limit_concentration,
-    "weight_rise_then_fall": check_weight_rise_fall,
-    "hhi_profile": check_hhi_profile,
-    "grad_rho_two_forms": check_grad_rho_forms,
-    "grad_rho_vs_fd": check_grad_rho_fd,
-    "estimators_vs_fd": check_estimators_vs_fd,
-    "reinforce_invariance_at_center": check_reinforce_invariance,
-    "seq_clip_norm_contraction": check_seq_clip_contraction,
-    "variance_term_monotone": check_variance_term_monotone,
-    "second_moment_factorization": check_second_moment_factorization,
-    "second_moment_pstar_nonpositive": check_second_moment_pstar,
-    "schedule_amplification_bound": check_schedule_amplification,
-    "schedule_variance_contraction": check_schedule_contraction,
+# name -> check, in report order.  bench/spans.py swaps in timed wrappers, so
+# check_all looks each check up here as it runs it.
+CHECKS: dict[str, Callable[[np.random.Generator, int], CheckResult]] = {
+    check.name: check for check in (
+        check_special_case_means, check_geometric_limit, check_mean_monotone,
+        check_weights_normalized, check_weight_derivative_sum_zero,
+        check_weight_derivative, check_mu_derivative, check_entropy_derivative_fd,
+        check_entropy_peak, check_limit_concentration, check_weight_rise_fall,
+        check_hhi_profile, check_grad_rho_forms, check_grad_rho_fd,
+        check_estimators_vs_fd, check_reinforce_invariance, check_seq_clip_contraction,
+        check_variance_term_monotone, check_second_moment_factorization,
+        check_second_moment_pstar, check_schedule_amplification,
+        check_schedule_contraction,
+    )
 }
-
-
-def check_run_arguments(seed: int, instance_count: int) -> None:
-    """Reject a negative seed or an instance count below 1 (ValueError)."""
-    if instance_count < 1:
-        raise ValueError(f"instance_count must be >= 1, got {instance_count}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -845,13 +816,22 @@ def check_all(
     instance_count: int = 100,
     only: Sequence[str] | None = None,
 ) -> Report:
-    """Run every registered check (or the named subset) over randomized
-    instances; failures become report entries, never exceptions."""
-    check_run_arguments(seed, instance_count)
+    """Run every registered check (or the named subset, in the order named)
+    over randomized instances; failures become report entries, never
+    exceptions.  The arguments are checked before any check runs: a negative
+    seed, an instance count below 1 or an empty ``only`` raise ValueError,
+    and a name that is not in CHECKS raises KeyError."""
+    if instance_count < 1:
+        raise ValueError(f"instance_count must be >= 1, got {instance_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     names = list(CHECKS) if only is None else list(only)
+    if not names:
+        raise ValueError("no check selected")
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise KeyError(f"unknown check(s) {unknown}; known: {sorted(CHECKS)}")
     report = Report(seed=seed, instance_count=instance_count)
     for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
         report.results.append(CHECKS[name](check_rng(seed, name), instance_count))
     return report

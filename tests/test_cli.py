@@ -492,7 +492,11 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--only", "bogus"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("flags", [["--instances", "0"], ["--seed", "-1"]])
+    # an empty --only would run no check: an error, not a vacuous pass
+    @pytest.mark.parametrize("flags", [
+        ["--instances", "0"], ["--seed", "-1"],
+        ["--only", ""], ["--only", ","], ["--only", "hhi_profile,bogus"],
+    ])
     def test_bad_instances_or_seed_is_usage_error(self, flags, tmp_path, capsys):
         json_out = tmp_path / "report.json"
         assert main(["verify", *flags, "--json-out", str(json_out)]) == EXIT_USAGE
@@ -506,6 +510,39 @@ class TestVerifyCommand:
         main(["verify", "--instances", "1", "--seed", "7", "--json-out", str(a)])
         main(["verify", "--instances", "1", "--seed", "7", "--json-out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends in one error line and exit
+    1, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_train_out_dir_under_a_file(self, tmp_path, capsys):
+        config, blocker = write_config(tmp_path), tmp_path / "file"
+        blocker.write_text("")
+        code = main(["train", "--config", str(config), "--out-dir", str(blocker / "run")])
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(capsys)
+
+    def test_sweep_out_dir_under_a_file(self, tmp_path, capsys):
+        config, blocker = write_config(tmp_path), tmp_path / "file"
+        blocker.write_text("")
+        code = main(["sweep", "--config", str(config), "--out-dir", str(blocker / "sweep"),
+                     "--p-list", "1", "--seeds", "1"])
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(capsys)
+
+    def test_verify_json_out_in_a_missing_directory(self, tmp_path, capsys):
+        json_out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--instances", "1", "--json-out", str(json_out)])
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(capsys)
+        assert not json_out.parent.exists()
 
 
 class TestModuleEntryPoint:

@@ -29,7 +29,7 @@ from holderpo import (
     weighted_log_mean,
 )
 from holderpo import core
-from holderpo.core import SERIES_CUTOFF, holder_rows
+from holderpo.core import SERIES_CUTOFF, holder_grid, holder_rows
 from holderpo.sim import RHO_DIVERGENCE_LIMIT
 
 TWO_EIGHT = RatioSequence(np.array([2.0, 8.0]))
@@ -596,6 +596,16 @@ class TestHolderRows:
         rho, weights = holder_rows(logs, mask, HolderOrder(0.0))
         assert rho[0] == pytest.approx(4.0)
         np.testing.assert_array_equal(weights, [[0.5, 0.5, 0.0]])
+
+    @pytest.mark.parametrize("call", [
+        lambda: holder_rows(np.zeros((0, 3)), np.ones((0, 3), bool), HolderOrder(1.0)),
+        lambda: holder_rows(np.zeros((0, 0)), np.ones((0, 0), bool), HolderOrder(np.array([]))),
+        lambda: holder_grid(np.log([2.0, 8.0]), HolderOrder(np.array([]))),
+    ])
+    def test_zero_rows_are_a_domain_error(self, call):
+        """Not numpy's ValueError from reducing a zero-size array."""
+        with pytest.raises(DomainError, match="at least one row"):
+            call()
 
     def test_rejects_empty_row_and_nonfinite_valid_entry(self):
         with pytest.raises(DomainError):

@@ -869,6 +869,11 @@ class TestSecondMomentOrthogonal:
         with pytest.raises(DomainError):
             second_moment_orthogonal(1.0, 0.0, RatioSequence(np.ones(2)), HolderOrder(1.0))
 
+    def test_no_exponent_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one row"):
+            second_moment_orthogonal(1.0, 1.0, RatioSequence(np.ones(2)),
+                                     HolderOrder(np.array([])))
+
 
 class TestTheoremScheduleGuarantees:
     def test_amplification_example(self):

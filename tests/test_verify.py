@@ -44,6 +44,9 @@ class TestFullSuite:
         assert names == list(CHECKS)
         assert len(set(names)) == len(names)
 
+    def test_each_check_is_keyed_by_its_own_name(self):
+        assert all(name == check.name for name, check in CHECKS.items())
+
     def test_all_pass_on_acceptance_run(self, acceptance_report):
         failing = [r.name for r in acceptance_report.results if r.status == "fail"]
         assert acceptance_report.all_passed, f"failing checks: {failing}"
@@ -80,6 +83,17 @@ class TestSubsetAndErrors:
     def test_unknown_check_rejected(self):
         with pytest.raises(KeyError):
             check_all(seed=0, instance_count=5, only=["nonsense"])
+
+    def test_unknown_check_rejected_before_any_check_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setitem(CHECKS, "hhi_profile", lambda rng, instances: runs.append(1))
+        with pytest.raises(KeyError, match="bogus"):
+            check_all(seed=0, instance_count=5, only=["hhi_profile", "bogus"])
+        assert runs == []
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="no check selected"):
+            check_all(seed=0, instance_count=5, only=[])
 
     def test_instance_count_positive(self):
         with pytest.raises(ValueError):

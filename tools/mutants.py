@@ -219,6 +219,12 @@ MUTANTS = (
         ("test_sim.py",),
     ),
     Mutant(
+        "check_all runs an empty selection", "verify.py",
+        "    if not names:\n",
+        "    if False:\n",
+        ("test_verify.py",),
+    ),
+    Mutant(
         "contraction check compares row_coef with itself", "verify.py",
         "err = float(np.abs(seq.row_coef - np.where(closed, 0.0, adv)).max())",
         "err = float(np.abs(seq.row_coef - seq.row_coef).max())",
