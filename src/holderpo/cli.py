@@ -311,14 +311,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     only = [tok for chunk in args.only for tok in chunk.split(",") if tok] if args.only else None
+    json_out = Path(args.json_out) if args.json_out else None
+    if json_out is not None and not json_out.parent.is_dir():  # fail before any check runs
+        print(f"error: cannot write {json_out}: no directory {json_out.parent}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = check_all(seed=args.seed, instance_count=args.instances, only=only)
     except (KeyError, ValueError) as exc:  # check_all's argument errors
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     print(report.to_text())
-    if args.json_out:
-        Path(args.json_out).write_text(report.to_json() + "\n")
+    if json_out is not None:
+        json_out.write_text(report.to_json() + "\n")
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 

@@ -6,11 +6,16 @@ Rollout i of group g in round r draws its sampling uniforms from
 contiguous block of rounds without building a SeedSequence or a Generator per
 rollout:
 
-- SeedSequence: the run-entropy words depend on the seed alone and are mixed
-  once with Python ints; the spawn-key words, one uint32 each for round,
-  group and rollout, are then mixed into a pool of uint32 arrays with one
-  axis per key word, and the pool is hashed into the four 64-bit words that
-  seed PCG64 for every rollout of the block.
+- SeedSequence: the seed's own words are mixed by numpy's
+  ``SeedSequence(seed)``, whose pool is the state every rollout's sequence
+  reaches before its spawn key.  Only what follows is vectorised here: the
+  spawn-key words, one uint32 each for round, group and rollout, are mixed
+  into a pool of uint32 arrays with one axis per key word, and
+  ``generate_state`` hashes the pool into the four 64-bit words that seed
+  PCG64 for every rollout of the block.  The hash multipliers form one
+  fixed sequence, so the ones the key words need follow from the seed's
+  word count: the seed, padded to the pool size, takes the first
+  4 * max(4, words).
 - PCG64: every rollout's 128-bit state advances at once by steps
   x <- M*x + inc.  The first step is seeding's last, from x = s + inc; each
   later step yields one draw, the XSL-RR output of the new state.
@@ -29,9 +34,6 @@ import numpy as np
 
 from holderpo.core import DomainError
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-
 # SeedSequence
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -44,85 +46,33 @@ _XSHIFT = 16
 
 # PCG64
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT % 2**64)
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53
 
 
-def _words(value: int, name: str) -> list[int]:
-    """Little-endian uint32 words of a non-negative int (one word for 0)."""
-    value = operator.index(value)
-    if value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value}")
-    words = []
-    while True:
-        words.append(value & _MASK32)
-        value >>= 32
-        if not value:
-            return words
-
-
-def _wrap(value):
-    """Reduce mod 2^32: Python ints need it, uint32 arrays wrap by themselves."""
-    return value & _MASK32 if isinstance(value, int) else value
-
-
-def _hashmix(value, const, next_const):
-    value = _wrap((value ^ const) * next_const)
+def _hashmix(value, init, mult, first, count):
+    """numpy's hashmix of `value` as words first .. first + count - 1 of one
+    hash, along a last axis of length `count`: word k is hashed as
+    (value ^ c_k) * c_(k+1), xor-shifted, where c_k = init * mult^k mod 2^32."""
+    consts = np.array([init * pow(mult, k, 2**32) % 2**32
+                       for k in range(first, first + count + 1)], dtype=np.uint32)
+    value = (value ^ consts[:-1]) * consts[1:]
     return value ^ (value >> _XSHIFT)
 
 
 def _mix(x, y):
-    result = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
-
-
-class _Hash:
-    """SeedSequence's hash with its evolving multiplier: each hashed word
-    advances the multiplier once, exactly as numpy's ``hash_const`` does."""
-
-    def __init__(self, init: int, mult: int):
-        self.const = init
-        self.mult = mult
-
-    def _next(self) -> int:
-        const = self.const
-        self.const = (const * self.mult) & _MASK32
-        return const
-
-    def __call__(self, value: int) -> int:
-        const = self._next()
-        return _hashmix(value, const, self.const)
-
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next `count` multipliers and their successors as uint32
-        arrays, for hashing `count` words at once along the last axis."""
-        consts = [self._next() for _ in range(count)] + [self.const]
-        consts = np.array(consts, dtype=np.uint32)
-        return consts[:-1], consts[1:]
-
-
-def _seed_pool(entropy: list[int]) -> tuple[list[int], _Hash]:
-    """SeedSequence.mix_entropy on Python ints: the pool after `entropy`, and
-    the hash ready to mix further words."""
-    hash_a = _Hash(_INIT_A, _MULT_A)
-    pool = [hash_a(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        pool = [_mix(cell, hash_a(word)) for cell in pool]
-    return pool, hash_a
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """(a * b) mod 2^128 on uint64 (hi, lo) halves.  The high half of the
     64x64 product a_lo * b_lo comes from 32-bit partial products, whose sums
     cannot overflow 64 bits."""
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    a0, a1 = a_lo & 0xFFFFFFFF, a_lo >> 32
+    b0, b1 = b_lo & 0xFFFFFFFF, b_lo >> 32
     low_carry = a1 * b0 + ((a0 * b0) >> 32)
-    mid = (low_carry & _MASK32) + a0 * b1
+    mid = (low_carry & 0xFFFFFFFF) + a0 * b1
     mul_hi = a1 * b1 + (low_carry >> 32) + (mid >> 32)
     return mul_hi + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
@@ -132,22 +82,27 @@ def block_uniforms(seed: int, first_round: int, rounds: int, num_groups: int,
     """(rounds, N, T) sampling uniforms of rounds first_round .. first_round +
     rounds - 1, N = num_groups * group_size: [r, g*G + i] equals
     ``_rollout_rng(seed, first_round + r, g, i).random(length)`` bit for bit.
-    A round is one uint32 spawn-key word: from 2^32 on, DomainError."""
+    A round is one uint32 spawn-key word: from 2^32 on, DomainError, as
+    is a negative seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if not 0 <= first_round <= (1 << 32) - rounds:
         raise DomainError(f"rounds {first_round} .. {first_round + rounds - 1} must be "
                           "non-negative and below 2^32, one uint32 spawn-key word each")
-    run = _words(seed, "seed")
-    pool, hash_a = _seed_pool(run + [0] * (_POOL_SIZE - len(run)))
-    pool = np.array(pool, dtype=np.uint32)
+    pool = np.random.SeedSequence(seed).pool
+    # the seed's words, padded to the pool size, took the first
+    # 4 * max(4, words) multipliers; each spawn-key word takes the next 4
+    used = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
     round_words = np.arange(first_round, first_round + rounds, dtype=np.uint32)
     for word in (round_words[:, None, None, None],
                  np.arange(num_groups, dtype=np.uint32)[:, None, None],
                  np.arange(group_size, dtype=np.uint32)[:, None]):
-        pool = _mix(pool, _hashmix(word, *hash_a.take(_POOL_SIZE)))
+        pool = _mix(pool, _hashmix(word, _INIT_A, _MULT_A, used, _POOL_SIZE))
+        used += _POOL_SIZE
     # generate_state(4, uint64): cycle the pool into 8 hashed uint32 words,
     # read as little-endian pairs
-    hash_b = _Hash(_INIT_B, _MULT_B)
-    words = _hashmix(np.tile(pool, 2), *hash_b.take(2 * _POOL_SIZE))
+    words = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
     words = np.ascontiguousarray(words.reshape(-1, 2 * _POOL_SIZE), dtype="<u4")
     state = words.view("<u8").astype(np.uint64, copy=False)
     s_hi, s_lo, q_hi, q_lo = state.T

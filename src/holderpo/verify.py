@@ -8,6 +8,8 @@ Each check is one ``_Check`` that carries its name and claim: a
 ``CHECKS`` maps each name to its check, in report order.  ``check_all`` alone
 checks its arguments, all before any check runs: a bad seed or instance
 count, or an empty selection, raises ValueError, an unknown name KeyError.
+It runs a name given twice once, and records a check that raises as a
+failure, then runs the rest.
 
 A check draws all of its instances first, in the order a one-at-a-time loop
 would draw them.  The functions a check is about (the analytic p-derivatives,
@@ -816,16 +818,18 @@ def check_all(
     instance_count: int = 100,
     only: Sequence[str] | None = None,
 ) -> Report:
-    """Run every registered check (or the named subset, in the order named)
-    over randomized instances; failures become report entries, never
-    exceptions.  The arguments are checked before any check runs: a negative
-    seed, an instance count below 1 or an empty ``only`` raise ValueError,
-    and a name that is not in CHECKS raises KeyError."""
+    """Run every registered check (or the named subset, each once, in the
+    order first named) over randomized instances; failures become report
+    entries, never exceptions.  A check that raises fails, with the
+    exception's type and message as its detail, and the rest still run.
+    The arguments are checked before any check runs: a negative seed, an
+    instance count below 1 or an empty ``only`` raise ValueError, and a
+    name that is not in CHECKS raises KeyError."""
     if instance_count < 1:
         raise ValueError(f"instance_count must be >= 1, got {instance_count}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    names = list(CHECKS) if only is None else list(only)
+    names = list(dict.fromkeys(CHECKS if only is None else only))
     if not names:
         raise ValueError("no check selected")
     unknown = [name for name in names if name not in CHECKS]
@@ -833,5 +837,12 @@ def check_all(
         raise KeyError(f"unknown check(s) {unknown}; known: {sorted(CHECKS)}")
     report = Report(seed=seed, instance_count=instance_count)
     for name in names:
-        report.results.append(CHECKS[name](check_rng(seed, name), instance_count))
+        check = CHECKS[name]
+        try:
+            result = check(check_rng(seed, name), instance_count)
+        except Exception as exc:  # a bug the check found, or its own: a failure
+            # the timed wrappers bench/spans.py swaps in carry no claim
+            result = CheckResult(name, getattr(check, "claim", ""), status="fail",
+                                 detail=f"raised {type(exc).__name__}: {exc}")
+        report.results.append(result)
     return report

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holderpo import cli
+from holderpo import cli, verify
 from holderpo.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -24,6 +24,7 @@ from holderpo.cli import (
     main,
     resolved_config_dict,
 )
+from holderpo.core import DomainError
 
 # Configs with the resolved dict and digest the per-field parsers this
 # schema replaced gave them; reading a config must not change either.
@@ -505,6 +506,25 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert not json_out.exists()
 
+    def test_a_raising_check_fails_the_run(self, monkeypatch, tmp_path, capsys):
+        def raising(rng, instances):
+            raise DomainError("kernel bug")
+
+        monkeypatch.setitem(verify.CHECKS, "hhi_profile", raising)
+        json_out = tmp_path / "report.json"
+        code = main(["verify", "--instances", "1", "--only", "hhi_profile",
+                     "--json-out", str(json_out)])
+        assert code == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        assert "[FAIL] hhi_profile" in out and "raised DomainError: kernel bug" in out
+        assert json.loads(json_out.read_text())["all_passed"] is False
+
+    def test_a_name_given_twice_runs_once(self, capsys):
+        code = main(["verify", "--instances", "1", "--only", "hhi_profile,hhi_profile",
+                     "--only", "hhi_profile"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.count("hhi_profile") == 1
+
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "--instances", "1", "--seed", "7", "--json-out", str(a)])
@@ -543,6 +563,18 @@ class TestUnwritableOutput:
         assert code == EXIT_USAGE
         self.assert_one_error_line(capsys)
         assert not json_out.parent.exists()
+
+    def test_verify_json_out_in_a_missing_directory_runs_no_check(
+            self, monkeypatch, tmp_path, capsys):
+        """Even a run that would fail: the path is refused first, exit 1."""
+        runs = []
+        monkeypatch.setitem(verify.CHECKS, "hhi_profile",
+                            lambda rng, instances: runs.append(1) or 1 / 0)
+        json_out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--only", "hhi_profile", "--json-out", str(json_out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert runs == []
 
 
 class TestModuleEntryPoint:

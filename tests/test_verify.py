@@ -91,6 +91,41 @@ class TestSubsetAndErrors:
             check_all(seed=0, instance_count=5, only=["hhi_profile", "bogus"])
         assert runs == []
 
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_a_check_that_raises_fails_and_the_rest_run(self, monkeypatch, declared):
+        """A declared check, or a bare wrapper like bench/spans.py's, that
+        raises is one failed entry with the exception as its detail."""
+        def observe(*args):
+            raise core.DomainError("kernel bug")
+
+        check = (verify._FunctionCheck("hhi_profile", "the claim", observe) if declared
+                 else lambda rng, instances: observe())
+        monkeypatch.setitem(CHECKS, "hhi_profile", check)
+        report = check_all(seed=0, instance_count=5,
+                           only=["hhi_profile", "special_case_means"])
+        raised, after = report.results
+        assert (raised.name, raised.status) == ("hhi_profile", "fail")
+        assert raised.claim == ("the claim" if declared else "")
+        assert raised.detail == "raised DomainError: kernel bug"
+        assert after.name == "special_case_means" and after.status == "pass"
+        assert not report.all_passed
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        doc = json.loads(report.to_json(), parse_constant=reject)
+        assert doc["checks"][0]["status"] == "fail"
+
+    def test_a_name_given_twice_runs_once(self, monkeypatch):
+        runs = []
+        hhi = CHECKS["hhi_profile"]
+        monkeypatch.setitem(CHECKS, "hhi_profile",
+                            lambda rng, instances: runs.append(1) or hhi(rng, instances))
+        report = check_all(seed=0, instance_count=5,
+                           only=["hhi_profile", "special_case_means", "hhi_profile"])
+        assert [r.name for r in report.results] == ["hhi_profile", "special_case_means"]
+        assert runs == [1]
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="no check selected"):
             check_all(seed=0, instance_count=5, only=[])

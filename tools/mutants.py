@@ -243,6 +243,12 @@ MUTANTS = (
         ("test_streams.py",),
     ),
     Mutant(
+        "a seed of more than four words is hashed as if it had four", "streams.py",
+        "max(_POOL_SIZE, -(-seed.bit_length() // 32))",
+        "_POOL_SIZE",
+        ("test_streams.py",),
+    ),
+    Mutant(
         "every round of a block reads the block's first rows", "sim.py",
         "draws[seed][round_idx % block_rounds]",
         "draws[seed][0]",
