@@ -239,12 +239,6 @@ def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
     return _fold_mean(values.reshape(-1, group_size, *values.shape[1:]))
 
 
-def minibatch_mean(per_group: np.ndarray, runs: int) -> np.ndarray:
-    """Mean of per-group means (K, ...), as a left fold over groups, for each
-    of `runs` equal consecutive blocks of groups: -> (runs, ...)."""
-    return _fold_mean(per_group.reshape(runs, -1, *per_group.shape[1:]))
-
-
 @dataclass(frozen=True)
 class BatchTerms:
     """Everything one update needs from a batch at one exponent and regime.
@@ -253,13 +247,13 @@ class BatchTerms:
     to its group's gradient, g_i being its per-token score vectors: A_i rho_i
     W_i(p) when unclipped or under the sequence gate (A_i zeroed where the
     gate closes), and A_i times the per-token factor I_t h^{1-p} r_t^p / n
-    (row_scale 1) under token clipping.
+    (row_scale 1) under token clipping, where a row with A_i = 0 has factor 0.
 
     The batch's rows may stack S independent runs as S equal consecutive
     blocks; the aggregates are then per run, with shape (S,).
     """
 
-    token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor
+    token_weights: np.ndarray  # (N, T) W_i(p), or the token-clip factor (0 where A_i = 0)
     row_scale: np.ndarray  # (N,) rho_i, or 1 under token clip
     row_coef: np.ndarray  # (N,) A_i, 0 where the sequence gate closed
     group_objectives: np.ndarray  # (N / G,) surrogate objective per group
@@ -275,24 +269,36 @@ class BatchTerms:
     @property
     def objective(self) -> np.ndarray:
         """(S,) means of each run's per-group surrogate objectives."""
-        return self.group_objectives.reshape(self.runs, -1).mean(axis=1)
+        per_run = self.group_objectives.reshape(self.runs, -1)
+        return per_run.sum(axis=1) / per_run.shape[1]
 
 
 def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
-    positive advantage, D for a negative one) and the clipped-token mask."""
+    positive advantage, D for a negative one) and the clipped-token mask.
+
+    Only the rows with A != 0 are computed.  A row with A = 0 gets factor 0,
+    h = 0 and no clipped token: each of its products is multiplied by A = 0,
+    so no sum moves (up to the sign of a zero)."""
+    factors, h = np.zeros(logs.shape), np.zeros(adv.shape)
+    clipped = np.zeros(mask.shape, dtype=bool)
+    rows = np.flatnonzero(adv != 0.0)
+    if rows.size == 0:
+        return factors, h, clipped
+    logs, mask, p = logs[rows], mask[rows], order.per_row(adv.size)[rows]
     ratios = np.exp(logs)
     band = np.minimum(np.maximum(ratios, clip.low), clip.high)
-    positive = (adv > 0.0)[:, None]
+    positive = (adv[rows] > 0.0)[:, None]
     adjusted = np.where(positive, np.minimum(ratios, band), np.maximum(ratios, band))
-    h, _ = holder_rows(np.log(adjusted), mask, order)
+    h_rows, _ = holder_rows(np.log(adjusted), mask, HolderOrder(p))
     kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
-    clipped = mask & ~kept & (adv != 0.0)[:, None]
     n = mask.sum(axis=1)
-    p = order.per_row(n.size)
     # h^{1-p}/n * r^p in log-space to survive large |p|
-    log_terms = ((1.0 - p) * np.log(h) - np.log(n))[:, None] + p[:, None] * logs
-    return np.where(kept, np.exp(log_terms), 0.0), h, clipped
+    log_terms = ((1.0 - p) * np.log(h_rows) - np.log(n))[:, None] + p[:, None] * logs
+    factors[rows] = np.where(kept, np.exp(log_terms), 0.0)
+    h[rows] = h_rows
+    clipped[rows] = mask & ~kept
+    return factors, h, clipped
 
 
 def batch_terms(
@@ -342,13 +348,14 @@ def batch_terms(
             per_run = gated.reshape(runs, -1)
             clip_fraction = per_run.sum(axis=1) / per_run.shape[1]
     log_max, log_min = batch.ratio_envelope(runs)
+    squares = (adv**2 * rho**2).reshape(runs, -1)
     return BatchTerms(
         token_weights=token_weights,
         row_scale=row_scale,
         row_coef=row_coef,
         group_objectives=group_means(objectives, batch.group_size),
         clip_fraction=clip_fraction,
-        v_of_p=(adv**2 * rho**2).reshape(runs, -1).mean(axis=1),
+        v_of_p=squares.sum(axis=1) / squares.shape[1],
         log_ratio_max=log_max,
         log_ratio_min=log_min,
     )
@@ -391,23 +398,33 @@ def policy_gradient(
     (S, T, V), built per position block: token t of rollout i adds
     coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block.
     The products and the group sums run in the order of a per-rollout loop
-    over dense score vectors and match it bit for bit.
+    over dense score vectors and match it bit for bit.  A scale of all 1.0
+    (token clipping) is not multiplied in: x * 1.0 = x.
+
+    Each group's rows, then each run's groups, are summed by one
+    ``np.add.reduce`` over axis 1 of (rows, G, T*V) and (S, K/S, T*V).  With
+    T*V >= 2 innermost, numpy adds a non-innermost axis in index order, one
+    whole slice at a time: the left fold of ``group_means``, bit for bit.
+    Reducing along the innermost axis would sum pairwise once G >= 8.
 
     A group whose coefficients are all zero (equal rewards, or every row
     gated) is skipped and its mean left at zero: each of its products would
     be +-0, its factors being finite, and x + 0 = x, so every other sum
     rounds as before and the gradient is the dense loop's, up to the sign of
     a zero.  Only the live groups' rows are scored and multiplied."""
-    size = batch.group_size
+    size, width = batch.group_size, policy.param_dim
     live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)
     rows = np.flatnonzero(np.repeat(live, size))
     per_rollout = policy.score_rows(batch.token_ids, rows)
     per_rollout *= terms.token_weights[rows, :, None]
-    per_rollout *= terms.row_scale[rows, None, None]
+    if (terms.row_scale != 1.0).any():
+        per_rollout *= terms.row_scale[rows, None, None]
     per_rollout *= terms.row_coef[rows, None, None]
-    per_group = np.zeros((live.size, *per_rollout.shape[1:]))
-    per_group[live] = group_means(per_rollout, size)
-    return minibatch_mean(per_group, terms.runs)
+    per_group = np.zeros((live.size, width))
+    per_group[live] = np.add.reduce(per_rollout.reshape(-1, size, width), axis=1) / size
+    per_run = per_group.reshape(terms.runs, -1, width)
+    total = np.add.reduce(per_run, axis=1) / per_run.shape[1]
+    return total.reshape(-1, policy.length, policy.vocab)
 
 
 def _estimate(minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,

@@ -193,7 +193,7 @@ class PolicyParams:
         """Mean over positions of the policy's entropy: a float, or an (S,)
         array with one entry per policy of a stack."""
         lp = self._tables()
-        entropy = -(np.exp(lp) * lp).sum(axis=2).mean(axis=1)
+        entropy = -(np.exp(lp) * lp).sum(axis=2).sum(axis=1) / self.length
         return entropy if self.logits.ndim == 3 else entropy.item()
 
 
@@ -434,7 +434,9 @@ def train_many(
 
     Per round the S policies are one stacked PolicyParams and the rollouts
     one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
-    share the round's uniforms.  Per update one ``batch_terms`` call covers
+    share the round's uniforms.  Each distinct minibatch is selected from the
+    round's rollouts once, and refreshed under the current policies at every
+    update that takes it.  Per update one ``batch_terms`` call covers
     every run, with one exponent per row, and one score-block product over
     the rows of the groups with a nonzero coefficient gives the S gradients
     (a group whose coefficients are all zero adds exactly 0, so it is
@@ -470,12 +472,16 @@ def train_many(
         rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
         blocks = list(range(len(live)))  # block of live run k in `rollouts`
+        selected = {}  # this round's minibatches, keyed by their picks' bytes
 
         for update_idx in range(base.updates_per_round):
             lo = (update_idx * base.minibatch_size) % group_count
             groups = (lo + np.arange(base.minibatch_size)) % group_count
             picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
-            minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)
+            key = picks.tobytes()
+            if key not in selected:
+                selected[key] = rollouts.select_groups(picks)
+            minibatch = refresh_logprobs(selected[key], policies)
             tripped = _divergences(minibatch.log_ratios, len(live))
             if tripped:  # the runs that diverged leave the stack at once
                 diverged.update((live[k], exc) for k, exc in tripped.items())

@@ -33,7 +33,7 @@ from holderpo import (
     surrogate_unclipped,
     variance_bound_term,
 )
-from holderpo.objectives import batch_terms, group_means, minibatch_mean, policy_gradient
+from holderpo.objectives import batch_terms, group_means, policy_gradient
 from holderpo.verify import _perturbed_policies as perturbed_policies
 from holderpo.verify import _random_batch as random_group
 
@@ -539,6 +539,36 @@ class TestMaskedMultiGroupOracles:
             clipped += terms.clip_fraction.item() > 0.0
         assert clipped > 0 or regime == "none"
 
+    def test_token_clip_rows_with_zero_advantage_in_live_groups(self, rng):
+        """Rewards 0, 1, 2, 1 give A = 0 to two rows of a live group: their
+        token-clip factors are 0, and the estimate, clip share and objective
+        still match brute force."""
+        clip = ClipConfig(0.2)
+        clipped_cases = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            minibatch = []
+            for group in masked_minibatch(rng, old, new):
+                rewards = rng.permutation([0.0, 1.0, 2.0, 1.0])
+                minibatch.append(replace(group, rewards=rewards,
+                                         advantages=advantage_estimates(rewards)))
+            batch = RolloutBatch.concat(minibatch)
+            assert (batch.advantages == 0.0).sum() == 6
+            for p in (-2.5, 0.0, 0.7, 3.0):
+                order = HolderOrder(p)
+                terms = batch_terms(batch, order, "token", clip)
+                assert not terms.token_weights[batch.advantages == 0.0].any()
+                expect, share = brute_force_estimate(minibatch, new, order, "token", clip)
+                est = grad_estimator_token_clip(minibatch, new, order, clip)
+                np.testing.assert_allclose(est.vector, expect, rtol=1e-10, atol=1e-12)
+                assert est.clip_fraction == pytest.approx(share, abs=1e-15)
+                np.testing.assert_allclose(
+                    terms.group_objectives,
+                    [brute_force_objective(b, order, "token", clip) for b in minibatch],
+                    rtol=1e-12, atol=1e-14)
+                clipped_cases += share > 0.0
+        assert clipped_cases > 0
+
     def test_variance_bound_over_masked_groups(self, rng):
         old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.4)
         minibatch = masked_minibatch(rng, old, new)
@@ -556,12 +586,14 @@ class TestMaskedMultiGroupOracles:
 def dense_policy_gradient(policy, batch, terms):
     """The gradient folded over every row, the groups whose coefficients are
     all zero included: score blocks of every row, the three in-place
-    products, then the group and minibatch means."""
+    products, then the group and minibatch means, each a left fold in a
+    Python loop (``group_means``)."""
     per_rollout = policy.score_blocks(batch.token_ids)
     per_rollout *= terms.token_weights[:, :, None]
     per_rollout *= terms.row_scale[:, None, None]
     per_rollout *= terms.row_coef[:, None, None]
-    return minibatch_mean(group_means(per_rollout, batch.group_size), terms.runs)
+    per_group = group_means(per_rollout, batch.group_size)
+    return group_means(per_group, len(per_group) // terms.runs)
 
 
 class TestDeadGroupsSkipped:
@@ -570,12 +602,14 @@ class TestDeadGroupsSkipped:
     (array_equal does not tell a zero's sign)."""
 
     @staticmethod
-    def minibatch(rng, old, new, live):
-        """Masked groups of G = 4, group k live (two rewards of each value)
-        if live[k], else dead (four equal rewards, so A = 0)."""
-        groups = masked_minibatch(rng, old, new, groups=len(live))
-        rewards = [rng.permutation([1.0, 1.0, 0.0, 0.0]) if on
-                   else np.full(4, float(rng.integers(2))) for on in live]
+    def minibatch(rng, old, new, live, group_size=4):
+        """Masked groups of G rollouts, group k live (G // 2 rewards of 1,
+        the rest 0, shuffled) if live[k], else dead (G equal rewards, so
+        A = 0)."""
+        groups = masked_minibatch(rng, old, new, groups=len(live), group_size=group_size)
+        ones = np.arange(group_size) < group_size // 2
+        rewards = [rng.permutation(ones.astype(np.float64)) if on
+                   else np.full(group_size, float(rng.integers(2))) for on in live]
         return [replace(g, rewards=r, advantages=advantage_estimates(r))
                 for g, r in zip(groups, rewards)]
 
@@ -593,6 +627,37 @@ class TestDeadGroupsSkipped:
             terms = batch_terms(batch, HolderOrder(p), regime, ClipConfig(0.2))
             assert terms.row_coef[4:8].tolist() == [0.0] * 4
             assert np.abs(self.gradient(new, batch, terms)).max() > 0.0
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    @pytest.mark.parametrize("group_size", [8, 9])
+    def test_folds_of_eight_or_more_are_left_folds(self, rng, regime, group_size):
+        """At G >= 8 rows and 8 groups per run numpy's pairwise sum along an
+        innermost axis would round unlike the left fold; both of the
+        gradient's folds still equal it bit for bit."""
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+        live = (True, True, False, True, True, True, False, True)
+        batch = RolloutBatch.concat(self.minibatch(rng, old, new, live, group_size))
+        for p in (-2.5, 0.0, 3.0):
+            terms = batch_terms(batch, HolderOrder(p), regime, ClipConfig(0.2))
+            assert np.abs(self.gradient(new, batch, terms)).max() > 0.0
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_two_runs_of_one_position_and_two_tokens(self, rng, regime):
+        """T * V = 2, the narrowest innermost axis, in an S = 2 stack of 8
+        groups of G = 8 per run with one and three dead groups: each run
+        equals its solo gradient and the dense fold."""
+        pairs = [random_policy_pair(rng, length=1, vocab=2, drift=0.6) for _ in range(2)]
+        lives = [(True, True, True, False, True, True, True, True),
+                 (False, True, True, False, True, False, True, True)]
+        runs = [RolloutBatch.concat(self.minibatch(rng, old, new, live, 8))
+                for (old, new), live in zip(pairs, lives)]
+        batch = RolloutBatch.concat(runs)
+        stack = PolicyParams(np.stack([new.logits for _, new in pairs]))
+        order, clip = HolderOrder(1.5), ClipConfig(0.2)
+        got = self.gradient(stack, batch, batch_terms(batch, order, regime, clip, runs=2))
+        for s, ((_, new), run) in enumerate(zip(pairs, runs)):
+            solo = self.gradient(new, run, batch_terms(run, order, regime, clip))
+            np.testing.assert_array_equal(got[s], solo[0])
 
     def test_live_group_with_a_gated_row(self, rng):
         """A gated row (coefficient 0) does not make its group dead."""

@@ -104,14 +104,20 @@ MUTANTS = (
     ),
     Mutant(
         "skip the refresh in train_many", "sim.py",
-        "minibatch = refresh_logprobs(rollouts.select_groups(picks), policies)",
-        "minibatch = rollouts.select_groups(picks)",
+        "minibatch = refresh_logprobs(selected[key], policies)",
+        "minibatch = selected[key]",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "the minibatch dict created once before the round loop", "sim.py",
+        "        selected = {}  # this round's",
+        "        selected = selected if round_idx else {}  # this round's",
         ("test_sim.py",),
     ),
     Mutant(
         "drop row_scale", "objectives.py",
-        "    per_rollout *= terms.row_scale[rows, None, None]\n",
-        "",
+        "    if (terms.row_scale != 1.0).any():\n",
+        "    if False:\n",
         ("test_objectives.py",),
     ),
     Mutant(
@@ -256,9 +262,15 @@ MUTANTS = (
     ),
     Mutant(
         "one gradient fold across the stack", "objectives.py",
-        "    return minibatch_mean(per_group, terms.runs)\n",
-        "    return minibatch_mean(per_group, 1)\n",
+        "per_run = per_group.reshape(terms.runs, -1, width)",
+        "per_run = per_group.reshape(1, -1, width)",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "the group fold reduced along the innermost axis", "objectives.py",
+        "np.add.reduce(per_rollout.reshape(-1, size, width), axis=1)",
+        "np.add.reduce(per_rollout.reshape(-1, size, width).transpose(0, 2, 1).copy(), axis=2)",
+        ("test_objectives.py",),
     ),
     Mutant(
         "a group is live only if all its coefficients are nonzero", "objectives.py",
@@ -268,15 +280,21 @@ MUTANTS = (
     ),
     Mutant(
         "live group means written to the first slots", "objectives.py",
-        "    per_group[live] = group_means(",
-        "    per_group[:live.sum()] = group_means(",
+        "    per_group[live] = np.add.reduce(",
+        "    per_group[:live.sum()] = np.add.reduce(",
         ("test_objectives.py",),
     ),
     Mutant(
         "V(p) over the whole stack", "objectives.py",
-        "v_of_p=(adv**2 * rho**2).reshape(runs, -1).mean(axis=1),",
-        "v_of_p=np.full(runs, (adv**2 * rho**2).mean()),",
+        "v_of_p=squares.sum(axis=1) / squares.shape[1],",
+        "v_of_p=np.full(runs, squares.mean()),",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "token factors only for adv > 0.0 rows", "objectives.py",
+        "rows = np.flatnonzero(adv != 0.0)",
+        "rows = np.flatnonzero(adv > 0.0)",
+        ("test_objectives.py",),
     ),
 )
 
