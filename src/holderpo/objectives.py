@@ -11,10 +11,11 @@ container: a group is a batch with N = G.  The per-group functions
 The KL term is deliberately absent.  Gradient estimators take a
 ``sim.PolicyParams``, one tabular policy or a stack of them: the score
 vector of token t is zero outside logit row t, and
-``score_blocks(token_ids) -> (..., T, V)`` returns that row of it, each
-batch row read under its own policy of the stack, and ``score_rows`` the
-same for chosen rows of the batch.  The gradient is the
-flattened (T, V) logit table, one per policy of a stack.
+``score_rows(positions, rows) -> (rows, T, V)`` returns that row of it for
+chosen rows of a batch, each under its own policy of the stack, from the
+flat positions ``PolicyParams.positions`` makes of the batch's ids once.
+The gradient is the flattened (T, V) logit table, one per policy of a
+stack.
 """
 
 from __future__ import annotations
@@ -274,31 +275,43 @@ class BatchTerms:
 
 
 def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
-    """Per-token factors I_t h^{1-p} r_t^p / n, the clipped means h (C for a
-    positive advantage, D for a negative one) and the clipped-token mask.
+    """rho of every row, and the per-token factors I_t h^{1-p} r_t^p / n, the
+    clipped means h (C for a positive advantage, D for a negative one) and
+    the clipped-token mask, from one ``holder_rows`` call.
 
-    Only the rows with A != 0 are computed.  A row with A = 0 gets factor 0,
-    h = 0 and no clipped token: each of its products is multiplied by A = 0,
-    so no sum moves (up to the sign of a zero)."""
+    The call stacks the N rows and, below them, the clipped rows of the L
+    rows with A != 0: the log of min(r, 1 + eps) for a positive advantage
+    and of max(r, 1 - eps) for a negative one, at the row's own exponent.
+    That is min (max) of r and its band-clipped value, without the band.
+    The kernel works row by row, so rho and h have the bits of two calls of
+    their own, and the N rows still carry every row: a non-finite valid
+    log-ratio raises DomainError.  A row with A = 0 gets factor 0, h = 0 and
+    no clipped token: each of its products is multiplied by A = 0, so no
+    sum moves (up to the sign of a zero)."""
     factors, h = np.zeros(logs.shape), np.zeros(adv.shape)
     clipped = np.zeros(mask.shape, dtype=bool)
+    p = order.per_row(adv.size)
     rows = np.flatnonzero(adv != 0.0)
-    if rows.size == 0:
-        return factors, h, clipped
-    logs, mask, p = logs[rows], mask[rows], order.per_row(adv.size)[rows]
-    ratios = np.exp(logs)
-    band = np.minimum(np.maximum(ratios, clip.low), clip.high)
+    row_logs, row_mask, row_p = logs[rows], mask[rows], p[rows]
+    ratios = np.exp(row_logs)
     positive = (adv[rows] > 0.0)[:, None]
-    adjusted = np.where(positive, np.minimum(ratios, band), np.maximum(ratios, band))
-    h_rows, _ = holder_rows(np.log(adjusted), mask, HolderOrder(p))
-    kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)
-    n = mask.sum(axis=1)
+    adjusted = np.where(positive, np.minimum(ratios, clip.high), np.maximum(ratios, clip.low))
+    kept = row_mask & (adjusted == ratios)  # the tokens clipping left as they were
+    stacked = np.empty((adv.size + rows.size, logs.shape[1]))
+    stacked[:adv.size] = logs
+    with np.errstate(divide="ignore"):  # a ratio of 0 raises DomainError below
+        np.log(adjusted, out=stacked[adv.size:])
+    del ratios, adjusted  # freed before the kernel's temporaries: lower peak RSS
+    both, _ = holder_rows(stacked, np.concatenate([mask, row_mask]),
+                          HolderOrder(np.concatenate([p, row_p])))
+    rho, h_rows = both[:adv.size], both[adv.size:]
+    n = row_mask.sum(axis=1)
     # h^{1-p}/n * r^p in log-space to survive large |p|
-    log_terms = ((1.0 - p) * np.log(h_rows) - np.log(n))[:, None] + p[:, None] * logs
+    log_terms = ((1.0 - row_p) * np.log(h_rows) - np.log(n))[:, None] + row_p[:, None] * row_logs
     factors[rows] = np.where(kept, np.exp(log_terms), 0.0)
     h[rows] = h_rows
-    clipped[rows] = mask & ~kept
-    return factors, h, clipped
+    clipped[rows] = row_mask & ~kept
+    return rho, factors, h, clipped
 
 
 def batch_terms(
@@ -318,8 +331,10 @@ def batch_terms(
     The sequence gate zeroes a rollout whose aggregated ratio has already
     left the clip band in the direction its advantage favors; token
     clipping zeroes tokens clipped against the advantage direction and uses
-    the clipped power mean, not rho, as the outer factor.  A non-finite
-    valid log-ratio raises DomainError, from ``holder_rows``.
+    the clipped power mean, not rho, as the outer factor.  Under token
+    clipping rho and the clipped means come from one ``holder_rows`` call
+    (``_token_clip_factors``), otherwise rho and W do.  A non-finite valid
+    log-ratio raises DomainError, from ``holder_rows``.
     """
     if regime not in CLIPPING_REGIMES:
         raise DomainError(f"clipping regime must be one of {CLIPPING_REGIMES}")
@@ -328,17 +343,16 @@ def batch_terms(
     logs, mask, adv = batch.log_ratios, batch.mask, batch.advantages
     if runs < 1 or adv.size % (runs * batch.group_size):
         raise DomainError(f"rows must form {runs} equal blocks of whole groups")
-    rho, weights = holder_rows(logs, mask, order)
     if regime == "token":
-        token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
+        rho, token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
         row_scale, row_coef = np.ones_like(rho), adv
         objectives = h * adv
         clip_fraction = (
             clipped.reshape(runs, -1).sum(axis=1) / mask.reshape(runs, -1).sum(axis=1)
         )
     else:
-        token_weights, row_scale = weights, rho
-        objectives = rho * adv
+        rho, token_weights = holder_rows(logs, mask, order)
+        row_scale, objectives = rho, rho * adv
         row_coef, clip_fraction = adv, np.zeros(runs)
         if regime == "sequence":
             gated = ((adv > 0.0) & (rho > clip.high)) | ((adv < 0.0) & (rho < clip.low))
@@ -392,11 +406,13 @@ def grad_rho(
 
 
 def policy_gradient(
-    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms
+    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms, positions: np.ndarray
 ) -> np.ndarray:
     """Each run's minibatch gradient as a (T, V) table, stacked to
     (S, T, V), built per position block: token t of rollout i adds
-    coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block.
+    coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block,
+    scored at the batch's flat ``positions`` (``PolicyParams.positions`` of
+    its ids, checked when they were taken).
     The products and the group sums run in the order of a per-rollout loop
     over dense score vectors and match it bit for bit.  A scale of all 1.0
     (token clipping) is not multiplied in: x * 1.0 = x.
@@ -415,7 +431,7 @@ def policy_gradient(
     size, width = batch.group_size, policy.param_dim
     live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)
     rows = np.flatnonzero(np.repeat(live, size))
-    per_rollout = policy.score_rows(batch.token_ids, rows)
+    per_rollout = policy.score_rows(positions, rows)
     per_rollout *= terms.token_weights[rows, :, None]
     if (terms.row_scale != 1.0).any():
         per_rollout *= terms.row_scale[rows, None, None]
@@ -430,9 +446,10 @@ def policy_gradient(
 def _estimate(minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,
               regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
     batch = RolloutBatch.concat(minibatch)
+    positions = policy.positions(batch.token_ids)
     terms = batch_terms(batch, order, regime, clip)
     return GradientEstimate(
-        policy_gradient(policy, batch, terms).ravel(), terms.clip_fraction.item()
+        policy_gradient(policy, batch, terms, positions).ravel(), terms.clip_fraction.item()
     )
 
 

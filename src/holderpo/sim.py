@@ -6,18 +6,20 @@ The policy has an independent logit row per position, so score gradients
 are exact and cheap, and gradients at distinct positions live in disjoint
 parameter blocks.  ``PolicyParams`` is the one policy type, one (T, V) logit
 table or an (S, T, V) stack of them, and the one owner of token ids: it
-draws them from uniforms (``sample``), reads their log-probabilities and
-forms their score blocks, checking every id against [0, V) in one index.
+draws them from uniforms (``sample``) and turns them into flat positions in
+its log-prob table (``positions``), the one index, which checks every id
+against [0, V); log-probabilities and score blocks are read at positions.
 Sampling uses one counter-derived RNG substream per rollout, so runs are
 bit-reproducible regardless of evaluation order; ``holderpo.streams``
 derives a block of rounds' substreams per call, by PCG64 state steps.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
 round's rollouts are one RolloutBatch, valid as sampled, so unchecked; a
-minibatch is a selection of its groups and ``refresh_logprobs`` re-reads it
-under the current policy, both derived without re-checking; its token
-ratios are checked against the divergence band; and one ``batch_terms``
-call yields rho, the weights, the gates, the objective and the telemetry.
+minibatch is a selection of its groups, whose ids become positions once per
+round, and ``refresh_logprobs`` re-reads it at those positions under the
+current policy, both derived without re-checking; its token ratios are
+checked against the divergence band; and one ``batch_terms`` call yields
+rho, the weights, the gates, the objective and the telemetry.
 The per-group API (``sample_group``, ``refresh_logprobs``) works on the same
 container, a group being a batch with N = G.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
@@ -126,8 +128,10 @@ class PolicyParams:
         """log_probs as an (S, T, V) view."""
         return self.log_probs.reshape(-1, *self.log_probs.shape[-2:])
 
-    def _index(self, token_ids: np.ndarray) -> np.ndarray:
-        """(..., T) ids as (S, n, T) blocks; an id outside [0, V), which
+    def positions(self, token_ids: np.ndarray) -> np.ndarray:
+        """Flat positions of (..., T) ids in ``log_probs``, s*T*V + t*V + id
+        for the id at position t of a row of block s, the one checked index
+        every read and score of ids goes through; an id outside [0, V), which
         indexing would wrap round, raises DomainError."""
         ids = np.asarray(token_ids)
         # one unsigned max in the ids' own byte order; an id below 0 reads as >= 2^63
@@ -135,7 +139,9 @@ class PolicyParams:
         if unsigned.max(initial=0) >= self.vocab:
             raise DomainError(f"token_ids must lie in [0, {self.vocab}), "
                               f"the vocabulary size {self.vocab}")
-        return self._blocks(ids)
+        # s*T*V + t*V at (s, 0, t): multiples of V in one arange
+        starts = np.arange(0, self.logits.size, self.vocab).reshape(self.runs, 1, self.length)
+        return np.add(self._blocks(ids), starts, dtype=np.intp).reshape(ids.shape)
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
@@ -157,27 +163,31 @@ class PolicyParams:
     def token_logprobs(self, token_ids: np.ndarray) -> np.ndarray:
         """log pi(token_ids[..., t] | pos t), each row read under its own
         policy of a stack."""
-        run = np.arange(self.runs)[:, None, None]
-        logprobs = self._tables()[run, np.arange(self.length), self._index(token_ids)]
-        return logprobs.reshape(np.shape(token_ids))
+        return self.logprobs_at(self.positions(token_ids))
 
-    def score_rows(self, token_ids: np.ndarray, rows) -> np.ndarray:
-        """``score_blocks`` of the chosen rows of a (..., T) batch taken as
-        (N, T), `rows` being a slice or an index array into them, each row
-        under its own policy of a stack: -> (rows, T, V).  Every id of the
-        batch is checked, chosen or not."""
-        ids = self._index(token_ids)
-        policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]
-        chosen = ids.reshape(-1, self.length)[rows]
+    def logprobs_at(self, positions: np.ndarray) -> np.ndarray:
+        """The log-probabilities at flat ``positions`` of this policy's ids,
+        in their shape: one ``np.take``."""
+        return np.take(self.log_probs, positions)
+
+    def score_rows(self, positions: np.ndarray, rows) -> np.ndarray:
+        """``score_blocks`` of the chosen rows of a batch's ``positions``,
+        taken as (N, T), `rows` being a slice or an index array into them,
+        each row under the policy its positions lie in: -> (rows, T, V).
+        The one-hot 1.0 is added by one flat scatter."""
+        chosen = positions.reshape(-1, self.length)[rows]
+        policy_of = chosen[:, 0] // self.param_dim
         blocks = np.take(-np.exp(self._tables()), policy_of, axis=0)
-        blocks.reshape(-1, self.vocab)[np.arange(chosen.size), chosen.ravel()] += 1.0
+        # block j of the output holds row j's policy: shift its positions there
+        shift = (np.arange(len(chosen)) - policy_of) * self.param_dim
+        blocks.reshape(-1)[chosen + shift[:, None]] += 1.0
         return blocks
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
         """Block t of the score vector of token t, onehot(token) - pi_t, from
         the row's own policy: token ids of shape (..., T) -> (..., T, V).  The
         score vector of token t is zero outside logit row t."""
-        blocks = self.score_rows(token_ids, slice(None))
+        blocks = self.score_rows(self.positions(token_ids), slice(None))
         return blocks.reshape(*np.shape(token_ids), self.vocab)
 
     def score_gradients(self, token_ids: np.ndarray) -> np.ndarray:
@@ -349,10 +359,16 @@ def sample_group(
     return sample_rollouts(policy_old, task, group_size, uniforms)
 
 
-def refresh_logprobs(batch: RolloutBatch, policy_new: PolicyParams) -> RolloutBatch:
+def refresh_logprobs(batch: RolloutBatch, policy_new: PolicyParams,
+                     positions: np.ndarray | None = None) -> RolloutBatch:
     """The batch with new_logprobs and log_ratios under the current policy
-    (or policies of a stack), derived without re-checking it."""
-    new = policy_new.token_logprobs(batch.token_ids)
+    (or policies of a stack), derived without re-checking it.  `positions`
+    are the batch's ids as ``policy_new.positions`` gives them, when the
+    caller already holds them."""
+    if positions is None:
+        new = policy_new.token_logprobs(batch.token_ids)
+    else:
+        new = policy_new.logprobs_at(positions)
     return batch._derive(new_logprobs=new,
                          log_ratios=np.where(batch.mask, new - batch.old_logprobs, 0.0))
 
@@ -435,8 +451,10 @@ def train_many(
     Per round the S policies are one stacked PolicyParams and the rollouts
     one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
     share the round's uniforms.  Each distinct minibatch is selected from the
-    round's rollouts once, and refreshed under the current policies at every
-    update that takes it.  Per update one ``batch_terms`` call covers
+    round's rollouts once, keyed by its first group, and its ids turned into
+    positions in the stack's log-prob table once; it is refreshed at those
+    positions under the current policies at every update that takes it, and
+    the gradient scores it there.  Per update one ``batch_terms`` call covers
     every run, with one exponent per row, and one score-block product over
     the rows of the groups with a nonzero coefficient gives the S gradients
     (a group whose coefficients are all zero adds exactly 0, so it is
@@ -444,7 +462,9 @@ def train_many(
 
     Each update first checks every run's refreshed minibatch for token
     ratios outside the divergence band; the runs that trip leave the stack
-    before ``batch_terms``.  At the end the DivergenceError of the
+    before ``batch_terms``, and the round's selected minibatches are
+    dropped, since their rows and positions belong to the larger stack.
+    At the end the DivergenceError of the
     lowest-index diverged run is raised, as its solo run raises it, the one a
     loop of solo runs would raise first.  RunLog.wall_time is the stack's.
     """
@@ -472,16 +492,18 @@ def train_many(
         rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
         blocks = list(range(len(live)))  # block of live run k in `rollouts`
-        selected = {}  # this round's minibatches, keyed by their picks' bytes
+        # this round's minibatches and their ids' positions, keyed by first group
+        selected = {}
 
         for update_idx in range(base.updates_per_round):
             lo = (update_idx * base.minibatch_size) % group_count
-            groups = (lo + np.arange(base.minibatch_size)) % group_count
-            picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
-            key = picks.tobytes()
-            if key not in selected:
-                selected[key] = rollouts.select_groups(picks)
-            minibatch = refresh_logprobs(selected[key], policies)
+            if lo not in selected:
+                groups = (lo + np.arange(base.minibatch_size)) % group_count
+                picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
+                picked = rollouts.select_groups(picks)
+                selected[lo] = picked, policies.positions(picked.token_ids)
+            picked, positions = selected[lo]
+            minibatch = refresh_logprobs(picked, policies, positions)
             tripped = _divergences(minibatch.log_ratios, len(live))
             if tripped:  # the runs that diverged leave the stack at once
                 diverged.update((live[k], exc) for k, exc in tripped.items())
@@ -492,11 +514,14 @@ def train_many(
                 policies = PolicyParams(policies.logits[keep])
                 minibatch = minibatch.select_groups((np.array(keep)[:, None] * base.minibatch_size
                                                      + np.arange(base.minibatch_size)).ravel())
+                # positions point into the stack, which has lost runs
+                selected.clear()
+                positions = policies.positions(minibatch.token_ids)
             ps = [p_at(configs[run].schedule, min(step, configs[run].schedule.total_steps))
                   for run in live]
             terms = batch_terms(minibatch, HolderOrder(np.array(ps).repeat(rows_per_run)),
                                 base.clipping_regime, clip, runs=len(live))
-            gradient = policy_gradient(policies, minibatch, terms)
+            gradient = policy_gradient(policies, minibatch, terms, positions)
             policies = PolicyParams(policies.logits + base.learning_rate * gradient)
             entropy, objective, clip_fraction, v_of_p, log_max, log_min = (
                 values.tolist() for values in (

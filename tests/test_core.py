@@ -522,6 +522,31 @@ class TestHolderRows:
         assert (rho >= np.where(mask, ratios, np.inf).min(axis=1) * (1.0 - 1e-12)).all()
         assert (rho <= np.where(mask, ratios, 0.0).max(axis=1) * (1.0 + 1e-12)).all()
 
+    @pytest.mark.parametrize("length", [1, 7, 32, 40])
+    def test_each_row_is_computed_on_its_own(self, rng, length):
+        """rho and W of a row do not depend on the rows stacked with it: one
+        call over ragged rows gives each row the bits of a call on that row
+        alone and of a call on the rows in reversed order.  Token clipping
+        stacks its clipped rows under the batch's and rests on this."""
+        exponents = np.concatenate([
+            [0.0, SERIES_CUTOFF / 2, -SERIES_CUTOFF / 3, 1e-7, 40.0, -40.0, 1.0],
+            rng.uniform(-40.0, 40.0, size=9),
+        ])
+        rows = exponents.size
+        logs = rng.uniform(math.log(1e-4), math.log(1e4), size=(rows, length))
+        mask = rng.random((rows, length)) < 0.7
+        mask[np.arange(rows), rng.integers(0, length, size=rows)] = True
+        logs[~mask] = rng.choice([np.inf, np.nan, 1e300], size=(~mask).sum())
+        rho, weights = holder_rows(logs, mask, HolderOrder(exponents))
+        back_rho, back_weights = holder_rows(logs[::-1], mask[::-1],
+                                             HolderOrder(exponents[::-1]))
+        np.testing.assert_array_equal(back_rho[::-1], rho)
+        np.testing.assert_array_equal(back_weights[::-1], weights)
+        for i, p in enumerate(exponents):
+            one_rho, one_weights = holder_rows(logs[i:i + 1], mask[i:i + 1], HolderOrder(p))
+            np.testing.assert_array_equal(one_rho, rho[i:i + 1])
+            np.testing.assert_array_equal(one_weights, weights[i:i + 1])
+
     def test_continuous_across_series_cutoff(self):
         ratios = np.array([0.5, 2.0, 4.0, 0.25])
         exponents = np.array(SEAM_EXPONENTS + [0.0, 40.0, -40.0])

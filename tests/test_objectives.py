@@ -33,6 +33,7 @@ from holderpo import (
     surrogate_unclipped,
     variance_bound_term,
 )
+from holderpo.core import holder_rows
 from holderpo.objectives import batch_terms, group_means, policy_gradient
 from holderpo.verify import _perturbed_policies as perturbed_policies
 from holderpo.verify import _random_batch as random_group
@@ -539,6 +540,35 @@ class TestMaskedMultiGroupOracles:
             clipped += terms.clip_fraction.item() > 0.0
         assert clipped > 0 or regime == "none"
 
+    def test_token_clip_rho_and_h_match_their_own_calls(self, rng):
+        """Token clipping takes rho and h from one stacked kernel call: rho,
+        read through V(p), has the bits of the unclipped regime's, and the
+        objective the bits of h A with each h from a call on its row's
+        clipped ratios alone, min (max) of r and r clipped to the band for
+        a positive (negative) advantage."""
+        clip = ClipConfig(0.2)
+        clipped = 0
+        for _ in range(8):
+            old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+            batch = RolloutBatch.concat(masked_minibatch(rng, old, new))
+            adv = batch.advantages
+            exponents = rng.choice([-2.5, 0.0, 5e-7, 0.7, 3.0], size=adv.size)
+            order = HolderOrder(exponents)
+            terms = batch_terms(batch, order, "token", clip)
+            unclipped = batch_terms(batch, order, "none")
+            np.testing.assert_array_equal(terms.v_of_p, unclipped.v_of_p)
+            h = np.zeros(adv.size)
+            for i in np.flatnonzero(adv != 0.0):
+                ratios = np.exp(batch.log_ratios[i])
+                band = np.clip(ratios, clip.low, clip.high)
+                adjusted = np.minimum(ratios, band) if adv[i] > 0.0 else np.maximum(ratios, band)
+                (h[i],), _ = holder_rows(np.log(adjusted)[None], batch.mask[i][None],
+                                         HolderOrder(float(exponents[i])))
+            np.testing.assert_array_equal(terms.group_objectives,
+                                          group_means(h * adv, batch.group_size))
+            clipped += terms.clip_fraction.item() > 0.0
+        assert clipped > 0
+
     def test_token_clip_rows_with_zero_advantage_in_live_groups(self, rng):
         """Rewards 0, 1, 2, 1 give A = 0 to two rows of a live group: their
         token-clip factors are 0, and the estimate, clip share and objective
@@ -615,7 +645,7 @@ class TestDeadGroupsSkipped:
 
     @staticmethod
     def gradient(policy, batch, terms):
-        got = policy_gradient(policy, batch, terms)
+        got = policy_gradient(policy, batch, terms, policy.positions(batch.token_ids))
         np.testing.assert_array_equal(got, dense_policy_gradient(policy, batch, terms))
         return got
 
@@ -829,6 +859,19 @@ class TestRolloutBatch:
         derived = refresh_logprobs(RolloutBatch(**self._arrays()), InfinitePolicy())
         with pytest.raises(DomainError, match="valid log_ratios must be finite"):
             batch_terms(derived, HolderOrder(1.0), "none")
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_non_finite_log_ratio_raises_under_token_clip(self, value):
+        """Token clipping clips a row's ratios before its one kernel call,
+        and a non-finite valid log-ratio, of a row with A > 0 or A < 0, is
+        still a DomainError from that call, not a warning on the way."""
+        for row in (0, 1):
+            new = np.full((4, 3), -0.5)
+            new[row, 1] = value
+            derived = RolloutBatch(**self._arrays())._derive(
+                new_logprobs=new, log_ratios=new + 1.0)
+            with pytest.raises(DomainError, match="valid log_ratios must be finite"):
+                batch_terms(derived, HolderOrder(1.0), "token", ClipConfig(0.2))
 
     def test_concat_returns_a_lone_batch_unchanged(self, rng):
         old, new = perturbed_policies(rng, 0.15)

@@ -85,16 +85,18 @@ class TestPolicyParams:
     def test_score_rows_are_the_chosen_rows_of_score_blocks(self, rng):
         """Chosen rows of a stack's batch are scored under their own
         policies, bit for bit as score_blocks scores them; an id outside
-        [0, V) in a row not chosen still raises."""
+        [0, V) in a row not chosen still raises, when the batch's positions
+        are taken."""
         stack = PolicyParams(rng.normal(size=(3, 4, 6)))
         ids = rng.integers(0, 6, size=(15, 4))
         every = stack.score_blocks(ids)
         rows = np.array([1, 4, 5, 9, 14])
-        np.testing.assert_array_equal(stack.score_rows(ids, rows), every[rows])
-        np.testing.assert_array_equal(stack.score_rows(ids, slice(5, 10)), every[5:10])
+        positions = stack.positions(ids)
+        np.testing.assert_array_equal(stack.score_rows(positions, rows), every[rows])
+        np.testing.assert_array_equal(stack.score_rows(positions, slice(5, 10)), every[5:10])
         ids[0, 0] = 6
         with pytest.raises(DomainError, match=r"must lie in \[0, 6\)"):
-            stack.score_rows(ids, rows)
+            stack.positions(ids)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_token_logprobs_rejects_ids_outside_the_vocabulary(self, bad):
@@ -697,27 +699,25 @@ class TestTrainMany:
             train_many(configs, task)
         assert str(stacked.value) == str(solo.value)
 
-    def test_runs_diverging_together_leave_together(self, monkeypatch):
-        """Two identical runs of four diverge at the same update: both leave
-        the stack at once, the other two go on exactly as they do alone, and
-        the error raised is the solo run's, rollout index included."""
-        steps = []  # (policies, gradient) of every update, in order
+    @staticmethod
+    def leave_together(monkeypatch, base, diverging, other):
+        """Trains [base, diverging, diverging, other] as one stack, which
+        must raise the solo error of `diverging`, rollout index included,
+        while base and other update exactly as they do alone, before the two
+        diverging runs leave the stack and after; returns the number of
+        updates the stack took with all four runs, and the row coefficients
+        of each of its updates."""
+        steps = []  # (policies, gradient, row coefficients) of every update, in order
 
-        def recording(policies, minibatch, terms, policy_gradient=sim.policy_gradient):
-            gradient = policy_gradient(policies, minibatch, terms)
-            steps.append((policies.logits.copy(), gradient))
+        def recording(policies, minibatch, terms, positions,
+                      policy_gradient=sim.policy_gradient):
+            gradient = policy_gradient(policies, minibatch, terms, positions)
+            steps.append((policies.logits.copy(), gradient, terms.row_coef))
             return gradient
 
         monkeypatch.setattr(sim, "policy_gradient", recording)
         task = TaskSpec(kind="sparse", length=6, vocab=8, key_position=2, key_token=3)
-        base = TrainConfig(
-            rollouts_per_round=16, group_size=4, minibatch_size=2,
-            updates_per_round=8, total_rounds=10, learning_rate=100.0,
-            clipping_regime="none", schedule=ScheduleSpec.constant(2.0, 79),
-        )
-        diverging = replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79))
-        configs = [base, diverging, diverging,
-                   replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79))]
+        configs = [base, diverging, diverging, other]
         solo_steps = []
         for config in configs[::3]:
             steps.clear()
@@ -732,14 +732,50 @@ class TestTrainMany:
             train_many(configs, task)
         assert str(stacked.value) == str(solo.value)
         assert stacked.value.rollout == solo.value.rollout
-        assert [len(policies) for policies, _ in steps] == (
+        assert [len(policies) for policies, *_ in steps] == (
             [4] * diverged_at + [2] * (len(steps) - diverged_at))
         for k, run in enumerate((0, 3)):
             assert len(solo_steps[k]) == len(steps)
-            for (policies, gradient), (solo, solo_gradient) in zip(steps, solo_steps[k]):
+            for (policies, gradient, _), (solo, solo_gradient, _) in zip(steps, solo_steps[k]):
                 row = run if len(policies) == 4 else k
                 np.testing.assert_array_equal(policies[row], solo[0])
                 np.testing.assert_array_equal(gradient[row], solo_gradient[0])
+        return diverged_at, [coef for *_, coef in steps]
+
+    def test_runs_diverging_together_leave_together(self, monkeypatch):
+        """Two identical runs of four diverge at the same update: both leave
+        the stack at once, the other two go on exactly as they do alone, and
+        the error raised is the solo run's, rollout index included."""
+        base = TrainConfig(
+            rollouts_per_round=16, group_size=4, minibatch_size=2,
+            updates_per_round=8, total_rounds=10, learning_rate=100.0,
+            clipping_regime="none", schedule=ScheduleSpec.constant(2.0, 79),
+        )
+        self.leave_together(monkeypatch, base,
+                            replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79)),
+                            replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79)))
+
+    def test_token_clip_runs_leave_mid_round(self, monkeypatch):
+        """Under token clipping, with each of a round's two minibatches
+        taken by four of its eight updates, two runs diverge in the middle
+        of a round: the update at which they leave, and the updates after
+        it, take minibatches that were selected, and their ids turned into
+        positions, for the four-run stack.  The survivors still equal their
+        solo runs bit for bit."""
+        base = TrainConfig(
+            rollouts_per_round=16, group_size=4, minibatch_size=2,
+            updates_per_round=8, total_rounds=10, learning_rate=100.0,
+            clipping_regime="token", schedule=ScheduleSpec.constant(2.0, 79),
+        )
+        diverged_at, coefficients = self.leave_together(
+            monkeypatch, base, replace(base, schedule=ScheduleSpec.constant(5.0, 79)),
+            replace(base, seed=3, schedule=ScheduleSpec.constant(0.0, 79)))
+        # both minibatches were selected before the runs left, and each is
+        # taken again by a later update of the same round
+        assert 2 <= diverged_at % base.updates_per_round < base.updates_per_round - 2
+        # the last survivor has live rows when the others leave, so scoring
+        # them at the positions of a run that left would show
+        assert coefficients[diverged_at].reshape(2, -1)[1].any()
 
 
 class TestDefaultTasks:

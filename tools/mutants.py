@@ -98,20 +98,20 @@ MUTANTS = (
     ),
     Mutant(
         "invert the token-clip kept mask", "objectives.py",
-        "kept = mask & np.where(positive, ratios <= clip.high, ratios >= clip.low)",
-        "kept = mask & ~np.where(positive, ratios <= clip.high, ratios >= clip.low)",
+        "kept = row_mask & (adjusted == ratios)",
+        "kept = row_mask & (adjusted != ratios)",
         ("test_objectives.py",),
     ),
     Mutant(
         "skip the refresh in train_many", "sim.py",
-        "minibatch = refresh_logprobs(selected[key], policies)",
-        "minibatch = selected[key]",
+        "minibatch = refresh_logprobs(picked, policies, positions)",
+        "minibatch = picked",
         ("test_sim.py",),
     ),
     Mutant(
         "the minibatch dict created once before the round loop", "sim.py",
-        "        selected = {}  # this round's",
-        "        selected = selected if round_idx else {}  # this round's",
+        "        selected = {}\n",
+        "        selected = selected if round_idx else {}\n",
         ("test_sim.py",),
     ),
     Mutant(
@@ -160,20 +160,20 @@ MUTANTS = (
     ),
     Mutant(
         "every stacked row reads policy 0 in token_logprobs", "sim.py",
-        "run = np.arange(self.runs)[:, None, None]",
-        "run = 0 * np.arange(self.runs)[:, None, None]",
+        ".reshape(self.runs, 1, self.length)\n",
+        ".reshape(self.runs, 1, self.length) % self.param_dim\n",
         ("test_sim.py",),
     ),
     Mutant(
         "score_rows reads policy 0 for every row", "sim.py",
-        "policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]",
-        "policy_of = np.arange(ids.size // self.length)[rows] * 0",
+        "policy_of = chosen[:, 0] // self.param_dim",
+        "policy_of = chosen[:, 0] // self.param_dim * 0",
         ("test_sim.py",),
     ),
     Mutant(
         "score rows' policies tiled across the stack, not in blocks", "sim.py",
-        "policy_of = np.arange(ids.size // self.length)[rows] // ids.shape[1]",
-        "policy_of = np.arange(ids.size // self.length)[rows] % self.runs",
+        "policy_of = chosen[:, 0] // self.param_dim",
+        "policy_of = np.arange(positions.size // self.length)[rows] % self.runs",
         ("test_sim.py",),
     ),
     Mutant(
@@ -295,6 +295,24 @@ MUTANTS = (
         "rows = np.flatnonzero(adv != 0.0)",
         "rows = np.flatnonzero(adv > 0.0)",
         ("test_objectives.py",),
+    ),
+    Mutant(
+        "rho read from the clipped rows of the stacked call", "objectives.py",
+        "rho, h_rows = both[:adv.size], both[adv.size:]",
+        "rho, h_rows = both[-adv.size:], both[adv.size:]",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "positions not offset or rebuilt after a run leaves the stack", "sim.py",
+        "                positions = policies.positions(minibatch.token_ids)\n",
+        "",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "the minibatch cache keyed by lo but never cleared", "sim.py",
+        "                selected.clear()\n",
+        "",
+        ("test_sim.py",),
     ),
 )
 
