@@ -47,9 +47,9 @@ class RatioSequence:
 
     def __post_init__(self):
         arr = _as_vector(self.ratios, "ratios")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("ratios must be finite")
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise DomainError("ratios must be strictly positive")
         object.__setattr__(self, "ratios", arr)
 
@@ -131,7 +131,7 @@ class WeightDistribution:
 
     def __post_init__(self):
         arr = _as_vector(self.weights, "weights")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise DomainError("weights must be nonnegative")
         if abs(arr.sum() - 1.0) > 1e-10:
             raise DomainError("weights must sum to 1 within 1e-10")
@@ -192,7 +192,8 @@ def holder_rows(
         raise DomainError("valid log_ratios must be finite")
     p = order.per_row(n.size)
     scaled = np.where(mask, p[:, None] * logs, -np.inf)
-    shift = scaled.max(axis=1)
+    # along a transposed copy's long axis: numpy does not vectorise a max along short rows
+    shift = np.ascontiguousarray(scaled.T).max(axis=0)
     shifted = np.exp(scaled - shift[:, None])
     total = shifted.sum(axis=1)
     weights = shifted / total[:, None]
@@ -295,6 +296,7 @@ def limit_weights(ratios: RatioSequence, direction: int) -> WeightDistribution:
         raise DomainError("direction must be nonzero")
     r = ratios.ratios
     extremum = r.max() if direction > 0 else r.min()
-    on_set = np.isclose(r, extremum, rtol=LIMIT_TIE_RTOL, atol=0.0)
+    # np.isclose's test at atol = 0, without its wrappers: r is finite
+    on_set = np.abs(r - extremum) <= LIMIT_TIE_RTOL * abs(extremum)
     w = np.where(on_set, 1.0 / on_set.sum(), 0.0)
     return WeightDistribution(w)

@@ -203,9 +203,17 @@ class RolloutBatch:
         )
 
     def select_groups(self, groups) -> "RolloutBatch":
-        """The batch made of the given groups, in the given order."""
+        """The batch made of the given groups, in the given order: an index
+        array of groups, whose rows are gathered, or a slice of groups of step
+        1, a slice of rows, whose arrays are views of this batch's."""
         size = self.group_size
-        rows = (np.asarray(groups)[:, None] * size + np.arange(size)).ravel()
+        if isinstance(groups, slice):
+            start, stop, step = groups.indices(self.advantages.size // size)
+            if step != 1:
+                raise DomainError(f"a slice of groups must have step 1, not {step}")
+            rows = slice(start * size, stop * size)
+        else:
+            rows = (np.asarray(groups)[:, None] * size + np.arange(size)).ravel()
         names = ("token_ids", "old_logprobs", "new_logprobs", "mask", "log_ratios",
                  "rewards", "advantages")
         return self._derive(**{name: getattr(self, name)[rows] for name in names})

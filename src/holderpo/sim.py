@@ -14,9 +14,10 @@ bit-reproducible regardless of evaluation order; ``holderpo.streams``
 derives a block of rounds' substreams per call, by PCG64 state steps.
 
 Each update runs as one batched path over (rollouts x tokens) arrays: a
-round's rollouts are one RolloutBatch, valid as sampled, so unchecked; a
-minibatch is a selection of its groups, whose ids become positions once per
-round, and ``refresh_logprobs`` re-reads it at those positions under the
+round's rollouts are one RolloutBatch, valid as sampled, so unchecked, and
+its ids become positions once, by the sampler; a minibatch is the same
+groups of each run's block of the round, with the same rows of the
+positions, and ``refresh_logprobs`` re-reads it at those positions under the
 current policy, both derived without re-checking; its token ratios are
 checked against the divergence band; and one ``batch_terms`` call yields
 rho, the weights, the gates, the objective and the telemetry.
@@ -329,6 +330,15 @@ def sample_rollouts(
     consecutive rows per group), valid by construction, so not checked again.
     Uniforms that are not 2-D, rows that are not whole groups of G >= 2 and a
     policy of another (length, vocab) than the task's raise DomainError."""
+    return _sample_round(policy_old, task, group_size, uniforms)[0]
+
+
+def _sample_round(
+    policy_old: PolicyParams, task: TaskSpec, group_size: int, uniforms: np.ndarray
+) -> tuple[RolloutBatch, np.ndarray]:
+    """``sample_rollouts``, and the flat positions of its ids in
+    ``policy_old.log_probs``: the ids' one check, and the old log-probs read
+    at them."""
     shape = (policy_old.length, policy_old.vocab)
     if shape != (task.length, task.vocab):
         raise DomainError(f"policy shape {shape} does not match the task's "
@@ -336,9 +346,10 @@ def sample_rollouts(
     if np.ndim(uniforms) != 2:
         raise DomainError(f"uniforms of shape {np.shape(uniforms)} are not (N, T)")
     token_ids = policy_old.sample(uniforms)
-    old_lp = policy_old.token_logprobs(token_ids)
+    positions = policy_old.positions(token_ids)
+    old_lp = policy_old.logprobs_at(positions)
     rewards = task.rewards(token_ids)
-    return RolloutBatch._trusted(
+    batch = RolloutBatch._trusted(
         token_ids=token_ids,
         old_logprobs=old_lp,
         new_logprobs=old_lp,
@@ -348,6 +359,7 @@ def sample_rollouts(
         group_size=group_size,
         log_ratios=np.zeros(token_ids.shape),
     )
+    return batch, positions
 
 
 def sample_group(
@@ -414,6 +426,12 @@ def _divergences(log_ratios: np.ndarray, runs: int) -> dict[int, DivergenceError
     return errors
 
 
+def _block_groups(blocks, block_groups: int, lo: int, count: int) -> np.ndarray:
+    """Groups lo .. lo + count - 1 of each listed block of `block_groups`
+    consecutive groups, block by block."""
+    return (np.asarray(blocks)[:, None] * block_groups + np.arange(lo, lo + count)).ravel()
+
+
 def _shared_config(configs: list[TrainConfig]) -> TrainConfig:
     """The first config, once every field but seed and schedule is checked
     to be the same in all of them."""
@@ -450,11 +468,14 @@ def train_many(
 
     Per round the S policies are one stacked PolicyParams and the rollouts
     one RolloutBatch, run s in rows s*N .. s*N + N - 1; runs that share a seed
-    share the round's uniforms.  Each distinct minibatch is selected from the
-    round's rollouts once, keyed by its first group, and its ids turned into
-    positions in the stack's log-prob table once; it is refreshed at those
-    positions under the current policies at every update that takes it, and
-    the gradient scores it there.  Per update one ``batch_terms`` call covers
+    share the round's uniforms.  The sampler turns the round's ids into
+    positions in the stack's log-prob table, once.  A minibatch is groups
+    lo .. lo + M - 1 of every run's block, selected with one
+    ``select_groups`` call and the same groups of the positions: a slice of
+    views for one run, one gather for more.  Each distinct minibatch is
+    selected once per round, keyed by lo, and refreshed at its positions
+    under the current policies at every update that takes it, and the
+    gradient scores it there.  Per update one ``batch_terms`` call covers
     every run, with one exponent per row, and one score-block product over
     the rows of the groups with a nonzero coefficient gives the S gradients
     (a group whose coefficients are all zero adds exactly 0, so it is
@@ -462,11 +483,12 @@ def train_many(
 
     Each update first checks every run's refreshed minibatch for token
     ratios outside the divergence band; the runs that trip leave the stack
-    before ``batch_terms``, and the round's selected minibatches are
-    dropped, since their rows and positions belong to the larger stack.
-    At the end the DivergenceError of the
-    lowest-index diverged run is raised, as its solo run raises it, the one a
-    loop of solo runs would raise first.  RunLog.wall_time is the stack's.
+    before ``batch_terms``.  The round's rollouts, positions and mean rewards
+    are then rebuilt for the runs kept, once, the selected minibatches
+    dropped, and the update's minibatch selected and refreshed again.  At
+    the end the DivergenceError of the lowest-index diverged run is raised,
+    as its solo run raises it, the one a loop of solo runs would raise
+    first.  RunLog.wall_time is the stack's.
     """
     start = time.monotonic()
     base = _shared_config(configs)
@@ -489,34 +511,44 @@ def train_many(
             draws = {seed: _block_uniforms(seed, round_idx, count, group_count,
                                            base.group_size, task.length) for seed in set(seeds)}
         uniforms = np.concatenate([draws[seed][round_idx % block_rounds] for seed in seeds])
-        rollouts = sample_rollouts(policies, task, base.group_size, uniforms)
+        # this round's minibatches and their positions, by first group; the last
+        # round's, and its positions, are freed before the next are taken
+        selected, positions, group_positions = {}, None, None
+        rollouts, positions = _sample_round(policies, task, base.group_size, uniforms)
+        # one (G, T) block per group, so a selection of groups reads both
+        group_positions = positions.reshape(-1, base.group_size, task.length)
         round_rewards = rollouts.rewards.reshape(len(live), -1).mean(axis=1).tolist()
-        blocks = list(range(len(live)))  # block of live run k in `rollouts`
-        # this round's minibatches and their ids' positions, keyed by first group
-        selected = {}
 
         for update_idx in range(base.updates_per_round):
             lo = (update_idx * base.minibatch_size) % group_count
-            if lo not in selected:
-                groups = (lo + np.arange(base.minibatch_size)) % group_count
-                picks = (np.array(blocks)[:, None] * group_count + groups).ravel()
-                picked = rollouts.select_groups(picks)
-                selected[lo] = picked, policies.positions(picked.token_ids)
-            picked, positions = selected[lo]
-            minibatch = refresh_logprobs(picked, policies, positions)
-            tripped = _divergences(minibatch.log_ratios, len(live))
-            if tripped:  # the runs that diverged leave the stack at once
+            while True:
+                if lo not in selected:
+                    # groups lo .. lo + M - 1 of each run's block: for one run
+                    # a slice, so the minibatch and its positions are views
+                    groups = (slice(lo, lo + base.minibatch_size) if len(live) == 1 else
+                              _block_groups(range(len(live)), group_count, lo,
+                                            base.minibatch_size))
+                    selected[lo] = (rollouts.select_groups(groups),
+                                    group_positions[groups].reshape(-1, task.length))
+                picked, positions = selected[lo]
+                minibatch = refresh_logprobs(picked, policies, positions)
+                tripped = _divergences(minibatch.log_ratios, len(live))
+                if not tripped:
+                    break
+                # the runs that diverged leave the stack at once; the round is
+                # rebuilt for the runs kept, and the minibatch selected again
                 diverged.update((live[k], exc) for k, exc in tripped.items())
                 keep = [k for k in range(len(live)) if k not in tripped]
-                live, blocks = [live[k] for k in keep], [blocks[k] for k in keep]
+                live, round_rewards = [live[k] for k in keep], [round_rewards[k] for k in keep]
                 if not live:
                     break
                 policies = PolicyParams(policies.logits[keep])
-                minibatch = minibatch.select_groups((np.array(keep)[:, None] * base.minibatch_size
-                                                     + np.arange(base.minibatch_size)).ravel())
-                # positions point into the stack, which has lost runs
+                rollouts = rollouts.select_groups(_block_groups(keep, group_count, 0, group_count))
+                group_positions = policies.positions(rollouts.token_ids).reshape(
+                    -1, base.group_size, task.length)
                 selected.clear()
-                positions = policies.positions(minibatch.token_ids)
+            if not live:
+                break
             ps = [p_at(configs[run].schedule, min(step, configs[run].schedule.total_steps))
                   for run in live]
             terms = batch_terms(minibatch, HolderOrder(np.array(ps).repeat(rows_per_run)),
@@ -540,7 +572,7 @@ def train_many(
                         log_ratio_max=log_max[k],
                         log_ratio_min=log_min[k],
                         clip_fraction=clip_fraction[k],
-                        mean_reward=round_rewards[blocks[k]],
+                        mean_reward=round_rewards[k],
                         v_of_p=v_of_p[k],
                     )
                 )

@@ -165,8 +165,9 @@ def _rel_err(a: float, b: float) -> float:
 def _observe_rising(res: CheckResult, values, detail: str) -> None:
     """Observe that values strictly increase along their grid, within
     STRICT_SLACK; pass the negated values to observe a strict fall."""
-    diffs = np.diff(values)
-    res.observe(max(0.0, float(-diffs.min())), bool(np.all(diffs > -STRICT_SLACK)), detail)
+    values = np.asarray(values)
+    diffs = values[1:] - values[:-1]
+    res.observe(max(0.0, float(-diffs.min())), bool((diffs > -STRICT_SLACK).all()), detail)
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +201,10 @@ def _holder_grids(log_ratios, exponents) -> Iterator[tuple[np.ndarray, np.ndarra
             logs.repeat(counts, axis=0), mask.repeat(counts, axis=0),
             HolderOrder(np.concatenate(chunk_ps)),
         )
-        bounds = np.cumsum(counts)[:-1]
-        for seq, rho_i, w_i in zip(sequences, np.split(rho, bounds), np.split(weights, bounds)):
-            yield rho_i, w_i[:, : len(seq)]
+        end = 0
+        for seq, count in zip(sequences, counts):
+            begin, end = end, end + count
+            yield rho[begin:end], weights[begin:end, : len(seq)]
 
 
 def _paired(res: CheckResult, instances: Sequence, grids) -> Iterator[tuple]:

@@ -902,6 +902,25 @@ class TestRolloutBatch:
         picked = batch.select_groups([1, 0])
         np.testing.assert_array_equal(picked.rewards, [0.0, 1.0, 1.0, 0.0])
 
+    def test_select_groups_takes_a_slice_as_views(self, rng):
+        """A slice of groups of step 1 selects what the index array of the
+        same groups selects, field by field, as views of the batch's arrays;
+        another step raises DomainError."""
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+        batch = RolloutBatch.concat(masked_minibatch(rng, old, new, groups=5))
+        names = ("token_ids", "old_logprobs", "new_logprobs", "mask", "log_ratios",
+                 "rewards", "advantages")
+        for groups, picks in ((slice(1, 4), [1, 2, 3]), (slice(3, None), [3, 4]),
+                              (slice(-2, 5), [3, 4])):
+            sliced, gathered = batch.select_groups(groups), batch.select_groups(np.array(picks))
+            assert sliced.group_size == batch.group_size
+            for name in names:
+                got = getattr(sliced, name)
+                np.testing.assert_array_equal(got, getattr(gathered, name))
+                assert np.shares_memory(got, getattr(batch, name))
+        with pytest.raises(DomainError, match="step 1"):
+            batch.select_groups(slice(0, 4, 2))
+
     def test_regime_checked(self):
         batch = RolloutBatch(**self._arrays())
         with pytest.raises(DomainError):

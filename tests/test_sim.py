@@ -700,13 +700,14 @@ class TestTrainMany:
         assert str(stacked.value) == str(solo.value)
 
     @staticmethod
-    def leave_together(monkeypatch, base, diverging, other):
-        """Trains [base, diverging, diverging, other] as one stack, which
-        must raise the solo error of `diverging`, rollout index included,
-        while base and other update exactly as they do alone, before the two
-        diverging runs leave the stack and after; returns the number of
-        updates the stack took with all four runs, and the row coefficients
-        of each of its updates."""
+    def leave_mid_run(monkeypatch, configs, diverging):
+        """Trains `configs` as one stack, in which the runs equal to
+        `diverging` diverge and the others survive: the stack must raise the
+        solo error of `diverging`, rollout index included, while each
+        survivor updates exactly as it does alone, before the diverging runs
+        leave the stack and after; returns the number of updates the stack
+        took with every run, and the row coefficients of each of its
+        updates."""
         steps = []  # (policies, gradient, row coefficients) of every update, in order
 
         def recording(policies, minibatch, terms, positions,
@@ -717,11 +718,11 @@ class TestTrainMany:
 
         monkeypatch.setattr(sim, "policy_gradient", recording)
         task = TaskSpec(kind="sparse", length=6, vocab=8, key_position=2, key_token=3)
-        configs = [base, diverging, diverging, other]
+        survivors = [k for k, config in enumerate(configs) if config != diverging]
         solo_steps = []
-        for config in configs[::3]:
+        for run in survivors:
             steps.clear()
-            train(config, task)
+            train(configs[run], task)
             solo_steps.append(list(steps))
         steps.clear()
         with pytest.raises(DivergenceError) as solo:
@@ -733,14 +734,24 @@ class TestTrainMany:
         assert str(stacked.value) == str(solo.value)
         assert stacked.value.rollout == solo.value.rollout
         assert [len(policies) for policies, *_ in steps] == (
-            [4] * diverged_at + [2] * (len(steps) - diverged_at))
-        for k, run in enumerate((0, 3)):
+            [len(configs)] * diverged_at + [len(survivors)] * (len(steps) - diverged_at))
+        for k, run in enumerate(survivors):
             assert len(solo_steps[k]) == len(steps)
             for (policies, gradient, _), (solo, solo_gradient, _) in zip(steps, solo_steps[k]):
-                row = run if len(policies) == 4 else k
+                row = run if len(policies) == len(configs) else k
                 np.testing.assert_array_equal(policies[row], solo[0])
                 np.testing.assert_array_equal(gradient[row], solo_gradient[0])
         return diverged_at, [coef for *_, coef in steps]
+
+    @staticmethod
+    def token_clip_config():
+        """Token clipping, and a round's two minibatches each taken by four
+        of its eight updates."""
+        return TrainConfig(
+            rollouts_per_round=16, group_size=4, minibatch_size=2,
+            updates_per_round=8, total_rounds=10, learning_rate=100.0,
+            clipping_regime="token", schedule=ScheduleSpec.constant(2.0, 79),
+        )
 
     def test_runs_diverging_together_leave_together(self, monkeypatch):
         """Two identical runs of four diverge at the same update: both leave
@@ -751,9 +762,9 @@ class TestTrainMany:
             updates_per_round=8, total_rounds=10, learning_rate=100.0,
             clipping_regime="none", schedule=ScheduleSpec.constant(2.0, 79),
         )
-        self.leave_together(monkeypatch, base,
-                            replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79)),
-                            replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79)))
+        diverging = replace(base, seed=1, schedule=ScheduleSpec.constant(-5.0, 79))
+        other = replace(base, seed=1, schedule=ScheduleSpec.constant(1.0, 79))
+        self.leave_mid_run(monkeypatch, [base, diverging, diverging, other], diverging)
 
     def test_token_clip_runs_leave_mid_round(self, monkeypatch):
         """Under token clipping, with each of a round's two minibatches
@@ -762,20 +773,50 @@ class TestTrainMany:
         it, take minibatches that were selected, and their ids turned into
         positions, for the four-run stack.  The survivors still equal their
         solo runs bit for bit."""
-        base = TrainConfig(
-            rollouts_per_round=16, group_size=4, minibatch_size=2,
-            updates_per_round=8, total_rounds=10, learning_rate=100.0,
-            clipping_regime="token", schedule=ScheduleSpec.constant(2.0, 79),
-        )
-        diverged_at, coefficients = self.leave_together(
-            monkeypatch, base, replace(base, schedule=ScheduleSpec.constant(5.0, 79)),
-            replace(base, seed=3, schedule=ScheduleSpec.constant(0.0, 79)))
+        base = self.token_clip_config()
+        diverging = replace(base, schedule=ScheduleSpec.constant(5.0, 79))
+        other = replace(base, seed=3, schedule=ScheduleSpec.constant(0.0, 79))
+        diverged_at, coefficients = self.leave_mid_run(
+            monkeypatch, [base, diverging, diverging, other], diverging)
         # both minibatches were selected before the runs left, and each is
         # taken again by a later update of the same round
         assert 2 <= diverged_at % base.updates_per_round < base.updates_per_round - 2
         # the last survivor has live rows when the others leave, so scoring
         # them at the positions of a run that left would show
         assert coefficients[diverged_at].reshape(2, -1)[1].any()
+
+    @pytest.mark.parametrize("diverging_first", [True, False])
+    def test_two_runs_shrink_to_one_mid_round(self, monkeypatch, diverging_first):
+        """A two-run stack loses one run in the middle of a round, in either
+        order: from then on the survivor's minibatches are slices of the
+        round rebuilt for it alone, and it still equals its solo run bit
+        for bit; the stack raises the diverged run's solo error."""
+        base = self.token_clip_config()
+        diverging = replace(base, schedule=ScheduleSpec.constant(5.0, 79))
+        survivor = replace(base, seed=3, schedule=ScheduleSpec.constant(0.0, 79))
+        configs = [diverging, survivor] if diverging_first else [survivor, diverging]
+        diverged_at, coefficients = self.leave_mid_run(monkeypatch, configs, diverging)
+        assert 2 <= diverged_at % base.updates_per_round < base.updates_per_round - 2
+        assert coefficients[diverged_at].any()
+
+    def test_ids_become_positions_once_per_round(self, monkeypatch):
+        """The sampler turns a round's ids into positions, and every
+        minibatch of the round reads its rows of them: ``positions`` runs
+        once per round, in a solo run and in a stack of three."""
+        calls = []
+
+        def counting(policy, token_ids, positions=PolicyParams.positions):
+            calls.append(np.shape(token_ids))
+            return positions(policy, token_ids)
+
+        monkeypatch.setattr(PolicyParams, "positions", counting)
+        configs = [self.config(seed=seed) for seed in range(3)]
+        rows, rounds = configs[0].rollouts_per_round, configs[0].total_rounds
+        train(configs[0], default_sparse_task())
+        assert calls == [(rows, 8)] * rounds
+        calls.clear()
+        train_many(configs, default_sparse_task())
+        assert calls == [(3 * rows, 8)] * rounds
 
 
 class TestDefaultTasks:

@@ -7,17 +7,20 @@
 Runs ``bench/run.py --workload W --seconds S --seed N + i`` once in each
 checkout for pair i, in alternating order (the parent first in even pairs,
 the change first in odd ones), so a drift in machine speed falls on both
-sides alike.  Place the two checkouts side by side, e.g. as two sibling
-directories made by ``git archive REV | tar -x -C DIR``: peak_rss_mb and
-setup_s move with the checkout's directory as well as with its code.
+sides alike.  Each pair's line shows both runs' ``correct`` (every job ran
+and matched its reference) and their metrics.  Place the two checkouts side
+by side, e.g. as two sibling directories made by ``git archive REV | tar -x
+-C DIR``: peak_rss_mb and setup_s move with the checkout's directory as well
+as with its code.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the pairs the change won, and whether the change is
 worse than the parent by more than the metric's bound.  It then says whether
-a gain holds: the change better in at least nine tenths of the pairs, its median
-better than the parent's by more than the parent's interquartile range, and
-no larger a share of its jobs failed.  Exit code 1 if a run printed no
-result.
+a gain holds: the change better in at least nine tenths of the pairs, its
+median better than the parent's by more than the parent's interquartile
+range, no larger a share of its jobs failed, and every run on both sides
+correct.  Exit code 1 if a run printed no result or a run on either side was
+not correct: a gain of incorrect code shows nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ def main(argv=None) -> int:
 
     values = {side: {m["name"]: [] for m in declared} for side in SIDES}
     failed = {side: [0, 0] for side in SIDES}  # failed, attempted
+    incorrect = {side: 0 for side in SIDES}  # runs whose result was not correct
+    correct = {}
     for i in range(args.pairs):
         seed = args.seed0 + i
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -87,7 +92,10 @@ def main(argv=None) -> int:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
             failed[side][0] += result["failed"]
             failed[side][1] += result["attempted"]
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}): " + ", ".join(
+            correct[side] = result["correct"] is True
+            incorrect[side] += not correct[side]
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}): correct {correct['parent']} -> "
+              f"{correct['change']}, " + ", ".join(
             f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> "
             f"{values['change'][m['name']][-1]:.4g}" for m in declared), flush=True)
 
@@ -95,13 +103,14 @@ def main(argv=None) -> int:
           f"{args.seed0 + args.pairs - 1}, --seconds {args.seconds:g}")
     shares = {side: bad / total for side, (bad, total) in failed.items()}
     for side in SIDES:
-        print(f"  {side} failed jobs: {failed[side][0]}/{failed[side][1]}")
+        print(f"  {side} failed jobs: {failed[side][0]}/{failed[side][1]}, "
+              f"runs not correct: {incorrect[side]}/{args.pairs}")
     for m in declared:
         name, lower = m["name"], m["better"] == "lower"
         parent, change = values["parent"][name], values["change"][name]
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         won, holds = gain_holds(parent, change, lower)
-        holds = holds and shares["change"] <= shares["parent"]
+        holds = holds and shares["change"] <= shares["parent"] and not any(incorrect.values())
         worse = (cm - pm if lower else pm - cm) / pm
         print(f"  {name} ({m['unit']}, {m['better']} is better)\n"
               f"    parent median {pm:.6g}  quartiles {p1:.6g}..{p3:.6g}  IQR {p3 - p1:.4g}\n"
@@ -110,6 +119,9 @@ def main(argv=None) -> int:
               f"    change better in {won}/{args.pairs} pairs; gain rule "
               f"{'holds' if holds else 'does not hold'}; "
               f"{'within' if worse <= m['bound'] else 'OUTSIDE'} the {m['bound']:g} bound")
+    if any(incorrect.values()):
+        print("bench_pairs: a run was not correct; its metrics do not count", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -74,8 +74,8 @@ MUTANTS = (
     ),
     Mutant(
         "grid rows trimmed to the chunk width, not to n", "verify.py",
-        "            yield rho_i, w_i[:, : len(seq)]\n",
-        "            yield rho_i, w_i\n",
+        "weights[begin:end, : len(seq)]",
+        "weights[begin:end]",
         ("test_verify.py",),
     ),
     Mutant(
@@ -110,8 +110,9 @@ MUTANTS = (
     ),
     Mutant(
         "the minibatch dict created once before the round loop", "sim.py",
-        "        selected = {}\n",
-        "        selected = selected if round_idx else {}\n",
+        "        selected, positions, group_positions = {}, None, None\n",
+        "        selected, positions, group_positions = (selected if round_idx else {}), None, "
+        "None\n",
         ("test_sim.py",),
     ),
     Mutant(
@@ -304,7 +305,8 @@ MUTANTS = (
     ),
     Mutant(
         "positions not offset or rebuilt after a run leaves the stack", "sim.py",
-        "                positions = policies.positions(minibatch.token_ids)\n",
+        "                group_positions = policies.positions(rollouts.token_ids).reshape(\n"
+        "                    -1, base.group_size, task.length)\n",
         "",
         ("test_sim.py",),
     ),
@@ -313,6 +315,27 @@ MUTANTS = (
         "                selected.clear()\n",
         "",
         ("test_sim.py",),
+    ),
+    Mutant(
+        "the round's rollouts/positions not rebuilt when runs leave", "sim.py",
+        "                rollouts = rollouts.select_groups(_block_groups(keep, group_count, 0, "
+        "group_count))\n"
+        "                group_positions = policies.positions(rollouts.token_ids).reshape(\n"
+        "                    -1, base.group_size, task.length)\n",
+        "",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "one-run minibatch sliced at group offset lo + 1", "sim.py",
+        "slice(lo, lo + base.minibatch_size)",
+        "slice(lo + 1, lo + 1 + base.minibatch_size)",
+        ("test_sim.py",),
+    ),
+    Mutant(
+        "shift taken from the untransposed copy along axis 0", "core.py",
+        "np.ascontiguousarray(scaled.T).max(axis=0)",
+        "np.ascontiguousarray(scaled).max(axis=0)",
+        ("test_core.py",),
     ),
 )
 
