@@ -17,10 +17,7 @@ config.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
-import statistics
 import sys
 import typing
 from dataclasses import MISSING, asdict, fields, replace
@@ -40,6 +37,12 @@ from holderpo.core import (
 from holderpo.schedule import ScheduleSpec
 from holderpo.sim import DivergenceError, TaskSpec, TrainConfig, train, train_many
 from holderpo.verify import check_all
+
+# argparse, hashlib and statistics are imported where they are used, so that
+# neither `import holderpo.cli` nor `train` loads them.  hashlib maps OpenSSL's
+# libcrypto into the process; it loads once a run is written.
+if typing.TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,6 +168,8 @@ def resolved_config_dict(task: TaskSpec, config: TrainConfig) -> dict:
 
 
 def _digest(resolved: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(resolved, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -257,6 +262,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import statistics
+
     try:
         task, config = load_config(args.config)
         p_list = _numbers(args.p_list)
@@ -328,6 +335,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="holderpo",
         description="Power-mean importance-ratio aggregation: compute means, "

@@ -6,16 +6,15 @@ Rollout i of group g in round r draws its sampling uniforms from
 contiguous block of rounds without building a SeedSequence or a Generator per
 rollout:
 
-- SeedSequence: the seed's own words are mixed by numpy's
-  ``SeedSequence(seed)``, whose pool is the state every rollout's sequence
-  reaches before its spawn key.  Only what follows is vectorised here: the
-  spawn-key words, one uint32 each for round, group and rollout, are mixed
-  into a pool of uint32 arrays with one axis per key word, and
-  ``generate_state`` hashes the pool into the four 64-bit words that seed
-  PCG64 for every rollout of the block.  The hash multipliers form one
-  fixed sequence, so the ones the key words need follow from the seed's
-  word count: the seed, padded to the pool size, takes the first
-  4 * max(4, words).
+- SeedSequence: the seed's own words are mixed once, on Python ints, into
+  the pool ``SeedSequence(seed).pool`` holds, the state every rollout's
+  sequence reaches before its spawn key.  The spawn-key words, one uint32
+  each for round, group and rollout, are then mixed into a pool of uint32
+  arrays with one axis per key word, and ``generate_state`` hashes the pool
+  into the four 64-bit words that seed PCG64 for every rollout of the block.
+  The hash multipliers form one fixed sequence, so the ones the key words
+  need follow from the seed's word count: the seed, padded to the pool size,
+  takes the first 4 * max(4, words).  No ``numpy.random`` is imported.
 - PCG64: every rollout's 128-bit state advances at once by steps
   x <- M*x + inc.  The first step is seeding's last, from x = s + inc; each
   later step yields one draw, the XSL-RR output of the new state.
@@ -43,6 +42,7 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 # PCG64
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -63,6 +63,36 @@ def _hashmix(value, init, mult, first, count):
 def _mix(x, y):
     result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
+
+
+def _seed_pool(seed: int) -> np.ndarray:
+    """``SeedSequence(seed).pool`` on Python ints: numpy's mix_entropy over the
+    seed's uint32 words, low word first, padded with zeros to the pool size.
+    Each hash takes the next multiplier, as numpy's ``hash_const`` does."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return np.array(pool, dtype=np.uint32)
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo):
@@ -90,7 +120,7 @@ def block_uniforms(seed: int, first_round: int, rounds: int, num_groups: int,
     if not 0 <= first_round <= (1 << 32) - rounds:
         raise DomainError(f"rounds {first_round} .. {first_round + rounds - 1} must be "
                           "non-negative and below 2^32, one uint32 spawn-key word each")
-    pool = np.random.SeedSequence(seed).pool
+    pool = _seed_pool(seed)
     # the seed's words, padded to the pool size, took the first
     # 4 * max(4, words) multipliers; each spawn-key word takes the next 4
     used = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))

@@ -589,6 +589,46 @@ class TestModuleEntryPoint:
         assert "usage: holderpo" in proc.stdout
 
 
+# In a fresh interpreter, after `import numpy`: import the package, the CLI
+# and verify, train from a config, then write the run.  Prints the watched
+# modules that training loaded and the run's config digest.
+TRAIN_PROCESS = """
+import json, sys
+from pathlib import Path
+import numpy
+before = set(sys.modules)
+if "numpy.random" in before:
+    print(json.dumps({"numpy_random_with_numpy": numpy.__version__}))
+    sys.exit()
+import holderpo, holderpo.cli, holderpo.verify
+task, config = holderpo.cli.load_config(sys.argv[1])
+log = holderpo.train(config, task)
+watched = {"numpy.random", "hashlib", "_hashlib", "argparse", "statistics"}
+loaded = sorted(watched & (set(sys.modules) - before))
+summary = holderpo.cli.write_run(Path(sys.argv[2]), task, config, log)
+print(json.dumps({"loaded": loaded, "config_sha256": summary["config_sha256"]}))
+"""
+
+
+def test_a_train_process_loads_no_numpy_random_hashlib_argparse_or_statistics(tmp_path):
+    """Training draws its streams without numpy.random, whose import brings
+    hashlib and OpenSSL's libcrypto; the CLI imports hashlib, argparse and
+    statistics only where it uses them.  Writing the run still digests the
+    config as before."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAIN_PROCESS, str(write_config(tmp_path, train__total_rounds=2)),
+         str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if "numpy_random_with_numpy" in result:
+        pytest.skip(f"numpy {result['numpy_random_with_numpy']} loads numpy.random "
+                    "with numpy itself")
+    assert result == {"loaded": [], "config_sha256": "32531824a90cbfa8"}
+
+
 class TestExitCodes:
     def test_constants(self):
         assert (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, EXIT_DIVERGED) == (

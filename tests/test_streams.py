@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from holderpo.core import DomainError
 from holderpo.sim import _UNIFORMS_PER_BLOCK, _rollout_rng
-from holderpo.streams import block_uniforms
+from holderpo.streams import _seed_pool, block_uniforms
 
 LAST_ROUND = 2**32 - 1  # the largest round one uint32 spawn-key word holds
 
@@ -54,6 +54,18 @@ def test_rows_equal_per_rollout_streams(seed, block, num_groups, group_size, len
     got = block_uniforms(seed, *block, num_groups, group_size, length)
     assert got.shape == (block[1], num_groups * group_size, length)
     assert np.array_equal(got, reference(seed, *block, num_groups, group_size, length))
+
+
+@pytest.mark.parametrize(
+    "seed",
+    # 1, 2, 4, 5, 6 and 9 uint32 words: padded to the pool size, filling it,
+    # and mixed in past it
+    [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**160, 2**256],
+)
+def test_seed_pool_is_seed_sequence_pool(seed):
+    pool = _seed_pool(seed)
+    assert pool.dtype == np.uint32
+    assert np.array_equal(pool, np.random.SeedSequence(seed).pool)
 
 
 @pytest.mark.parametrize("first_round, rounds", [(LAST_ROUND, 1), (LAST_ROUND - 2, 3)])

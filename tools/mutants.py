@@ -256,6 +256,25 @@ MUTANTS = (
         ("test_streams.py",),
     ),
     Mutant(
+        "the seed's words padded to three", "streams.py",
+        "words += [0] * (_POOL_SIZE - len(words))",
+        "words += [0] * (3 - len(words))",
+        ("test_streams.py",),
+    ),
+    Mutant(
+        "the cross-mix also mixes a word into itself (src == dst)", "streams.py",
+        "            if src != dst:\n"
+        "                pool[dst] = mix(pool[dst], hashmix(pool[src]))\n",
+        "            pool[dst] = mix(pool[dst], hashmix(pool[src]))\n",
+        ("test_streams.py",),
+    ),
+    Mutant(
+        "the hash multiplier not advanced after a hash", "streams.py",
+        "        hash_const = hash_const * _MULT_A & _MASK32\n",
+        "",
+        ("test_streams.py",),
+    ),
+    Mutant(
         "every round of a block reads the block's first rows", "sim.py",
         "draws[seed][round_idx % block_rounds]",
         "draws[seed][0]",
