@@ -17,7 +17,6 @@ from holderpo.core import (
     mu_p_derivative,
     shannon_entropy,
     weight_p_derivative,
-    weighted_log_mean,
 )
 from holderpo.objectives import (
     ClipConfig,
@@ -34,13 +33,7 @@ from holderpo.objectives import (
     surrogate_unclipped,
     variance_bound_term,
 )
-from holderpo.analysis import (
-    UpdateMetrics,
-    ratio_envelopes,
-    table_to_csv,
-    v_curve,
-    weight_profile,
-)
+from holderpo.analysis import UpdateMetrics, ratio_envelopes, table_to_csv
 from holderpo.schedule import ScheduleSpec, p_at
 from holderpo.sim import (
     DivergenceError,

@@ -175,8 +175,8 @@ def _digest(resolved: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _stamp(resolved: dict) -> str:
-    return f"# holderpo {holderpo.__version__} config_sha256={_digest(resolved)}\n"
+def _stamp(digest: str) -> str:
+    return f"# holderpo {holderpo.__version__} config_sha256={digest}\n"
 
 
 METRIC_COLUMNS = tuple(f.name for f in fields(UpdateMetrics))
@@ -185,6 +185,7 @@ METRIC_COLUMNS = tuple(f.name for f in fields(UpdateMetrics))
 def write_run(out_dir: Path, task: TaskSpec, config: TrainConfig, log) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = resolved_config_dict(task, config)
+    digest = _digest(resolved)
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2) + "\n")
 
     with (out_dir / "metrics.ndjson").open("w") as fh:
@@ -195,12 +196,12 @@ def write_run(out_dir: Path, task: TaskSpec, config: TrainConfig, log) -> dict:
 
     rows = [[getattr(m, c) for c in METRIC_COLUMNS] for m in log.metrics]
     (out_dir / "metrics.csv").write_text(
-        _stamp(resolved) + table_to_csv(METRIC_COLUMNS, rows)
+        _stamp(digest) + table_to_csv(METRIC_COLUMNS, rows)
     )
 
     summary = {
         "code_version": holderpo.__version__,
-        "config_sha256": _digest(resolved),
+        "config_sha256": digest,
         "final_success": log.final_success,
         "final_p": log.metrics[-1].p_value if log.metrics else None,
         "updates": len(log.metrics),
@@ -300,17 +301,15 @@ def cmd_sweep(args) -> int:
         write_run(out_dir / label / f"seed{seed}", task, run_config, log)
         rows.append([label, seed, log.final_success])
         by_label.setdefault(label, []).append(log.final_success)
-    resolved = resolved_config_dict(task, config)
+    stamp = _stamp(_digest(resolved_config_dict(task, config)))
     (out_dir / "comparison.csv").write_text(
-        _stamp(resolved)
-        + table_to_csv(("label", "seed", "final_success"), rows)
+        stamp + table_to_csv(("label", "seed", "final_success"), rows)
     )
     median_rows = [
         [label, statistics.median(vals)] for label, vals in by_label.items()
     ]
     (out_dir / "medians.csv").write_text(
-        _stamp(resolved)
-        + table_to_csv(("label", "median_final_success"), median_rows)
+        stamp + table_to_csv(("label", "median_final_success"), median_rows)
     )
     print(table_to_csv(("label", "median_final_success"), median_rows), end="")
     return EXIT_OK

@@ -83,9 +83,6 @@ class LogRatioSequence:
     def valid_logs(self) -> np.ndarray:
         return self.log_ratios[self.mask]
 
-    def to_ratio_sequence(self) -> RatioSequence:
-        return RatioSequence(np.exp(self.valid_logs()))
-
 
 @dataclass(frozen=True)
 class HolderOrder:
@@ -229,17 +226,12 @@ def _one_row(logs: np.ndarray, order: HolderOrder) -> tuple[float, np.ndarray]:
     return float(rho), weights
 
 
-def weighted_log_mean(ratios: RatioSequence, order: HolderOrder) -> float:
-    """Weight-averaged log-ratio, bounded by [min log r, max log r]."""
-    w = gradient_weights(ratios, order).weights
-    return float(w @ ratios.log_ratios)
-
-
 def weight_p_derivative(
     ratios: RatioSequence, order: HolderOrder, token_index: int | np.ndarray
 ) -> float | np.ndarray:
-    """d W_t / d p = W_t (log r_t - mu), for one token index or an integer
-    array of them (then an array of the same shape)."""
+    """d W_t / d p = W_t (log r_t - mu), with mu = W . log r the weighted
+    log-mean, for one token index or an integer array of them (then an array
+    of the same shape)."""
     n = len(ratios)
     index = np.asarray(token_index)
     if index.dtype.kind not in "iu":

@@ -214,10 +214,8 @@ class TestCriterion3DeformationProperties:
         assert np.all(np.diff(middle[:peak + 1]) > 0.0)
         assert np.all(np.diff(middle[peak:]) < 0.0)
         # the peak sits where the weighted log-mean crosses log r_t
-        from holderpo import weighted_log_mean
-
         def crossing(p):
-            return weighted_log_mean(r, HolderOrder(p)) - math.log(2.0)
+            return gradient_weights(r, HolderOrder(p)).weights @ r.log_ratios - math.log(2.0)
 
         lo, hi = grid[peak - 1], grid[peak + 1]
         assert crossing(lo) < 0.0 < crossing(hi)

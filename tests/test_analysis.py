@@ -1,4 +1,7 @@
-"""Diagnostics: envelopes, weight profiles, the V(p) curve, CSV export."""
+"""Diagnostics: envelopes, weight profiles, the V(p) curve, CSV export.
+
+A weight profile is ``concentration_rows`` of ``holder_grid`` over an order
+of exponents, and the V(p) curve is ``variance_bound_term`` at each p."""
 
 import math
 from dataclasses import asdict, replace
@@ -15,8 +18,9 @@ from holderpo import (
     hhi,
     shannon_entropy,
 )
-from holderpo.core import holder_grid
-from holderpo.analysis import ratio_envelopes, table_to_csv, v_curve, weight_profile
+from holderpo.analysis import ratio_envelopes, table_to_csv
+from holderpo.core import concentration_rows, holder_grid
+from holderpo.objectives import variance_bound_term
 
 from conftest import make_group
 
@@ -64,59 +68,66 @@ class TestRatioEnvelopes:
         )
 
 
+def _concentration_at(r: RatioSequence, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(entropy, HHI) of the gradient weights at each exponent of `grid`."""
+    _, weights = holder_grid(r.log_ratios, HolderOrder(np.array(grid, dtype=np.float64)))
+    return concentration_rows(weights)
+
+
 class TestWeightProfile:
     def test_zero_point(self):
-        rows = weight_profile(RatioSequence(np.array([2.0, 8.0])), [0.0])
-        p, entropy, concentration = rows[0]
-        assert p == 0.0
+        r = RatioSequence(np.array([2.0, 8.0]))
+        (entropy,), (concentration,) = _concentration_at(r, [0.0])
         assert entropy == pytest.approx(math.log(2.0))
         assert concentration == pytest.approx(0.5)
 
     def test_entropy_unimodal_on_symmetric_grid(self):
         r = RatioSequence(np.exp(np.array([-1.0, 0.2, 0.9])))
         grid = np.linspace(-4, 4, 17)
-        entropies = [row[1] for row in weight_profile(r, grid)]
+        entropies, _ = _concentration_at(r, grid)
         peak = int(np.argmax(entropies))
         assert grid[peak] == pytest.approx(0.0)
         assert np.all(np.diff(entropies[: peak + 1]) >= -1e-12)
         assert np.all(np.diff(entropies[peak:]) <= 1e-12)
 
     def test_uniform_ratios_flat(self):
-        rows = weight_profile(RatioSequence(np.full(4, 2.0)), [-2.0, 0.0, 2.0])
-        np.testing.assert_allclose([row[1] for row in rows], math.log(4.0))
-        np.testing.assert_allclose([row[2] for row in rows], 0.25)
+        r = RatioSequence(np.full(4, 2.0))
+        entropy, concentration = _concentration_at(r, [-2.0, 0.0, 2.0])
+        np.testing.assert_allclose(entropy, math.log(4.0))
+        np.testing.assert_allclose(concentration, 0.25)
 
     def test_empty_grid_rejected(self):
+        r = RatioSequence(np.array([2.0]))
         with pytest.raises(DomainError):
-            weight_profile(RatioSequence(np.array([2.0])), [])
+            holder_grid(r.log_ratios, HolderOrder(np.array([])))
 
     def test_rows_equal_the_one_row_calls_bit_for_bit(self, rng):
         for _ in range(200):
             r = RatioSequence(np.exp(rng.uniform(-3.0, 3.0, rng.integers(1, 30))))
             grid = rng.uniform(-20.0, 20.0, rng.integers(1, 12))
             _, weights = holder_grid(r.log_ratios, HolderOrder(grid))
-            rows = map(WeightDistribution, weights)
-            expected = [(p, shannon_entropy(w), hhi(w)) for p, w in zip(grid.tolist(), rows)]
-            assert weight_profile(r, grid) == expected
+            rows = list(map(WeightDistribution, weights))
+            entropy, concentration = concentration_rows(weights)
+            assert entropy.tolist() == [shannon_entropy(w) for w in rows]
+            assert concentration.tolist() == [hhi(w) for w in rows]
 
 
 class TestVCurve:
     def test_flat_at_unit_ratios(self):
         batch = make_group([[0.0, 0.0]] * 2, [1.0, 0.0])
         expect = float(np.mean(batch.advantages**2))
-        for _, v in v_curve([batch], [-2.0, 0.0, 2.0]):
-            assert v == pytest.approx(expect)
+        for p in (-2.0, 0.0, 2.0):
+            assert variance_bound_term([batch], HolderOrder(p)) == pytest.approx(expect)
 
     def test_strictly_increasing_on_nonuniform_sample(self):
         batch = make_group([[0.4, -0.3, 0.1], [0.0, 0.0, 0.0]], [1.0, 0.0])
-        values = [v for _, v in v_curve([batch], np.linspace(-3, 3, 13))]
+        values = [variance_bound_term([batch], HolderOrder(p)) for p in np.linspace(-3, 3, 13)]
         assert np.all(np.diff(values) > 0.0)
 
     def test_single_rollout_hand_value(self):
         batch = replace(make_group([[math.log(5.0)] * 2, [0.0] * 2], [1.0, 0.0]),
                         advantages=np.array([1.0, 0.0]))
-        rows = v_curve([batch], [1.0])
-        assert rows[0] == (1.0, pytest.approx(12.5))
+        assert variance_bound_term([batch], HolderOrder(1.0)) == pytest.approx(12.5)
 
 
 class TestTableToCsv:

@@ -269,6 +269,8 @@ class TestTrainCommand:
         text = (out / "metrics.csv").read_text()
         assert text.startswith("# holderpo 0.1.0 config_sha256=")
         assert text.splitlines()[1].startswith("step,p_value,objective")
+        digest = json.loads((out / "summary.json").read_text())["config_sha256"]
+        assert text.splitlines()[0] == f"# holderpo 0.1.0 config_sha256={digest}"
 
     def test_byte_identical_rerun(self, tmp_path):
         config = write_config(tmp_path)
@@ -393,6 +395,9 @@ class TestSweepCommand:
         assert comparison[1] == "label,seed,final_success"
         assert len(comparison) == 2 + 3 * 2  # stamp + header + 3 labels x 2 seeds
         medians = (out / "medians.csv").read_text()
+        digest = _digest(resolved_config_dict(*load_config(str(config))))
+        assert comparison[0] == f"# holderpo 0.1.0 config_sha256={digest}"
+        assert medians.splitlines()[0] == comparison[0]
         for label in ("static_-1", "static_0", "static_1"):
             assert label in medians
             assert (out / label / "seed0" / "summary.json").exists()
