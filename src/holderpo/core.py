@@ -173,8 +173,9 @@ def holder_rows(
     hold.  ``order.p``, one exponent for every row or an (N,) array of one
     per row, becomes one exponent per row (:meth:`HolderOrder.per_row`), and
     each row picks log-sum-exp or series on its own exponent.  Returns rho
-    with shape (N,) and W with shape (N, T); W is checked to be finite,
-    nonnegative and to sum to 1 within 1e-10 per row (DomainError).
+    with shape (N,) and W with shape (N, T); W, nonnegative by
+    construction, is checked to be finite and to sum to 1 within 1e-10 per
+    row (DomainError).
     """
     logs = np.asarray(log_ratios, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -202,8 +203,9 @@ def holder_rows(
         rows = np.flatnonzero(series)
         log_rho[rows] = _centred_log_rho(logs[rows], mask[rows], n[rows], p[rows])
     rho = np.exp(log_rho)
-    # written so that NaN weights, from p * log r overflowing, fail it too
-    if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10):
+    # exp(.) / total is never negative; written so that NaN weights, from
+    # p * log r overflowing, fail it too
+    if not np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-10:
         raise DomainError("weights must be finite, nonnegative and sum to 1 within 1e-10")
     return rho, weights
 

@@ -10,12 +10,18 @@ container: a group is a batch with N = G.  The per-group functions
 
 The KL term is deliberately absent.  Gradient estimators take a
 ``sim.PolicyParams``, one tabular policy or a stack of them: the score
-vector of token t is zero outside logit row t, and
-``score_rows(positions, rows) -> (rows, T, V)`` returns that row of it for
-chosen rows of a batch, each under its own policy of the stack, from the
-flat positions ``PolicyParams.positions`` makes of the batch's ids once.
+vector of token t is zero outside logit row t, and ``scores_at`` returns
+that row of it, (rows, T, V), for chosen rows of a batch, each under its
+own policy of the stack, at the index ``score_index`` makes of the flat
+positions ``PolicyParams.positions`` makes of the batch's ids once.
 The gradient is the flattened (T, V) logit table, one per policy of a
 stack.
+
+What no update changes of a minibatch, its live groups, their score index
+and, under token clipping, its rows with A != 0 and the masks the kernel
+reads for them, is one ``MinibatchPlan`` (``minibatch_plan``): training
+builds it once per round for each minibatch it takes, and the per-group
+estimators once per call.
 """
 
 from __future__ import annotations
@@ -230,11 +236,10 @@ class RolloutBatch:
 
 
 def _fold_mean(blocks: np.ndarray) -> np.ndarray:
-    """Means over axis 1 of (K, M, ...) blocks: a left fold, then one divide by M."""
-    total = blocks[:, 0].copy()
-    for i in range(1, blocks.shape[1]):
-        total += blocks[:, i]
-    return total / blocks.shape[1]
+    """Means over axis 1 of (K, M, ...) blocks: a left fold, then one divide
+    by M.  ``np.add.accumulate`` adds in index order, so its last entry is
+    the left fold bit for bit; ``np.sum`` may add pairwise."""
+    return np.add.accumulate(blocks, axis=1)[:, -1] / blocks.shape[1]
 
 
 def group_means(values: np.ndarray, group_size: int) -> np.ndarray:
@@ -282,10 +287,56 @@ class BatchTerms:
         return per_run.sum(axis=1) / per_run.shape[1]
 
 
-def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
+class MinibatchPlan:
+    """The index work of a minibatch that depends on its rows and never on
+    the policy, built by ``minibatch_plan`` once and read by every update
+    that takes the minibatch.
+
+    ``live`` (K,) marks the groups with any A != 0 and ``rows`` are their
+    rows; ``policy_of`` and ``hot`` are ``PolicyParams.score_index`` of
+    those rows.  ``token_rows`` is ``_token_rows`` of the batch under token
+    clipping and None under the other regimes, which do not read it.  A
+    plain class: a dataclass costs import time for nothing here."""
+
+    __slots__ = ("live", "rows", "policy_of", "hot", "token_rows")
+
+    def __init__(self, live, rows, policy_of, hot, token_rows):
+        self.live, self.rows, self.policy_of, self.hot = live, rows, policy_of, hot
+        self.token_rows = token_rows
+
+
+def _token_rows(batch: RolloutBatch) -> tuple:
+    """What token clipping reads of a batch's rows but never of its ratios:
+    the L rows with A != 0, their mask rows, their signs (A > 0) as (L, 1),
+    the (N + L, T) mask of the stacked ``holder_rows`` call and the log of
+    each of the L rows' valid count."""
+    mask, adv = batch.mask, batch.advantages
+    rows = np.flatnonzero(adv != 0.0)
+    row_mask = mask[rows]
+    return (rows, row_mask, (adv[rows] > 0.0)[:, None],
+            np.concatenate([mask, row_mask]), np.log(row_mask.sum(axis=1)))
+
+
+def minibatch_plan(batch: RolloutBatch, positions: np.ndarray, policy: PolicyParams,
+                   regime: str) -> MinibatchPlan:
+    """The ``MinibatchPlan`` of a batch whose ids are at flat ``positions`` in
+    `policy`'s table (``PolicyParams.positions``), for updates under
+    `regime`; it holds for every policy of `policy`'s shape.
+
+    A group is live if any of its advantages is nonzero.  A live group whose
+    every coefficient is zero (every row gated) is scored, and its products
+    are +-0, so no sum moves: the live set does not depend on the ratios."""
+    live = (batch.advantages != 0.0).reshape(-1, batch.group_size).any(axis=1)
+    rows = np.flatnonzero(np.repeat(live, batch.group_size))
+    return MinibatchPlan(live, rows, *policy.score_index(positions, rows),
+                         _token_rows(batch) if regime == "token" else None)
+
+
+def _token_clip_factors(logs, adv, order: HolderOrder, clip: ClipConfig, token_rows):
     """rho of every row, and the per-token factors I_t h^{1-p} r_t^p / n, the
     clipped means h (C for a positive advantage, D for a negative one) and
-    the clipped-token mask, from one ``holder_rows`` call.
+    the clipped-token mask, from one ``holder_rows`` call; `token_rows` is
+    ``_token_rows`` of the batch.
 
     The call stacks the N rows and, below them, the clipped rows of the L
     rows with A != 0: the log of min(r, 1 + eps) for a positive advantage
@@ -296,13 +347,12 @@ def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     log-ratio raises DomainError.  A row with A = 0 gets factor 0, h = 0 and
     no clipped token: each of its products is multiplied by A = 0, so no
     sum moves (up to the sign of a zero)."""
+    rows, row_mask, positive, stacked_mask, log_count = token_rows
     factors, h = np.zeros(logs.shape), np.zeros(adv.shape)
-    clipped = np.zeros(mask.shape, dtype=bool)
+    clipped = np.zeros(logs.shape, dtype=bool)
     p = order.per_row(adv.size)
-    rows = np.flatnonzero(adv != 0.0)
-    row_logs, row_mask, row_p = logs[rows], mask[rows], p[rows]
+    row_logs, row_p = logs[rows], p[rows]
     ratios = np.exp(row_logs)
-    positive = (adv[rows] > 0.0)[:, None]
     adjusted = np.where(positive, np.minimum(ratios, clip.high), np.maximum(ratios, clip.low))
     kept = row_mask & (adjusted == ratios)  # the tokens clipping left as they were
     stacked = np.empty((adv.size + rows.size, logs.shape[1]))
@@ -310,12 +360,10 @@ def _token_clip_factors(logs, mask, adv, order: HolderOrder, clip: ClipConfig):
     with np.errstate(divide="ignore"):  # a ratio of 0 raises DomainError below
         np.log(adjusted, out=stacked[adv.size:])
     del ratios, adjusted  # freed before the kernel's temporaries: lower peak RSS
-    both, _ = holder_rows(stacked, np.concatenate([mask, row_mask]),
-                          HolderOrder(np.concatenate([p, row_p])))
+    both, _ = holder_rows(stacked, stacked_mask, HolderOrder(np.concatenate([p, row_p])))
     rho, h_rows = both[:adv.size], both[adv.size:]
-    n = row_mask.sum(axis=1)
     # h^{1-p}/n * r^p in log-space to survive large |p|
-    log_terms = ((1.0 - row_p) * np.log(h_rows) - np.log(n))[:, None] + row_p[:, None] * row_logs
+    log_terms = ((1.0 - row_p) * np.log(h_rows) - log_count)[:, None] + row_p[:, None] * row_logs
     factors[rows] = np.where(kept, np.exp(log_terms), 0.0)
     h[rows] = h_rows
     clipped[rows] = row_mask & ~kept
@@ -328,6 +376,7 @@ def batch_terms(
     regime: str,
     clip: ClipConfig | None = None,
     runs: int = 1,
+    plan: MinibatchPlan | None = None,
 ) -> BatchTerms:
     """rho, W or the token-clip factors, the gated advantages, the objective,
     clip fraction, V(p) and log-ratio envelopes of a batch under one
@@ -342,7 +391,9 @@ def batch_terms(
     the clipped power mean, not rho, as the outer factor.  Under token
     clipping rho and the clipped means come from one ``holder_rows`` call
     (``_token_clip_factors``), otherwise rho and W do.  A non-finite valid
-    log-ratio raises DomainError, from ``holder_rows``.
+    log-ratio raises DomainError, from ``holder_rows``.  Token clipping
+    reads its rows from `plan`, the batch's ``minibatch_plan`` for this
+    regime, and builds them when it gets no plan.
     """
     if regime not in CLIPPING_REGIMES:
         raise DomainError(f"clipping regime must be one of {CLIPPING_REGIMES}")
@@ -352,7 +403,8 @@ def batch_terms(
     if runs < 1 or adv.size % (runs * batch.group_size):
         raise DomainError(f"rows must form {runs} equal blocks of whole groups")
     if regime == "token":
-        rho, token_weights, h, clipped = _token_clip_factors(logs, mask, adv, order, clip)
+        token_rows = _token_rows(batch) if plan is None else plan.token_rows
+        rho, token_weights, h, clipped = _token_clip_factors(logs, adv, order, clip, token_rows)
         row_scale, row_coef = np.ones_like(rho), adv
         objectives = h * adv
         clip_fraction = (
@@ -414,13 +466,13 @@ def grad_rho(
 
 
 def policy_gradient(
-    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms, positions: np.ndarray
+    policy: PolicyParams, batch: RolloutBatch, terms: BatchTerms, plan: MinibatchPlan
 ) -> np.ndarray:
     """Each run's minibatch gradient as a (T, V) table, stacked to
     (S, T, V), built per position block: token t of rollout i adds
     coef_i * (scale_i * (w_it * s_it)) to row t, s_it being its score block,
-    scored at the batch's flat ``positions`` (``PolicyParams.positions`` of
-    its ids, checked when they were taken).
+    scored at the index of the batch's ``minibatch_plan`` (its ids, checked
+    when they became positions).
     The products and the group sums run in the order of a per-rollout loop
     over dense score vectors and match it bit for bit.  A scale of all 1.0
     (token clipping) is not multiplied in: x * 1.0 = x.
@@ -431,15 +483,14 @@ def policy_gradient(
     whole slice at a time: the left fold of ``group_means``, bit for bit.
     Reducing along the innermost axis would sum pairwise once G >= 8.
 
-    A group whose coefficients are all zero (equal rewards, or every row
-    gated) is skipped and its mean left at zero: each of its products would
-    be +-0, its factors being finite, and x + 0 = x, so every other sum
-    rounds as before and the gradient is the dense loop's, up to the sign of
-    a zero.  Only the live groups' rows are scored and multiplied."""
-    size, width = batch.group_size, policy.param_dim
-    live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)
-    rows = np.flatnonzero(np.repeat(live, size))
-    per_rollout = policy.score_rows(positions, rows)
+    A group whose advantages are all zero (equal rewards) is skipped and
+    its mean left at zero: each of its products would be +-0, its factors
+    being finite, and x + 0 = x, so every other sum rounds as before and the
+    gradient is the dense loop's, up to the sign of a zero.  A live group
+    whose every row is gated is scored, its products being +-0 alike.  Only
+    the plan's live rows are scored and multiplied."""
+    size, width, live, rows = batch.group_size, policy.param_dim, plan.live, plan.rows
+    per_rollout = policy.scores_at(plan.policy_of, plan.hot)
     per_rollout *= terms.token_weights[rows, :, None]
     if (terms.row_scale != 1.0).any():
         per_rollout *= terms.row_scale[rows, None, None]
@@ -454,10 +505,10 @@ def policy_gradient(
 def _estimate(minibatch: Sequence[RolloutBatch], policy: PolicyParams, order: HolderOrder,
               regime: str, clip: ClipConfig | None = None) -> GradientEstimate:
     batch = RolloutBatch.concat(minibatch)
-    positions = policy.positions(batch.token_ids)
-    terms = batch_terms(batch, order, regime, clip)
+    plan = minibatch_plan(batch, policy.positions(batch.token_ids), policy, regime)
+    terms = batch_terms(batch, order, regime, clip, plan=plan)
     return GradientEstimate(
-        policy_gradient(policy, batch, terms, positions).ravel(), terms.clip_fraction.item()
+        policy_gradient(policy, batch, terms, plan).ravel(), terms.clip_fraction.item()
     )
 
 

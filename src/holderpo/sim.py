@@ -20,16 +20,19 @@ groups of each run's block of the round, with the same rows of the
 positions, and ``refresh_logprobs`` re-reads it at those positions under the
 current policy, both derived without re-checking; its token ratios are
 checked against the divergence band; and one ``batch_terms`` call yields
-rho, the weights, the gates, the objective and the telemetry.
+rho, the weights, the gates, the objective and the telemetry.  What no
+update changes of a minibatch (its live groups, their score index, the
+token-clip rows and masks) is its ``objectives.MinibatchPlan``, built once
+when the minibatch is selected.
 The per-group API (``sample_group``, ``refresh_logprobs``) works on the same
 container, a group being a batch with N = G.
 ``policy_gradient`` assembles the gradient per position block, (T, V), never
-as the dense (T, T*V) score matrix, and skips the groups whose coefficients
-are all zero (equal rewards, or every row gated): their products are exactly
-+-0 and adding 0 changes no sum, so no bit of the gradient moves.  The
-``grad_estimator_*`` functions call the same code.  ``train_many`` stacks
-runs that differ only in seed and schedule along the rollout axis, their
-policies as one stacked ``PolicyParams``, and ``train`` is its one-run case.
+as the dense (T, T*V) score matrix, and skips the groups whose advantages
+are all zero (equal rewards): their products are exactly +-0 and adding 0
+changes no sum, so no bit of the gradient moves.  The ``grad_estimator_*``
+functions call the same code.  ``train_many`` stacks runs that differ only
+in seed and schedule along the rollout axis, their policies as one stacked
+``PolicyParams``, and ``train`` is its one-run case.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from holderpo.objectives import (
     RolloutBatch,
     batch_terms,
     group_advantages,
+    minibatch_plan,
     policy_gradient,
 )
 from holderpo.schedule import ScheduleSpec, p_at
@@ -171,18 +175,32 @@ class PolicyParams:
         in their shape: one ``np.take``."""
         return np.take(self.log_probs, positions)
 
+    def score_index(self, positions: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The index ``scores_at`` reads for the chosen rows of a batch's
+        ``positions``, taken as (N, T), `rows` being a slice or an index
+        array into them: the policy each row's positions lie in, (rows,),
+        and the flat (rows, T) positions of its tokens in the (rows, T, V)
+        score blocks.  It does not depend on the logits, so it holds for
+        every policy of this stack's shape."""
+        chosen = positions.reshape(-1, self.length)[rows]
+        policy_of = chosen[:, 0] // self.param_dim
+        # block j of the output holds row j's policy: shift its positions there
+        shift = (np.arange(len(chosen)) - policy_of) * self.param_dim
+        return policy_of, chosen + shift[:, None]
+
+    def scores_at(self, policy_of: np.ndarray, hot: np.ndarray) -> np.ndarray:
+        """The (rows, T, V) score blocks of ``score_index``'s rows: block j
+        is -pi of policy ``policy_of[j]``, and the one-hot 1.0 is added at
+        ``hot`` by one flat scatter."""
+        blocks = np.take(-np.exp(self._tables()), policy_of, axis=0)
+        blocks.reshape(-1)[hot] += 1.0
+        return blocks
+
     def score_rows(self, positions: np.ndarray, rows) -> np.ndarray:
         """``score_blocks`` of the chosen rows of a batch's ``positions``,
         taken as (N, T), `rows` being a slice or an index array into them,
-        each row under the policy its positions lie in: -> (rows, T, V).
-        The one-hot 1.0 is added by one flat scatter."""
-        chosen = positions.reshape(-1, self.length)[rows]
-        policy_of = chosen[:, 0] // self.param_dim
-        blocks = np.take(-np.exp(self._tables()), policy_of, axis=0)
-        # block j of the output holds row j's policy: shift its positions there
-        shift = (np.arange(len(chosen)) - policy_of) * self.param_dim
-        blocks.reshape(-1)[chosen + shift[:, None]] += 1.0
-        return blocks
+        each row under the policy its positions lie in: -> (rows, T, V)."""
+        return self.scores_at(*self.score_index(positions, rows))
 
     def score_blocks(self, token_ids: np.ndarray) -> np.ndarray:
         """Block t of the score vector of token t, onehot(token) - pi_t, from
@@ -473,22 +491,23 @@ def train_many(
     lo .. lo + M - 1 of every run's block, selected with one
     ``select_groups`` call and the same groups of the positions: a slice of
     views for one run, one gather for more.  Each distinct minibatch is
-    selected once per round, keyed by lo, and refreshed at its positions
-    under the current policies at every update that takes it, and the
-    gradient scores it there.  Per update one ``batch_terms`` call covers
-    every run, with one exponent per row, and one score-block product over
-    the rows of the groups with a nonzero coefficient gives the S gradients
-    (a group whose coefficients are all zero adds exactly 0, so it is
-    skipped); each run keeps its own group and minibatch folds.
+    selected once per round, keyed by lo, with its ``minibatch_plan``, and
+    refreshed at its positions under the current policies at every update
+    that takes it.  Per update one ``batch_terms`` call covers every run,
+    with one exponent per row and the plan's token-clip rows, and one
+    score-block product over the plan's rows, those of the groups with a
+    nonzero advantage, gives the S gradients (a group whose advantages are
+    all zero adds exactly 0, so it is skipped); each run keeps its own
+    group and minibatch folds.
 
     Each update first checks every run's refreshed minibatch for token
     ratios outside the divergence band; the runs that trip leave the stack
     before ``batch_terms``.  The round's rollouts, positions and mean rewards
-    are then rebuilt for the runs kept, once, the selected minibatches
-    dropped, and the update's minibatch selected and refreshed again.  At
-    the end the DivergenceError of the lowest-index diverged run is raised,
-    as its solo run raises it, the one a loop of solo runs would raise
-    first.  RunLog.wall_time is the stack's.
+    are then rebuilt for the runs kept, once, the selected minibatches and
+    their plans dropped, and the update's minibatch selected, planned and
+    refreshed again.  At the end the DivergenceError of the lowest-index
+    diverged run is raised, as its solo run raises it, the one a loop of
+    solo runs would raise first.  RunLog.wall_time is the stack's.
     """
     start = time.monotonic()
     base = _shared_config(configs)
@@ -528,9 +547,11 @@ def train_many(
                     groups = (slice(lo, lo + base.minibatch_size) if len(live) == 1 else
                               _block_groups(range(len(live)), group_count, lo,
                                             base.minibatch_size))
-                    selected[lo] = (rollouts.select_groups(groups),
-                                    group_positions[groups].reshape(-1, task.length))
-                picked, positions = selected[lo]
+                    picked = rollouts.select_groups(groups)
+                    positions = group_positions[groups].reshape(-1, task.length)
+                    selected[lo] = (picked, positions, minibatch_plan(
+                        picked, positions, policies, base.clipping_regime))
+                picked, positions, plan = selected[lo]
                 minibatch = refresh_logprobs(picked, policies, positions)
                 tripped = _divergences(minibatch.log_ratios, len(live))
                 if not tripped:
@@ -552,8 +573,8 @@ def train_many(
             ps = [p_at(configs[run].schedule, min(step, configs[run].schedule.total_steps))
                   for run in live]
             terms = batch_terms(minibatch, HolderOrder(np.array(ps).repeat(rows_per_run)),
-                                base.clipping_regime, clip, runs=len(live))
-            gradient = policy_gradient(policies, minibatch, terms, positions)
+                                base.clipping_regime, clip, runs=len(live), plan=plan)
+            gradient = policy_gradient(policies, minibatch, terms, plan)
             policies = PolicyParams(policies.logits + base.learning_rate * gradient)
             entropy, objective, clip_fraction, v_of_p, log_max, log_min = (
                 values.tolist() for values in (

@@ -616,6 +616,14 @@ class TestHolderRows:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             holder_rows(logs, np.ones(logs.shape, bool), HolderOrder(p))
 
+    def test_row_of_minus_infinities_raises(self):
+        # at p = -1e308 every valid p * log r is -inf, so the shift is -inf
+        # and every weight NaN; the sum check rejects the row
+        logs = np.log([[8.0, 64.0], [2.0, 8.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DomainError, match="weights must be finite, nonnegative and sum to 1"):
+            holder_rows(logs, np.ones(logs.shape, bool), HolderOrder(np.array([-1e308, 1.0])))
+
     def test_geometric_branch_is_uniform_over_valid(self):
         logs = np.array([[math.log(2.0), math.log(8.0), 5.0]])
         mask = np.array([[True, True, False]])

@@ -34,7 +34,7 @@ from holderpo import (
     variance_bound_term,
 )
 from holderpo.core import holder_rows
-from holderpo.objectives import batch_terms, group_means, policy_gradient
+from holderpo.objectives import batch_terms, group_means, minibatch_plan, policy_gradient
 from holderpo.verify import _perturbed_policies as perturbed_policies
 from holderpo.verify import _random_batch as random_group
 
@@ -613,6 +613,24 @@ class TestMaskedMultiGroupOracles:
         )
 
 
+@pytest.mark.parametrize("group_size", [8, 9, 17])
+def test_group_means_are_left_folds(rng, group_size):
+    """group_means sums each group as a Python left fold does, bit for bit;
+    on the same values numpy's pairwise sum along the rows rounds otherwise,
+    so the check can tell the two orders apart."""
+    values = np.exp(rng.uniform(-30.0, 30.0, size=400 * group_size))
+    values *= rng.choice([-1.0, 1.0], size=values.size)
+    folds = []
+    for group in values.reshape(-1, group_size):
+        total = group[0]
+        for value in group[1:]:
+            total += value
+        folds.append(total / group_size)
+    np.testing.assert_array_equal(group_means(values, group_size), folds)
+    pairwise = values.reshape(-1, group_size).sum(axis=1) / group_size
+    assert not np.array_equal(pairwise, folds)
+
+
 def dense_policy_gradient(policy, batch, terms):
     """The gradient folded over every row, the groups whose coefficients are
     all zero included: score blocks of every row, the three in-place
@@ -645,7 +663,9 @@ class TestDeadGroupsSkipped:
 
     @staticmethod
     def gradient(policy, batch, terms):
-        got = policy_gradient(policy, batch, terms, policy.positions(batch.token_ids))
+        # the gradient reads only the plan's score part, alike under every regime
+        plan = minibatch_plan(batch, policy.positions(batch.token_ids), policy, "none")
+        got = policy_gradient(policy, batch, terms, plan)
         np.testing.assert_array_equal(got, dense_policy_gradient(policy, batch, terms))
         return got
 
@@ -701,6 +721,41 @@ class TestDeadGroupsSkipped:
                 zero = (terms.row_coef == 0.0).reshape(-1, 4)
                 mixed += int((zero.any(axis=1) & ~zero.all(axis=1)).sum())
         assert mixed > 0
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_live_group_with_zero_advantage_rows(self, rng, regime):
+        """Rewards 0, 0.5, 1, 0.5 give A = 0 to two rows of a live group:
+        the group is scored, those rows add +-0, and the gradient is the
+        dense fold's."""
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+        groups = masked_minibatch(rng, old, new)
+        rewards = [rng.permutation([0.0, 0.5, 1.0, 0.5]), np.ones(4),
+                   rng.permutation([0.0, 0.0, 1.0, 1.0])]
+        batch = RolloutBatch.concat([replace(g, rewards=r, advantages=advantage_estimates(r))
+                                     for g, r in zip(groups, rewards)])
+        assert (batch.advantages[:4] == 0.0).sum() == 2
+        for p in (-2.5, 0.0, 3.0):
+            terms = batch_terms(batch, HolderOrder(p), regime, ClipConfig(0.2))
+            assert np.abs(self.gradient(new, batch, terms)).max() > 0.0
+
+    @pytest.mark.parametrize("regime", ["none", "sequence", "token"])
+    def test_live_group_whose_every_row_is_gated(self, rng, regime):
+        """Every token ratio of the first group is e^{0.5} where A > 0 and
+        e^{-0.5} where A < 0, so the sequence gate closes on each of its
+        rows: the group is live, as its advantages are nonzero, and scored,
+        and each regime's gradient is the dense fold's."""
+        old, new = random_policy_pair(rng, length=6, vocab=5, drift=0.6)
+        gated, *rest = self.minibatch(rng, old, new, (True, True, False))
+        positive = (gated.advantages > 0.0)[:, None]
+        logprobs = gated.new_logprobs
+        gated = replace(gated, old_logprobs=np.where(positive, logprobs - 0.5, logprobs),
+                        new_logprobs=np.where(positive, logprobs, logprobs - 0.5))
+        batch = RolloutBatch.concat([gated, *rest])
+        assert batch.advantages[:4].all()
+        for p in (-2.5, 0.0, 3.0):
+            terms = batch_terms(batch, HolderOrder(p), regime, ClipConfig(0.2))
+            assert (regime == "sequence") == (not terms.row_coef[:4].any())
+            assert np.abs(self.gradient(new, batch, terms)).max() > 0.0
 
     def test_token_clip_with_clipped_tokens(self, rng):
         clipped = 0

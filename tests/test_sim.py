@@ -710,9 +710,9 @@ class TestTrainMany:
         updates."""
         steps = []  # (policies, gradient, row coefficients) of every update, in order
 
-        def recording(policies, minibatch, terms, positions,
+        def recording(policies, minibatch, terms, plan,
                       policy_gradient=sim.policy_gradient):
-            gradient = policy_gradient(policies, minibatch, terms, positions)
+            gradient = policy_gradient(policies, minibatch, terms, plan)
             steps.append((policies.logits.copy(), gradient, terms.row_coef))
             return gradient
 
@@ -817,6 +817,55 @@ class TestTrainMany:
         calls.clear()
         train_many(configs, default_sparse_task())
         assert calls == [(3 * rows, 8)] * rounds
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        """The row count of the batch of every ``minibatch_plan`` call
+        ``train_many`` makes, in order."""
+        calls = []
+
+        def counting(batch, positions, policy, regime, minibatch_plan=sim.minibatch_plan):
+            calls.append(batch.advantages.size)
+            return minibatch_plan(batch, positions, policy, regime)
+
+        monkeypatch.setattr(sim, "minibatch_plan", counting)
+        return calls
+
+    def test_each_minibatch_is_planned_once_per_round(self, monkeypatch):
+        """A round's two minibatches, each taken by four of its eight
+        updates, are planned once each: in a solo run and in a stack of
+        three."""
+        calls = self.count_plans(monkeypatch)
+        base = self.token_clip_config()
+        configs = [replace(base, seed=seed, schedule=ScheduleSpec.constant(0.0, 79))
+                   for seed in range(3)]
+        rows = base.minibatch_size * base.group_size
+        train(configs[0], default_sparse_task())
+        assert calls == [rows] * 2 * base.total_rounds
+        calls.clear()
+        train_many(configs, default_sparse_task())
+        assert calls == [3 * rows] * 2 * base.total_rounds
+
+    def test_minibatches_planned_again_when_runs_leave(self, monkeypatch):
+        """When two runs of four leave mid-round, the minibatches the round
+        had planned for four runs are planned again for the two kept, and
+        each later round plans its two once, for the two."""
+        calls = self.count_plans(monkeypatch)
+        task = TaskSpec(kind="sparse", length=6, vocab=8, key_position=2, key_token=3)
+        base = self.token_clip_config()
+        diverging = replace(base, schedule=ScheduleSpec.constant(5.0, 79))
+        other = replace(base, seed=3, schedule=ScheduleSpec.constant(0.0, 79))
+        rows = base.minibatch_size * base.group_size
+        with pytest.raises(DivergenceError):
+            train(diverging, task)
+        # the solo run plans both minibatches of every round it reaches
+        rounds_before = len(calls) // 2
+        assert calls == [rows] * 2 * rounds_before
+        calls.clear()
+        with pytest.raises(DivergenceError):
+            train_many([base, diverging, diverging, other], task)
+        assert calls == ([4 * rows] * 2 * rounds_before
+                         + [2 * rows] * 2 * (base.total_rounds - rounds_before + 1))
 
 
 class TestDefaultTasks:

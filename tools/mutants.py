@@ -293,9 +293,27 @@ MUTANTS = (
         ("test_objectives.py",),
     ),
     Mutant(
-        "a group is live only if all its coefficients are nonzero", "objectives.py",
-        "live = (terms.row_coef != 0.0).reshape(-1, size).any(axis=1)",
-        "live = (terms.row_coef != 0.0).reshape(-1, size).all(axis=1)",
+        "a group is live only if all its advantages are nonzero", "objectives.py",
+        "live = (batch.advantages != 0.0).reshape(-1, batch.group_size).any(axis=1)",
+        "live = (batch.advantages != 0.0).reshape(-1, batch.group_size).all(axis=1)",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "the plan's one-hot index without the per-row shift", "sim.py",
+        "return policy_of, chosen + shift[:, None]",
+        "return policy_of, chosen",
+        ("test_objectives.py", "test_sim.py"),
+    ),
+    Mutant(
+        "the stacked token-clip mask built from the first L mask rows", "objectives.py",
+        "np.concatenate([mask, row_mask])",
+        "np.concatenate([mask, mask[:rows.size]])",
+        ("test_objectives.py",),
+    ),
+    Mutant(
+        "the plan's token-clip signs read from the first L rows", "objectives.py",
+        "(adv[rows] > 0.0)[:, None]",
+        "(adv[:rows.size] > 0.0)[:, None]",
         ("test_objectives.py",),
     ),
     Mutant(
